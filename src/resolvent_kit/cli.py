@@ -172,13 +172,19 @@ def cmd_resolvent(cfg: RunConfig) -> tuple:
         raise ConfigError(f"matrix element indices ({n}, {m}) out of range for N={cfg.size}")
     grid = _grid(cfg)
     weights = pair.gamma[n] * pair.gamma[m] / pair.sigma
-    values = np.array(
-        [np.sum(weights / (pair.eps - (e + 1j * cfg.im_z))) for e in grid], dtype=complex
-    )
+    values = np.full(grid.size, complex(np.nan, np.nan))
+    flagged = []
+    for i, e in enumerate(grid):
+        gaps = pair.eps - (e + 1j * cfg.im_z)
+        if np.min(np.abs(gaps)) < 1e-15 * max(1.0, abs(e)):  # green_last's pole rule
+            flagged.append(i)
+        else:
+            values[i] = np.sum(weights / gaps)
     table = ScanTable(
         energies=grid,
         columns={"re_g": values.real, "im_g": values.imag, "abs_g": np.abs(values)},
         metadata={"kind": "resolvent"},
+        flagged=tuple(flagged),
     )
     results = {
         "n_index": n,
@@ -186,7 +192,7 @@ def cmd_resolvent(cfg: RunConfig) -> tuple:
         "im_z": cfg.im_z,
         "poles_in_range": [float(e) for e in pair.eps if grid[0] <= e <= grid[-1]],
     }
-    return table, results, {}, (2, 3, 4)
+    return table, results, {"flagged_points": flagged}, (2, 3, 4)
 
 
 _SELFTEST_TOL = 1e-9

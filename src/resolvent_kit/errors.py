@@ -22,8 +22,8 @@ class NumericalError(ResolventKitError):
 class ConvergenceError(NumericalError):
     """An iterative procedure failed to converge.
 
-    Carries whatever diagnostics the caller attached (achieved residual,
-    partial sum, term count).
+    Carries whatever diagnostics the caller attached (for example the
+    continued-fraction level count and last Lentz factor |Delta - 1|).
     """
 
     def __init__(self, message, **diagnostics):

@@ -89,54 +89,54 @@ class ScatteringPoint:
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric series
+# Gauss hypergeometric continued fraction
 # ---------------------------------------------------------------------------
 
-_BLOCK = 4096
 
+def _gauss_cf(alpha: complex, beta: complex, gamma: complex, z: complex, tol: float, max_levels: int, stage: str):
+    """F(alpha+1, beta; gamma+1; z) / F(alpha, beta; gamma; z) by Gauss's
+    continued fraction (DLMF 15.7), evaluated with modified Lentz:
 
-def _hyp2f1_series(a: complex, b: complex, c: complex, x: complex, tol: float, max_terms: int) -> complex:
-    """Direct power series sum_k (a)_k (b)_k / ((c)_k k!) x^k.
+        1 / (1 + k_1 z / (1 + k_2 z / (1 + ...)))
+        k_(2m+1) = (alpha-gamma-m)(beta+m) / ((gamma+2m)(gamma+2m+1))
+        k_(2m+2) = (beta-gamma-m-1)(alpha+m+1) / ((gamma+2m+1)(gamma+2m+2))
 
-    Used on and inside the unit circle. On |x| = 1 the terms decay like a
-    power of k while oscillating, so the stopping rule bounds the tail by
-    summation by parts: |tail| <~ 2 |term| / |1 - x|. Near x = 1 that
-    bound degrades and the term cap surfaces as an error instead of an
-    extrapolated value.
+    On the unit circle it converges everywhere but z = 1, ever more slowly
+    as z nears 1, so the level cap surfaces as an error naming ``stage``
+    instead of an extrapolated value. A vanishing k_j ends it exactly.
     """
-    if abs(x) > 1.0 + 1e-14:
-        raise InputError(f"series argument must satisfy |x| <= 1, got |x| = {abs(x)}")
-    one_minus_x = abs(1.0 - x)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    k0 = 0
-    while k0 < max_terms:
-        ks = np.arange(k0, min(k0 + _BLOCK, max_terms), dtype=float)
-        ratios = (a + ks) * (b + ks) / ((c + ks) * (ks + 1.0)) * x
-        terms = term * np.cumprod(ratios)
-        total += terms.sum()
-        term = terms[-1]
-        k0 += ks.size
-        if term == 0.0:  # terminating series
-            return complex(total)
-        bound = 2.0 * abs(term) / max(one_minus_x, 1e-300)
-        if bound < tol * max(1.0, abs(total)):
-            return complex(total)
+    f = c = 1.0 + 0.0j
+    d = delta = 0.0j
+    for level in range(max_levels):
+        m, second = divmod(level, 2)
+        if second:
+            k = (beta - gamma - m - 1.0) * (alpha + m + 1.0) / ((gamma + 2 * m + 1.0) * (gamma + 2 * m + 2.0))
+        else:
+            k = (alpha - gamma - m) * (beta + m) / ((gamma + 2 * m) * (gamma + 2 * m + 1.0))
+        a = k * z
+        d = 1.0 / ((1.0 + a * d) or 1e-300)
+        c = (1.0 + a / c) or 1e-300
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < tol:
+            return 1.0 / f
     raise ConvergenceError(
-        f"hypergeometric series did not converge within {max_terms} terms",
-        partial_sum=complex(total),
-        last_term=complex(term),
-        tail_bound=2.0 * abs(term) / max(one_minus_x, 1e-300),
+        f"{stage}: continued fraction did not converge in {max_levels} levels",
+        levels=max_levels,
+        last_delta=abs(delta - 1.0),
     )
 
 
-def hyp2f1_b1(a: complex, c: complex, x: complex, tol: float = 1e-10, max_terms: int = 10**6) -> complex:
-    """2F1(a, 1; c; x) = sum_k (a)_k / (c)_k x^k.
-
-    Convergent here because either a is a nonpositive integer (the series
-    terminates) or Re(c - a - 1) > 0 on the unit circle.
+def hyp2f1_b1(a: complex, c: complex, x: complex, tol: float = 1e-15, max_terms: int = 10**6) -> complex:
+    """2F1(a, 1; c; x) = sum_k (a)_k / (c)_k x^k for |x| <= 1: the continued
+    fraction at alpha = 0, gamma = c - 1, whose denominator is 1; c = 1 is
+    (1 - x)^(-a). ``tol`` bounds the last Lentz factor |Delta - 1|.
     """
-    return _hyp2f1_series(a, 1.0, c, x, tol, max_terms)
+    if abs(x) > 1.0 + 1e-14:
+        raise InputError(f"argument must satisfy |x| <= 1, got |x| = {abs(x)}")
+    if c == 1.0:
+        return complex((1.0 - x) ** (-a))
+    return _gauss_cf(0.0, a, c - 1.0, x, tol, max_terms, f"2F1(a, 1; c; x) at a={a}, c={c}, x={x}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,36 +144,29 @@ def hyp2f1_b1(a: complex, c: complex, x: complex, tol: float = 1e-10, max_terms:
 # ---------------------------------------------------------------------------
 
 
-def seed_coefficients(kin: KinematicParams, ell: int, tol: float = 1e-10, max_terms: int = 10**6):
+def seed_coefficients(kin: KinematicParams, ell: int, tol: float = 1e-15, max_terms: int = 10**6):
     """T_0 and R_1(+) at the given kinematics.
 
-    Both are ratios of Gauss hypergeometric values at e^(+/- 2 i theta);
-    for real energy the numerator of T_0 is the conjugate of its
-    denominator, which forces |T_0| = 1. A drift beyond 1e-8 therefore
-    signals series corruption and raises.
+    With a = -ell + i t, c = ell + 2 + i t and x = e^(-2 i theta), T_0
+    needs f = 2F1(a, 1; c; x) and R_1(+) the continued fraction
+    2F1(a, 2; c+1; x) / f. At real energy the plus-branch value
+    2F1(conj a, 1; conj c; conj x) is conj(f), so |T_0| = 1 by construction.
     """
     it = 1j * kin.t
+    a = -ell + it
+    c = ell + 2.0 + it
     x_minus = cmath.exp(-2j * kin.theta)
-    x_plus = cmath.exp(2j * kin.theta)
-    f_minus = _hyp2f1_series(-ell + it, 1.0, ell + 2.0 + it, x_minus, tol, max_terms)
-    f_plus = _hyp2f1_series(-ell - it, 1.0, ell + 2.0 - it, x_plus, tol, max_terms)
-    t0 = cmath.exp(2j * kin.theta) * (ell + 1.0 + it) * f_plus / ((ell + 1.0 - it) * f_minus)
-    if abs(abs(t0) - 1.0) > 1e-8:
-        raise NumericalError(
-            f"seed T_0 lost unimodularity (|T_0| = {abs(t0)}) at E = {kin.energy}; "
-            "hypergeometric series is unreliable here"
-        )
-    f2 = _hyp2f1_series(-ell + it, 2.0, ell + 3.0 + it, x_minus, tol, max_terms)
-    r1_plus = (
-        cmath.exp(-1j * kin.theta)
-        * math.sqrt(2.0 * ell + 2.0)
-        * f2
-        / ((ell + 2.0 + it) * f_minus)
-    )
+    stage = f"seed at E={kin.energy}, ell={ell}, t={kin.t}"
+    f_minus = _gauss_cf(0.0, a, c - 1.0, x_minus, tol, max_terms, stage)
+    ratio = _gauss_cf(1.0, a, c, x_minus, tol, max_terms, stage)
+    t0 = cmath.exp(2j * kin.theta) * (ell + 1.0 + it) * f_minus.conjugate() / ((ell + 1.0 - it) * f_minus)
+    r1_plus = cmath.exp(-1j * kin.theta) * math.sqrt(2.0 * ell + 2.0) * ratio / c
+    if not (cmath.isfinite(t0) and cmath.isfinite(r1_plus)):
+        raise NumericalError(f"{stage}: non-finite seeds T_0 = {t0}, R_1(+) = {r1_plus}")
     return t0, r1_plus
 
 
-def cs_recursion(mats: MatrixSet, kin: KinematicParams, up_to: int, tol: float = 1e-10) -> CSCoefficients:
+def cs_recursion(mats: MatrixSet, kin: KinematicParams, up_to: int, tol: float = 1e-15) -> CSCoefficients:
     """Propagate T_n and R_n(+/-) from the seeds through index ``up_to``
     using rows 1 .. up_to-1 of the tridiagonal reference pencil:
 

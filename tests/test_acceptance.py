@@ -215,7 +215,6 @@ def test_criterion_6_bound_states():
     )
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
     "z_charge,ell,bracket,target,tol",
     [

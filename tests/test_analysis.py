@@ -56,6 +56,18 @@ class TestScanSMatrix:
         assert np.max(table.columns["abs_one_minus_s"]) <= 1e-6
         assert table.flagged == ()
 
+    def test_low_energy_coulomb_s_wave(self):
+        # repulsive Coulomb (Z = +1) s-wave at lambda = 20 down to E = 0.01,
+        # where the hypergeometric seeds sit close to x = 1
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        spec = SystemSpec(
+            basis=BasisSpec("laguerre", lam=20.0, ell=0, size=100), potential=pot, z_charge=1.0
+        )
+        table = scan_smatrix(spec, np.geomspace(0.01, 0.5, 60))
+        assert table.flagged == ()
+        s_mag = np.hypot(table.columns["re_s"], table.columns["im_s"])
+        assert np.max(np.abs(s_mag - 1.0)) <= 1e-7
+
     def test_deterministic(self):
         pot = parse_potential("7.5*r^2*exp(-r)")
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=25), potential=pot)

@@ -181,6 +181,34 @@ class TestArtifacts:
         # Im z > 0 makes the diagonal element Herglotz: positive imaginary part
         assert np.all(rows[:, 2] > 0)
 
+    def test_resolvent_on_pole_flagged(self, tmp_path):
+        # a real grid point exactly on a generalized eigenvalue is flagged
+        # as NaN and listed, never written as inf
+        from resolvent_kit.basis import BasisSpec, SystemSpec, build_matrices
+        from resolvent_kit.matrix_core import gen_sym_eig
+        from resolvent_kit.potential import parse_potential
+
+        spec = SystemSpec(
+            basis=BasisSpec("laguerre", lam=1.0, ell=0, size=12),
+            potential=parse_potential("7.5*r^2*exp(-r)"),
+        )
+        mats = build_matrices(spec)
+        pole = float(gen_sym_eig(mats.h.data, mats.omega.data).eps[3])
+        code = run_cli(
+            [
+                "resolvent", "--N", "12", "--potential", "7.5*r^2*exp(-r)",
+                "--e-min", repr(pole), "--e-max", repr(pole + 2.0), "--steps", "20",
+                "--im-z", "0", "--csv", str(tmp_path / "g.csv"), "--json", str(tmp_path / "g.json"),
+            ]
+        )
+        assert code == 0
+        _, rows = read_csv(tmp_path / "g.csv")
+        assert rows[0, 0] == pole
+        assert np.all(np.isnan(rows[0, 1:]))
+        assert np.all(np.isfinite(rows[1:, 1:]))
+        payload = json.loads((tmp_path / "g.json").read_text())
+        assert payload["diagnostics"]["flagged_points"] == [0]
+
     def test_dos_command(self, tmp_path):
         code = run_cli(
             [

@@ -48,6 +48,11 @@ class TestHyp2F1:
             want = complex(mp.hyp2f1(a, 1, c, x))
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
+    def test_c_equals_one_closed_form(self):
+        # c = 1 has no continued fraction (gamma = 0); 2F1(a, 1; 1; x) = (1 - x)^(-a)
+        for a, x in ((-0.5 + 0.3j, cmath.exp(0.4j)), (-2.0, 0.3), (0.7j, 0.5j)):
+            assert hyp2f1_b1(a, 1.0, x) == pytest.approx(complex(mp.hyp2f1(a, 1, 1, x)), rel=1e-14)
+
     def test_stability_under_tighter_tolerance(self):
         a, c, x = 0.7j, 2.0 + 0.7j, cmath.exp(1.9j)
         loose = hyp2f1_b1(a, c, x, tol=1e-8)
@@ -60,11 +65,11 @@ class TestHyp2F1:
         assert hyp2f1_b1(a, c, x) == hyp2f1_b1(a, c, x, max_terms=2 * 10**6)
 
     def test_slow_corner_raises(self):
-        # x exponentially close to 1 defeats the tail bound; the cap must
-        # surface as an error, not an extrapolation
+        # x exponentially close to 1 needs ~7e4 continued-fraction levels;
+        # a smaller cap must surface as an error, not an extrapolation
         with pytest.raises(ConvergenceError) as err:
-            hyp2f1_b1(0.5j, 2.0 + 0.5j, cmath.exp(1e-8j), tol=1e-12, max_terms=10**5)
-        assert "partial_sum" in err.value.diagnostics
+            hyp2f1_b1(0.5j, 2.0 + 0.5j, cmath.exp(1e-8j), tol=1e-12, max_terms=10**3)
+        assert err.value.diagnostics["levels"] == 10**3
 
     def test_outside_disk_rejected(self):
         with pytest.raises(InputError):
@@ -116,6 +121,47 @@ class TestSeeds:
         kin = KinematicParams.for_system(2.3, 1.7, 0.0)
         t0, r1p = seed_coefficients(kin, 2)
         assert abs(t0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_against_mpmath_sweep(self):
+        # T_0 and R_1(+) from their defining hypergeometric values, with
+        # mpmath fed the same double-precision kinematics
+        mp.mp.dps = 20
+        worst = 0.0
+        for energy in np.geomspace(1e-3, 50.0, 8):
+            for lam in (1.0, 20.0):
+                for z_charge in (-1.0, 0.0, 1.0):
+                    kin = KinematicParams.for_system(float(energy), lam, z_charge)
+                    it = 1j * mp.mpf(kin.t)
+                    x = mp.expj(-2 * mp.mpf(kin.theta))
+                    for ell in (0, 1, 2):
+                        f_minus = mp.hyp2f1(-ell + it, 1, ell + 2 + it, x)
+                        f_plus = mp.hyp2f1(-ell - it, 1, ell + 2 - it, mp.conj(x))
+                        f2 = mp.hyp2f1(-ell + it, 2, ell + 3 + it, x)
+                        want_t0 = complex(
+                            mp.expj(2 * mp.mpf(kin.theta)) * (ell + 1 + it) * f_plus
+                            / ((ell + 1 - it) * f_minus)
+                        )
+                        want_r1 = complex(
+                            mp.expj(-mp.mpf(kin.theta)) * mp.sqrt(2 * ell + 2) * f2
+                            / ((ell + 2 + it) * f_minus)
+                        )
+                        t0, r1p = seed_coefficients(kin, ell)
+                        worst = max(
+                            worst,
+                            abs(t0 - want_t0) / abs(want_t0),
+                            abs(r1p - want_r1) / abs(want_r1),
+                        )
+        assert worst <= 1e-12
+
+    def test_level_cap_names_stage(self):
+        kin = KinematicParams.for_system(0.05, 20.0, 1.0)
+        with pytest.raises(ConvergenceError) as err:
+            seed_coefficients(kin, 0, max_terms=5)
+        msg = str(err.value)
+        assert msg.startswith("seed at E=0.05, ell=0")
+        assert "continued fraction did not converge in 5 levels" in msg
+        assert err.value.diagnostics["levels"] == 5
+        assert err.value.diagnostics["last_delta"] > 0.0
 
 
 class TestRecursion:
