@@ -14,7 +14,6 @@ refined by shrinking phase scans around each seed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 import scipy.signal
 
 from .basis import OSCILLATOR, SystemSpec, build_matrices
-from .errors import FitResidualError, InputError, NumericalError
+from .errors import FitResidualError, InputError
 from .matrix_core import SpectralPair, gen_sym_eig, sym_eig
 from .scattering import ScatteringCalculator
 
@@ -82,22 +81,12 @@ class BoundStateResult:
     scan: ScanTable
 
 
-def _scan_point(calc: ScatteringCalculator, energy: float):
-    p = calc.point(energy)
-    return p.s.real, p.s.imag, p.abs_one_minus_s, p.delta
+def scan_smatrix(system_or_calc, grid: Sequence[float]) -> ScanTable:
+    """S(E) over an increasing energy grid, in one batched evaluation.
 
-
-def scan_smatrix(
-    system_or_calc,
-    grid: Sequence[float],
-    threads: int = 1,
-) -> ScanTable:
-    """S(E) over an increasing energy grid.
-
-    Columns: re_s, im_s, abs_one_minus_s, delta. Points that hit a pole
-    of the resolvent are flagged, not fatal. Grid points are independent;
-    ``threads`` > 1 evaluates them in a pool with a deterministic merge
-    by grid position.
+    Columns: re_s, im_s, abs_one_minus_s, delta. Points whose evaluation
+    fails (a resolvent pole, a seed or recursion failure) are flagged,
+    not fatal, and their columns are NaN.
     """
     calc = (
         system_or_calc
@@ -107,32 +96,15 @@ def scan_smatrix(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise InputError("empty grid")
-
-    results = [None] * grid.size
-
-    def worker(i):
-        try:
-            return _scan_point(calc, float(grid[i]))
-        except NumericalError:
-            return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(grid.size)))
-    else:
-        results = [worker(i) for i in range(grid.size)]
-
-    nan4 = (math.nan,) * 4
-    flagged = tuple(i for i, r in enumerate(results) if r is None)
-    rows = np.array([r if r is not None else nan4 for r in results])
+    s, errors = calc.s_values(grid)
     cols = {
-        "re_s": rows[:, 0],
-        "im_s": rows[:, 1],
-        "abs_one_minus_s": rows[:, 2],
-        "delta": rows[:, 3],
+        "re_s": s.real,
+        "im_s": s.imag,
+        "abs_one_minus_s": np.abs(1.0 - s),
+        "delta": 0.5 * np.angle(s),
     }
     meta = {"system": _system_snapshot(calc.system), "kind": "smatrix"}
-    return ScanTable(energies=grid, columns=cols, metadata=meta, flagged=flagged)
+    return ScanTable(energies=grid, columns=cols, metadata=meta, flagged=tuple(errors))
 
 
 def _system_snapshot(spec: SystemSpec) -> dict:
@@ -205,13 +177,8 @@ def find_resonances(table: ScanTable, prominence: float = 0.15) -> ResonanceRepo
 
 def _window_scan(calc, center, width, points):
     es = np.linspace(center - 0.5 * width, center + 0.5 * width, points)
-    ds = np.empty(points)
-    for i, e in enumerate(es):
-        try:
-            ds[i] = calc.point(float(e)).delta
-        except NumericalError:
-            ds[i] = math.nan
-    return es, ds
+    s, _ = calc.s_values(es)
+    return es, 0.5 * np.angle(s)
 
 
 def _phase_gain_and_peak(es, ds):

@@ -231,14 +231,18 @@ class MatrixSet:
     def size(self) -> int:
         return self.h0.n
 
-    def j_tridiagonal(self, energy: float):
+    def j_tridiagonal(self, energy):
         """(diagonal, superdiagonal) of H0 - E*Overlap, the superdiagonal
-        extended by j_boundary(E)."""
+        extended by j_boundary(E). For an array of energies the basis
+        index runs along the first axis and the energies along the rest."""
+        energy = np.asarray(energy, dtype=float)
+        index = (slice(None),) + (None,) * energy.ndim
         h0 = self.h0.data
         om = self.omega.data
-        diag = np.diag(h0) - energy * np.diag(om)
-        off = np.diag(h0, 1) - energy * np.diag(om, 1)
-        return diag, np.append(off, self.j_boundary(energy))
+        diag = np.diag(h0)[index] - energy * np.diag(om)[index]
+        off = np.diag(h0, 1)[index] - energy * np.diag(om, 1)[index]
+        boundary = np.broadcast_to(self.j_boundary(energy), energy.shape)
+        return diag, np.concatenate([off, boundary[None]])
 
 
 def _laguerre_analytic(lam: float, ell: int, z_charge: float, size: int):

@@ -103,7 +103,7 @@ def _scan_results(table: ScanTable) -> dict:
 
 
 def cmd_smatrix(cfg: RunConfig) -> tuple:
-    table = scan_smatrix(_system_from_config(cfg), _grid(cfg), threads=cfg.effective_threads())
+    table = scan_smatrix(_system_from_config(cfg), _grid(cfg))
     results = _scan_results(table)
     report = find_resonances(table, prominence=cfg.prominence)
     results["resonances"] = _peak_records(report)
@@ -113,7 +113,7 @@ def cmd_smatrix(cfg: RunConfig) -> tuple:
 def cmd_resonances(cfg: RunConfig) -> tuple:
     system = _system_from_config(cfg)
     calc = ScatteringCalculator(system)
-    table = scan_smatrix(calc, _grid(cfg), threads=cfg.effective_threads())
+    table = scan_smatrix(calc, _grid(cfg))
     report = locate_resonances(
         calc, cfg.e_min, cfg.e_max, coarse_steps=cfg.steps, min_phase_gain=cfg.min_phase_gain
     )
@@ -226,8 +226,10 @@ def _selftest_checks():
 
     def free_particle():
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=20))
-        calc = ScatteringCalculator(spec)
-        return max(abs(1.0 - calc.point(e).s) for e in np.linspace(0.3, 4.0, 7))
+        s, errors = ScatteringCalculator(spec).s_values(np.linspace(0.3, 4.0, 7))
+        if errors:
+            raise next(iter(errors.values()))
+        return np.max(np.abs(1.0 - s))
 
     def hydrogen_ground_state():
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=2.0, ell=0, size=8), z_charge=-1.0)
@@ -322,7 +324,6 @@ def _build_argparser() -> _Parser:
     parser.add_argument("--prominence", type=float)
     parser.add_argument("--min-phase-gain", dest="min_phase_gain", type=float)
     parser.add_argument("--range-r", dest="range_r", type=float)
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--csv", type=str)
     parser.add_argument("--json", type=str)
     parser.add_argument("--gnuplot-script", dest="gnuplot_script", type=str)
@@ -334,7 +335,7 @@ _CLI_FIELDS = (
     "family", "lam", "ell", "z_charge", "size", "potential", "e_min", "e_max",
     "steps", "method", "delta", "fit_height", "fit_order", "fit_threshold",
     "n_index", "m_index", "im_z", "prominence", "min_phase_gain", "range_r",
-    "threads", "csv", "json", "gnuplot_script",
+    "csv", "json", "gnuplot_script",
 )
 
 

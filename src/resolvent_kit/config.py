@@ -6,15 +6,12 @@ rejected rather than ignored so typos fail loudly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ConfigError
 
 COMMANDS = ("smatrix", "resonances", "bound-states", "dos", "resolvent", "selftest")
-
-THREADS_ENV_VAR = "RESOLVENT_KIT_THREADS"
 
 
 @dataclass
@@ -40,7 +37,6 @@ class RunConfig:
     prominence: float = 0.15
     min_phase_gain: float = 0.5
     range_r: float = 50.0
-    threads: Optional[int] = None
     csv: str = "out.csv"
     json: str = "out.json"
     gnuplot_script: str = ""
@@ -60,23 +56,7 @@ class RunConfig:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
         if self.ell < 0:
             raise ConfigError(f"ell must be >= 0, got {self.ell}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         return self
-
-    def effective_threads(self) -> int:
-        if self.threads is not None:
-            return self.threads
-        env = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if env:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-            if n < 1:
-                raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {n}")
-            return n
-        return 1
 
     def as_dict(self) -> dict:
         out = {}
@@ -108,7 +88,6 @@ _FILE_KEYS = {
     "prominence": "prominence",
     "min_phase_gain": "min_phase_gain",
     "range_r": "range_r",
-    "threads": "threads",
     "csv": "csv",
     "json": "json",
     "gnuplot_script": "gnuplot_script",
@@ -116,7 +95,7 @@ _FILE_KEYS = {
 _FIELD_BY_KEY = {v: k for k, v in _FILE_KEYS.items()}
 
 _STR_FIELDS = {"command", "family", "potential", "method", "csv", "json", "gnuplot_script"}
-_INT_FIELDS = {"ell", "size", "steps", "fit_order", "n_index", "m_index", "threads"}
+_INT_FIELDS = {"ell", "size", "steps", "fit_order", "n_index", "m_index"}
 
 
 def _convert(field_name: str, raw: str):

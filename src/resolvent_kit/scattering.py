@@ -16,6 +16,13 @@ boundary element of the reference pencil, the scattering matrix is
     S(E) = T_(N-1) * (1 + G J R_N(-)) / (1 + G J R_N(+))
 
 which is exactly unimodular for real E and reduces to S = 1 when V = 0.
+At real E the pencil is real, so R_n(-) = conj(R_n(+)) and only the plus
+branch is propagated.
+
+Every stage is elementwise in E and works on an array of energies at
+once. A stage that fails at some energies either raises the first
+failure or, given an ``errors`` map, records each failure under its
+index and returns NaN there, leaving the other energies untouched.
 """
 
 from __future__ import annotations
@@ -37,40 +44,51 @@ from .errors import (
 )
 from .matrix_core import SpectralPair, gen_sym_eig
 
+# Energies per batch in ScatteringCalculator.s_values: the (basis size x
+# batch) arrays of a batch stay small (0.4 MB each at N = 100), so peak
+# memory does not grow with the length of the grid.
+BATCH_SIZE = 256
+
+
+def _record(errors: Optional[dict], index, exc: NumericalError):
+    """Raise ``exc``, or file it in ``errors`` under ``index`` unless an
+    earlier stage already failed there."""
+    if errors is None:
+        raise exc
+    errors.setdefault(int(index), exc)
+
 
 @dataclass(frozen=True)
 class KinematicParams:
-    """Scattering kinematics at one energy.
+    """Scattering kinematics at an array of energies (0-d for one).
 
     theta is the Laguerre-basis angle with cos(theta) =
     (8E - lam^2)/(8E + lam^2), in (0, pi) for E > 0; t = Z / sqrt(2E) is
-    the Coulomb strength parameter.
+    the Coulomb strength parameter. Both have the shape of ``energy``.
     """
 
-    energy: float
-    theta: float
-    t: float
+    energy: np.ndarray
+    theta: np.ndarray
+    t: np.ndarray
 
     @classmethod
-    def for_system(cls, energy: float, lam: float, z_charge: float) -> "KinematicParams":
-        if not energy > 0.0:
-            raise InputError(f"scattering energy must be positive, got {energy}")
+    def for_system(cls, energy, lam: float, z_charge: float) -> "KinematicParams":
+        energy = np.asarray(energy, dtype=float)
+        bad = ~(energy > 0.0)
+        if bad.any():
+            raise InputError(f"scattering energy must be positive, got {float(energy[bad][0])}")
         cos_theta = (8.0 * energy - lam**2) / (8.0 * energy + lam**2)
-        theta = math.acos(min(1.0, max(-1.0, cos_theta)))
-        return cls(energy=energy, theta=theta, t=z_charge / math.sqrt(2.0 * energy))
+        theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
+        return cls(energy=energy, theta=theta, t=z_charge / np.sqrt(2.0 * energy))
 
 
 @dataclass(frozen=True)
 class CSCoefficients:
-    """T_n and R_n(+/-) through some maximum index.
-
-    ``r_plus[0]``/``r_minus[0]`` are NaN placeholders: the ratios start
-    at index 1.
-    """
+    """T_(n-1) and R_n(+) at the last index n of a recursion, with the
+    shape of the energies it ran at."""
 
     t: np.ndarray
     r_plus: np.ndarray
-    r_minus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,37 +111,62 @@ class ScatteringPoint:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_cf(alpha: complex, beta: complex, gamma: complex, z: complex, tol: float, max_levels: int, stage: str):
+def _gauss_cf(alpha, beta, gamma, z, tol: float, max_levels: int):
     """F(alpha+1, beta; gamma+1; z) / F(alpha, beta; gamma; z) by Gauss's
-    continued fraction (DLMF 15.7), evaluated with modified Lentz:
+    continued fraction (DLMF 15.7), evaluated with modified Lentz
+    elementwise over 1-D arrays of one length:
 
         1 / (1 + k_1 z / (1 + k_2 z / (1 + ...)))
         k_(2m+1) = (alpha-gamma-m)(beta+m) / ((gamma+2m)(gamma+2m+1))
         k_(2m+2) = (beta-gamma-m-1)(alpha+m+1) / ((gamma+2m+1)(gamma+2m+2))
 
-    On the unit circle it converges everywhere but z = 1, ever more slowly
-    as z nears 1, so the level cap surfaces as an error naming ``stage``
-    instead of an extrapolated value. A vanishing k_j ends it exactly.
+    Each element stops at its own first |Delta - 1| < tol and leaves the
+    active set, so a batch takes as many levels as its slowest element.
+    On the unit circle the fraction converges everywhere but z = 1, ever
+    more slowly as z nears 1; a vanishing k_j ends it exactly.
+
+    Returns (values, failed, last_delta): the elements still active at
+    the level cap are NaN in ``values`` and listed by index in
+    ``failed``, with their last |Delta - 1| in ``last_delta``.
     """
-    f = c = 1.0 + 0.0j
-    d = delta = 0.0j
+    values = np.full(z.shape, complex("nan"))
+    active = np.arange(z.size)
+    f = c = np.ones(z.size, dtype=complex)
+    d = delta = np.zeros(z.size, dtype=complex)
     for level in range(max_levels):
+        if active.size == 0:
+            break
         m, second = divmod(level, 2)
         if second:
             k = (beta - gamma - m - 1.0) * (alpha + m + 1.0) / ((gamma + 2 * m + 1.0) * (gamma + 2 * m + 2.0))
         else:
             k = (alpha - gamma - m) * (beta + m) / ((gamma + 2 * m) * (gamma + 2 * m + 1.0))
         a = k * z
-        d = 1.0 / ((1.0 + a * d) or 1e-300)
-        c = (1.0 + a / c) or 1e-300
+        # np.count_nonzero is the cheapest any/all test on short arrays
+        d = 1.0 + a * d
+        if np.count_nonzero(d) < d.size:
+            d[d == 0.0] = 1e-300
+        d = 1.0 / d
+        c = 1.0 + a / c
+        if np.count_nonzero(c) < c.size:
+            c[c == 0.0] = 1e-300
         delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < tol:
-            return 1.0 / f
-    raise ConvergenceError(
+        f = f * delta
+        done = np.abs(delta - 1.0) < tol
+        if np.count_nonzero(done):
+            values[active[done]] = 1.0 / f[done]
+            keep = ~done
+            active, alpha, beta, gamma, z, f, c, d, delta = (
+                v[keep] for v in (active, alpha, beta, gamma, z, f, c, d, delta)
+            )
+    return values, active, np.abs(delta - 1.0)
+
+
+def _cf_error(stage: str, max_levels: int, last_delta) -> ConvergenceError:
+    return ConvergenceError(
         f"{stage}: continued fraction did not converge in {max_levels} levels",
         levels=max_levels,
-        last_delta=abs(delta - 1.0),
+        last_delta=float(last_delta),
     )
 
 
@@ -136,7 +179,13 @@ def hyp2f1_b1(a: complex, c: complex, x: complex, tol: float = 1e-15, max_terms:
         raise InputError(f"argument must satisfy |x| <= 1, got |x| = {abs(x)}")
     if c == 1.0:
         return complex((1.0 - x) ** (-a))
-    return _gauss_cf(0.0, a, c - 1.0, x, tol, max_terms, f"2F1(a, 1; c; x) at a={a}, c={c}, x={x}")
+    value, failed, last_delta = _gauss_cf(
+        np.zeros(1), np.array([a], dtype=complex), np.array([c - 1.0], dtype=complex), np.array([x], dtype=complex),
+        tol, max_terms,
+    )
+    if failed.size:
+        raise _cf_error(f"2F1(a, 1; c; x) at a={a}, c={c}, x={x}", max_terms, last_delta[0])
+    return complex(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -144,63 +193,112 @@ def hyp2f1_b1(a: complex, c: complex, x: complex, tol: float = 1e-15, max_terms:
 # ---------------------------------------------------------------------------
 
 
-def seed_coefficients(kin: KinematicParams, ell: int, tol: float = 1e-15, max_terms: int = 10**6):
-    """T_0 and R_1(+) at the given kinematics.
+def seed_coefficients(
+    kin: KinematicParams, ell: int, tol: float = 1e-15, max_terms: int = 10**6, errors: Optional[dict] = None
+):
+    """T_0 and R_1(+) at every energy of ``kin``, in its shape.
 
     With a = -ell + i t, c = ell + 2 + i t and x = e^(-2 i theta), T_0
     needs f = 2F1(a, 1; c; x) and R_1(+) the continued fraction
     2F1(a, 2; c+1; x) / f. At real energy the plus-branch value
     2F1(conj a, 1; conj c; conj x) is conj(f), so |T_0| = 1 by construction.
+    A continued fraction that hits the level cap, or non-finite seeds,
+    fail the element (see the module docstring for ``errors``).
     """
-    it = 1j * kin.t
+    energy, theta, t = (np.ravel(v) for v in (kin.energy, kin.theta, kin.t))
+    size = energy.size
+    it = 1j * t
     a = -ell + it
     c = ell + 2.0 + it
-    x_minus = cmath.exp(-2j * kin.theta)
-    stage = f"seed at E={kin.energy}, ell={ell}, t={kin.t}"
-    f_minus = _gauss_cf(0.0, a, c - 1.0, x_minus, tol, max_terms, stage)
-    ratio = _gauss_cf(1.0, a, c, x_minus, tol, max_terms, stage)
-    t0 = cmath.exp(2j * kin.theta) * (ell + 1.0 + it) * f_minus.conjugate() / ((ell + 1.0 - it) * f_minus)
-    r1_plus = cmath.exp(-1j * kin.theta) * math.sqrt(2.0 * ell + 2.0) * ratio / c
-    if not (cmath.isfinite(t0) and cmath.isfinite(r1_plus)):
-        raise NumericalError(f"{stage}: non-finite seeds T_0 = {t0}, R_1(+) = {r1_plus}")
-    return t0, r1_plus
+    x_minus = np.exp(-2j * theta)
+    # f_minus (alpha = 0, gamma = c - 1) and the ratio (alpha = 1, gamma = c)
+    # share z and beta, so both run as one batch of 2M fractions
+    both, failed, last = _gauss_cf(
+        np.repeat([0.0, 1.0], size), np.tile(a, 2), np.concatenate([c - 1.0, c]), np.tile(x_minus, 2),
+        tol, max_terms,
+    )
+    f_minus, ratio = both[:size], both[size:]
+    with np.errstate(invalid="ignore"):
+        t0 = np.exp(2j * theta) * (ell + 1.0 + it) * np.conj(f_minus) / ((ell + 1.0 - it) * f_minus)
+        r1_plus = np.exp(-1j * theta) * math.sqrt(2.0 * ell + 2.0) * ratio / c
+
+    def stage(i):
+        return f"seed at E={float(energy[i])}, ell={ell}, t={float(t[i])}"
+
+    # a stable sort keeps f_minus's failure ahead of the ratio's at one energy
+    for j in np.argsort(failed % size, kind="stable"):
+        i = failed[j] % size
+        _record(errors, i, _cf_error(stage(i), max_terms, last[j]))
+    bad = ~(np.isfinite(t0) & np.isfinite(r1_plus))
+    for i in np.flatnonzero(bad):
+        _record(
+            errors, i,
+            NumericalError(f"{stage(i)}: non-finite seeds T_0 = {complex(t0[i])}, R_1(+) = {complex(r1_plus[i])}"),
+        )
+    t0[bad] = r1_plus[bad] = complex("nan")
+    return t0.reshape(kin.energy.shape), r1_plus.reshape(kin.energy.shape)
 
 
-def cs_recursion(mats: MatrixSet, kin: KinematicParams, up_to: int, tol: float = 1e-15) -> CSCoefficients:
-    """Propagate T_n and R_n(+/-) from the seeds through index ``up_to``
-    using rows 1 .. up_to-1 of the tridiagonal reference pencil:
+def cs_recursion(
+    mats: MatrixSet, kin: KinematicParams, up_to: int, tol: float = 1e-15, errors: Optional[dict] = None
+) -> CSCoefficients:
+    """T_(up_to-1) and R_up_to(+) at every energy of ``kin``, propagated
+    from the seeds through rows 1 .. up_to-1 of the tridiagonal reference
+    pencil:
 
         R_(n+1) = -(J_nn + J_(n,n-1) / R_n) / J_(n,n+1)
-        T_n     = T_(n-1) * R_n(-) / R_n(+)
+        T_n     = T_(n-1) * conj(R_n) / R_n
+
+    A vanishing coupling, or a vanishing or non-finite ratio, is a
+    breakdown that fails the element; elements whose seeds failed come
+    in as NaN and are carried without further checks.
     """
     size = mats.size
-    if up_to > size:
-        raise InputError(f"recursion index {up_to} exceeds basis size {size}")
+    if not 1 <= up_to <= size:
+        raise InputError(f"recursion index {up_to} outside 1 .. basis size {size}")
     if mats.spec.basis.family != LAGUERRE:
         raise InputError("coefficient recursion is seeded for the Laguerre basis only")
-    ell = mats.spec.basis.ell
-    diag, off = mats.j_tridiagonal(kin.energy)
+    # complex copies spare the loop a real-to-complex cast at every step
+    diag, off = mats.j_tridiagonal(np.ravel(kin.energy))
+    neg_diag, off = (-diag).astype(complex), off.astype(complex)
 
-    t0, r1p = seed_coefficients(kin, ell, tol=tol)
-    t = np.empty(up_to + 1, dtype=complex)
-    r_plus = np.full(up_to + 1, complex("nan"), dtype=complex)
-    r_minus = np.full(up_to + 1, complex("nan"), dtype=complex)
-    t[0] = t0
-    if up_to >= 1:
-        r_plus[1] = r1p
-        # c_n, s_n are real at real energy, so the minus-branch seed is the
-        # complex conjugate of the plus branch.
-        r_minus[1] = r1p.conjugate()
-        t[1] = t[0] * r_minus[1] / r_plus[1]
+    t0, r1p = seed_coefficients(kin, mats.spec.basis.ell, tol=tol, errors=errors)
+    t = np.ravel(t0)
+    failed = np.isnan(t)
+    r1p = np.where(failed, 1.0, np.ravel(r1p))  # a finite stand-in for failed seeds
+    r = r1p
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in range(1, up_to):
+            t = t * np.conj(r) / r
+            r = (neg_diag[n] - off[n - 1] / r) / off[n]
+    # A ratio that vanishes or is not finite leaves T non-finite for good,
+    # so only the couplings need a check of their own.
+    broken = ~failed & (~np.isfinite(t) | np.any(off[1:up_to] == 0.0, axis=0))
+    if broken.any():
+        _report_breakdowns(np.flatnonzero(broken), r1p, neg_diag, off, up_to, errors)
+        failed |= broken
+    nan = complex("nan")
+    return CSCoefficients(
+        t=np.where(failed, nan, t).reshape(kin.energy.shape),
+        r_plus=np.where(failed, nan, r).reshape(kin.energy.shape),
+    )
+
+
+def _report_breakdowns(index, r1p, neg_diag, off, up_to, errors):
+    """Rerun the recursion at the broken elements ``index`` with a check
+    at every row, and record the first breakdown of each."""
+    r = r1p[index]
+    neg_diag, off = neg_diag[:, index], off[:, index]
+    open_ = np.ones(index.size, dtype=bool)
     for n in range(1, up_to):
-        if off[n] == 0.0:
-            raise RecursionBreakdownError(f"recursion breakdown at n={n}: vanishing coupling", index=n)
-        for r in (r_plus, r_minus):
-            if r[n] == 0.0 or not np.isfinite(r[n]):
-                raise RecursionBreakdownError(f"recursion breakdown at n={n}: vanishing ratio", index=n)
-            r[n + 1] = -(diag[n] + off[n - 1] / r[n]) / off[n]
-        t[n + 1] = t[n] * r_minus[n + 1] / r_plus[n + 1]
-    return CSCoefficients(t=t, r_plus=r_plus, r_minus=r_minus)
+        coupling = off[n] == 0.0
+        broken = open_ & (coupling | (r == 0.0) | ~np.isfinite(r))
+        for j in np.flatnonzero(broken):
+            what = "vanishing coupling" if coupling[j] else "vanishing ratio"
+            _record(errors, index[j], RecursionBreakdownError(f"recursion breakdown at n={n}: {what}", index=n))
+        open_ &= ~broken
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = (neg_diag[n] - off[n - 1] / r) / off[n]
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +311,9 @@ class ScatteringCalculator:
     cheaply at many energies.
 
     The eigendecomposition of the full pencil (H0 + V, Overlap) is done
-    once; each energy then costs one seed evaluation, one O(N) recursion
-    sweep, and one O(N) spectral sum for the resolvent element.
+    once; an array of M energies then costs one batched seed evaluation,
+    one N-step recursion over length-M arrays, and one M x N spectral sum
+    for the resolvent element.
     """
 
     def __init__(self, system: SystemSpec, mats: Optional[MatrixSet] = None, **build_kwargs):
@@ -232,34 +331,64 @@ class ScatteringCalculator:
         resolvent, and the stabilization candidates for narrow resonances."""
         return self.pair.eps
 
-    def green_last(self, energy: float) -> float:
-        """G_(N-1,N-1)(E) of the full Hamiltonian via the spectral sum.
+    def green_last(self, energies: np.ndarray, errors: Optional[dict] = None) -> np.ndarray:
+        """G_(N-1,N-1)(E) of the full Hamiltonian via the spectral sum, at
+        each energy of a 1-D array.
 
-        Refuses only essentially exact pole hits (within a few ulp of an
-        eigenvalue); narrow-resonance structure lives at gaps of 1e-12
-        and below, which evaluate fine in floating point.
+        Refuses only essentially exact pole hits, |E - eps| <
+        1e-15 max(1, |E|); narrow-resonance structure lives at gaps of
+        1e-12 and below, which evaluate fine in floating point.
         """
-        gaps = self.pair.eps - energy
-        i = int(np.argmin(np.abs(gaps)))
-        if abs(gaps[i]) < 1e-15 * max(1.0, abs(energy)):
-            raise SpectrumEvaluationError(
-                f"evaluation at spectrum: E={energy} sits on eigenvalue {self.pair.eps[i]}",
-                pole=float(self.pair.eps[i]),
-            )
-        return float(np.sum(self._weights / gaps))
+        gaps = self.pair.eps[None, :] - energies[:, None]
+        nearest = np.argmin(np.abs(gaps), axis=1)
+        hit = np.abs(gaps[np.arange(energies.size), nearest]) < 1e-15 * np.maximum(1.0, np.abs(energies))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.sum(self._weights / gaps, axis=1)
+        for i in np.flatnonzero(hit):
+            pole = float(self.pair.eps[nearest[i]])
+            message = f"evaluation at spectrum: E={float(energies[i])} sits on eigenvalue {pole}"
+            _record(errors, i, SpectrumEvaluationError(message, pole=pole))
+        g[hit] = math.nan
+        return g
+
+    def s_values(self, energies):
+        """S(E) at each of a sequence of energies, and a map from index to
+        the NumericalError of every energy that failed (its S is NaN).
+
+        Any E <= 0 raises InputError for the whole call. The energies run
+        in batches of at most BATCH_SIZE, which bounds the working memory.
+        """
+        energies = np.ravel(np.asarray(energies, dtype=float))
+        kin = KinematicParams.for_system(energies, self.system.basis.lam, self.system.z_charge)
+        s = np.empty(energies.size, dtype=complex)
+        errors = {}
+        for lo in range(0, energies.size, BATCH_SIZE):
+            part = slice(lo, lo + BATCH_SIZE)
+            part_errors = {}
+            s[part] = self._s_batch(KinematicParams(kin.energy[part], kin.theta[part], kin.t[part]), part_errors)
+            errors.update((lo + i, exc) for i, exc in part_errors.items())
+        return s, dict(sorted(errors.items()))
+
+    def _s_batch(self, kin: KinematicParams, errors: dict) -> np.ndarray:
+        """S at one batch of energies; failures go to ``errors``."""
+        energies = kin.energy
+        cs = cs_recursion(self.mats, kin, up_to=self.mats.size, errors=errors)
+        gj = self.green_last(energies, errors) * self.mats.j_boundary(energies)
+        denom = 1.0 + gj * cs.r_plus
+        for i in np.flatnonzero(denom == 0.0):
+            _record(errors, i, NumericalError(f"S-matrix denominator vanished at E={float(energies[i])}"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = cs.t * (1.0 + gj * np.conj(cs.r_plus)) / denom
+        s[list(errors)] = complex("nan")
+        return s
 
     def point(self, energy: float) -> ScatteringPoint:
-        size = self.mats.size
-        kin = KinematicParams.for_system(energy, self.system.basis.lam, self.system.z_charge)
-        cs = cs_recursion(self.mats, kin, up_to=size)
-        g = self.green_last(energy)
-        j = self.mats.j_boundary(energy)
-        gj = g * j
-        denom = 1.0 + gj * cs.r_plus[size]
-        if denom == 0.0:
-            raise NumericalError(f"S-matrix denominator vanished at E={energy}")
-        s = cs.t[size - 1] * (1.0 + gj * cs.r_minus[size]) / denom
-        return ScatteringPoint(energy=energy, s=complex(s))
+        """S at one energy: the one-element case of :meth:`s_values`,
+        raising the element's error."""
+        s, errors = self.s_values([energy])
+        if errors:
+            raise errors[0]
+        return ScatteringPoint(energy=energy, s=complex(s[0]))
 
 
 def s_matrix(system: SystemSpec, energy: float) -> ScatteringPoint:

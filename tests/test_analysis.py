@@ -13,7 +13,7 @@ from resolvent_kit.analysis import (
     scan_smatrix,
 )
 from resolvent_kit.basis import BasisSpec, SystemSpec, build_matrices
-from resolvent_kit.errors import FitResidualError, InputError
+from resolvent_kit.errors import FitResidualError, InputError, SpectrumEvaluationError
 from resolvent_kit.matrix_core import gen_sym_eig
 from resolvent_kit.potential import parse_potential
 from resolvent_kit.scattering import ScatteringCalculator
@@ -77,15 +77,43 @@ class TestScanSMatrix:
         for name in a.columns:
             assert np.array_equal(a.columns[name], b.columns[name])
 
-    def test_threaded_merge_matches_serial(self):
+    def test_point_matches_scan_bit_for_bit(self):
+        # point(E) is the one-energy case of the batched evaluation, so a
+        # batch of 2001 must give each energy exactly its own S
         pot = parse_potential("7.5*r^2*exp(-r)")
-        spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=25), potential=pot)
-        calc = ScatteringCalculator(spec)
-        grid = np.linspace(0.5, 6.0, 30)
-        serial = scan_smatrix(calc, grid, threads=1)
-        pooled = scan_smatrix(calc, grid, threads=4)
-        for name in serial.columns:
-            assert np.array_equal(serial.columns[name], pooled.columns[name])
+        grid = np.linspace(0.2, 6.0, 2001)
+        for z_charge in (-1.0, 0.0, 1.0):
+            for ell in (0, 1, 2):
+                spec = SystemSpec(
+                    basis=BasisSpec("laguerre", lam=2.0, ell=ell, size=20), potential=pot, z_charge=z_charge
+                )
+                calc = ScatteringCalculator(spec)
+                table = scan_smatrix(calc, grid)
+                s = np.array([calc.point(e).s for e in grid])
+                assert table.flagged == ()
+                assert np.array_equal(table.columns["re_s"], s.real)
+                assert np.array_equal(table.columns["im_s"], s.imag)
+
+    def test_pole_hit_flags_only_that_index(self, barrier_calc):
+        pole = float(barrier_calc.eigenvalues[barrier_calc.eigenvalues > 2.0][0])
+        grid = np.linspace(pole - 0.2, pole + 0.2, 41)
+        grid[20] = pole
+        table = scan_smatrix(barrier_calc, grid)
+        assert table.flagged == (20,)
+        assert np.isnan(table.columns["re_s"][20]) and np.isnan(table.columns["delta"][20])
+        _, errors = barrier_calc.s_values(grid)
+        assert isinstance(errors[20], SpectrumEvaluationError) and errors[20].pole == pole
+        with pytest.raises(SpectrumEvaluationError) as err:
+            barrier_calc.point(pole)
+        assert str(err.value) == str(errors[20])
+        for i in (19, 21):
+            s = barrier_calc.point(float(grid[i])).s
+            assert table.columns["re_s"][i] == s.real and table.columns["im_s"][i] == s.imag
+
+    def test_nonpositive_energy_raises(self, barrier_calc):
+        for grid in ([0.0, 0.5, 1.0], [-1.0, 2.0]):
+            with pytest.raises(InputError, match="must be positive"):
+                scan_smatrix(barrier_calc, grid)
 
     def test_metadata_snapshot(self):
         pot = parse_potential("7.5*r^2*exp(-r)")

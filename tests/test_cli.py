@@ -1,11 +1,10 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
 from resolvent_kit.cli import main
-from resolvent_kit.config import RunConfig, build_config, parse_config_file
+from resolvent_kit.config import build_config, parse_config_file
 
 
 def run_cli(args):
@@ -52,13 +51,6 @@ class TestConfig:
             build_config({}, {"size": 1})
         with pytest.raises(ConfigError):
             build_config({}, {"command": "explode"})
-
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("RESOLVENT_KIT_THREADS", "3")
-        assert RunConfig().effective_threads() == 3
-        monkeypatch.delenv("RESOLVENT_KIT_THREADS")
-        assert RunConfig().effective_threads() == 1
-        assert RunConfig(threads=2).effective_threads() == 2
 
 
 class TestExitCodes:
@@ -238,10 +230,3 @@ class TestArtifacts:
         peaks = [r["energy"] for r in payload["results"]["resonances"]]
         assert any(abs(p - 3.426) < 0.02 for p in peaks)
         assert "eigenvalues_in_range" in payload["diagnostics"]
-
-    def test_threads_option_same_output(self, tmp_path):
-        os.makedirs(tmp_path / "a")
-        os.makedirs(tmp_path / "b")
-        assert run_cli(self.smatrix_args(tmp_path / "a")) == 0
-        assert run_cli(self.smatrix_args(tmp_path / "b", ("--threads", "4"))) == 0
-        assert (tmp_path / "a/scan.csv").read_bytes() == (tmp_path / "b/scan.csv").read_bytes()

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from resolvent_kit.basis import BasisSpec, SystemSpec, build_matrices
-from resolvent_kit.errors import ConvergenceError, InputError
+from resolvent_kit.basis import BasisSpec, MatrixSet, SystemSpec, build_matrices
+from resolvent_kit.errors import ConvergenceError, InputError, RecursionBreakdownError
 from resolvent_kit.potential import parse_potential
 from resolvent_kit.scattering import (
     KinematicParams,
@@ -17,6 +17,29 @@ from resolvent_kit.scattering import (
 )
 
 import mpmath as mp
+
+
+def mpmath_s(calc, energy, dps=40):
+    """S(E) from mpmath seeds and an mpmath recursion, fed the double
+    kinematics, J rows and resolvent weights of ``calc``."""
+    with mp.workdps(dps):
+        basis = calc.system.basis
+        ell = basis.ell
+        kin = KinematicParams.for_system(energy, basis.lam, calc.system.z_charge)
+        theta, it = mp.mpf(float(kin.theta)), 1j * mp.mpf(float(kin.t))
+        x = mp.expj(-2 * theta)
+        f = mp.hyp2f1(-ell + it, 1, ell + 2 + it, x)
+        f2 = mp.hyp2f1(-ell + it, 2, ell + 3 + it, x)
+        t = mp.expj(2 * theta) * (ell + 1 + it) * mp.conj(f) / ((ell + 1 - it) * f)
+        r = mp.expj(-theta) * mp.sqrt(2 * ell + 2) * f2 / ((ell + 2 + it) * f)
+        diag, off = (np.asarray(v, dtype=float).tolist() for v in calc.mats.j_tridiagonal(energy))
+        for n in range(1, calc.mats.size):
+            t = t * mp.conj(r) / r
+            r = -(mp.mpf(diag[n]) + mp.mpf(off[n - 1]) / r) / mp.mpf(off[n])
+        weights = calc.pair.gamma[-1] ** 2 / calc.pair.sigma
+        g = mp.fsum(mp.mpf(float(w)) / (mp.mpf(float(e)) - energy) for w, e in zip(weights, calc.pair.eps))
+        gj = g * mp.mpf(float(calc.mats.j_boundary(energy)))
+        return complex(t * (1 + gj * mp.conj(r)) / (1 + gj * r))
 
 
 class TestHyp2F1:
@@ -163,6 +186,27 @@ class TestSeeds:
         assert err.value.diagnostics["levels"] == 5
         assert err.value.diagnostics["last_delta"] > 0.0
 
+    def test_level_cap_in_batch_matches_single(self):
+        # a cap of 50 levels fails the three lowest energies of this batch;
+        # each failure carries the ConvergenceError of the one-energy call,
+        # and the converged elements equal their one-energy values
+        energies = np.geomspace(0.05, 5.0, 9)
+        errors = {}
+        t0, r1p = seed_coefficients(
+            KinematicParams.for_system(energies, 20.0, 1.0), 0, max_terms=50, errors=errors
+        )
+        assert sorted(errors) == [0, 1, 2]
+        for i, energy in enumerate(energies):
+            single = KinematicParams.for_system(energy, 20.0, 1.0)
+            if i in errors:
+                with pytest.raises(ConvergenceError) as err:
+                    seed_coefficients(single, 0, max_terms=50)
+                assert str(errors[i]) == str(err.value)
+                assert errors[i].diagnostics == err.value.diagnostics
+                assert np.isnan(t0[i]) and np.isnan(r1p[i])
+            else:
+                assert seed_coefficients(single, 0, max_terms=50) == (t0[i], r1p[i])
+
 
 class TestRecursion:
     def free_mats(self, size=20, ell=0, lam=1.0):
@@ -170,31 +214,53 @@ class TestRecursion:
 
     def test_neutral_s_wave_closed_form(self):
         # for Z = 0, ell = 0 the coefficient ratios are exactly
-        # R_n(+) = e^(-i theta) sqrt(n/(n+1)) and T_n = e^(2 i (n+1) theta)
+        # R_n(+) = e^(-i theta) sqrt(n/(n+1)) and T_n = e^(2 i (n+1) theta);
+        # the recursion to up_to = n ends at R_n(+) and T_(n-1)
         mats = self.free_mats()
         kin = KinematicParams.for_system(0.9, 1.0, 0.0)
-        cs = cs_recursion(mats, kin, up_to=12)
-        for n in range(1, 13):
-            want_r = cmath.exp(-1j * kin.theta) * math.sqrt(n / (n + 1.0))
-            assert cs.r_plus[n] == pytest.approx(want_r, rel=1e-10)
-        for n in range(13):
-            want_t = cmath.exp(2j * (n + 1) * kin.theta)
-            assert cs.t[n] == pytest.approx(want_t, rel=1e-9)
+        for n in range(1, 14):
+            cs = cs_recursion(mats, kin, up_to=n)
+            if n <= 12:
+                want_r = cmath.exp(-1j * kin.theta) * math.sqrt(n / (n + 1.0))
+                assert cs.r_plus == pytest.approx(want_r, rel=1e-10)
+            want_t = cmath.exp(2j * n * kin.theta)
+            assert cs.t == pytest.approx(want_t, rel=1e-9)
 
     def test_unimodular_t(self):
+        # T_0 .. T_30 as the final T of recursions to up_to = 1 .. 31; the
+        # reference pencil does not depend on the basis size, so size 31
+        # gives the same T_n as size 30
         pot = parse_potential("7.5*r^2*exp(-r)")
         mats = build_matrices(
-            SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=1, size=30), potential=pot)
+            SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=1, size=31), potential=pot)
         )
         kin = KinematicParams.for_system(1.7, 1.0, 0.0)
-        cs = cs_recursion(mats, kin, up_to=30)
-        np.testing.assert_allclose(np.abs(cs.t), 1.0, atol=1e-8)
+        t = [cs_recursion(mats, kin, up_to=n).t for n in range(1, 32)]
+        np.testing.assert_allclose(np.abs(t), 1.0, atol=1e-8)
 
-    def test_conjugate_ratio_pair(self):
-        mats = self.free_mats(ell=1)
-        kin = KinematicParams.for_system(1.1, 1.0, 0.0)
-        cs = cs_recursion(mats, kin, up_to=15)
-        np.testing.assert_allclose(cs.r_minus[1:], np.conj(cs.r_plus[1:]), atol=1e-10)
+    def test_minus_branch_matches_conjugate(self):
+        # propagate R_n(-) explicitly from conj(R_1(+)) through the rows of
+        # J beside R_n(+), and build S from both branches; the calculator
+        # carries only the plus branch
+        pot = parse_potential("7.5*r^2*exp(-r)")
+        for z_charge in (0.0, 1.0):
+            spec = SystemSpec(
+                basis=BasisSpec("laguerre", lam=1.0, ell=1, size=30), potential=pot, z_charge=z_charge
+            )
+            calc = ScatteringCalculator(spec)
+            size = calc.mats.size
+            for energy in (0.4, 1.1, 3.7):
+                kin = KinematicParams.for_system(energy, 1.0, z_charge)
+                t, r_plus = (complex(v) for v in seed_coefficients(kin, 1))
+                r_minus = r_plus.conjugate()
+                diag, off = calc.mats.j_tridiagonal(energy)
+                for n in range(1, size):
+                    t *= r_minus / r_plus
+                    r_plus = -(diag[n] + off[n - 1] / r_plus) / off[n]
+                    r_minus = -(diag[n] + off[n - 1] / r_minus) / off[n]
+                gj = calc.green_last(np.array([energy]))[0] * calc.mats.j_boundary(energy)
+                s = t * (1.0 + gj * r_minus) / (1.0 + gj * r_plus)
+                assert abs(calc.point(energy).s - s) <= 1e-13 * abs(s)
 
     def test_recursion_residual(self):
         # rebuild h_n = prod R_k(+) and check it solves the tridiagonal
@@ -202,15 +268,42 @@ class TestRecursion:
         mats = self.free_mats(size=18)
         kin = KinematicParams.for_system(1.4, 1.0, 0.0)
         up_to = 15
-        cs = cs_recursion(mats, kin, up_to=up_to)
         h = np.ones(up_to + 1, dtype=complex)
         for n in range(1, up_to + 1):
-            h[n] = h[n - 1] * cs.r_plus[n]
+            h[n] = h[n - 1] * cs_recursion(mats, kin, up_to=n).r_plus
         diag, off = mats.j_tridiagonal(kin.energy)
         for n in range(1, up_to):
             resid = off[n - 1] * h[n - 1] + diag[n] * h[n] + off[n] * h[n + 1]
             scale = max(abs(off[n - 1] * h[n - 1]), abs(diag[n] * h[n]), 1e-30)
             assert abs(resid) / scale < 1e-8
+
+    @pytest.mark.parametrize(
+        "band, row, value, message",
+        [(1, 4, 0.0, "recursion breakdown at n=4: vanishing coupling"),
+         (0, 3, math.inf, "recursion breakdown at n=4: vanishing ratio")],
+    )
+    def test_breakdown_fails_only_its_energy(self, monkeypatch, band, row, value, message):
+        # cut the coupling J_(4,5), or make J_33 and so R_4 infinite, at the
+        # middle energy of three only
+        build = MatrixSet.j_tridiagonal
+
+        def broken(self, energy):
+            bands = [np.array(v) for v in build(self, energy)]
+            bands[band][row, 1] = value
+            return tuple(bands)
+
+        mats = self.free_mats(size=12)
+        kin = KinematicParams.for_system(np.array([0.5, 1.0, 1.5]), 1.0, 0.0)
+        clean = cs_recursion(mats, kin, up_to=12)
+        monkeypatch.setattr(MatrixSet, "j_tridiagonal", broken)
+        errors = {}
+        cs = cs_recursion(mats, kin, up_to=12, errors=errors)
+        assert list(errors) == [1] and str(errors[1]) == message and errors[1].index == 4
+        assert np.isnan(cs.t[1]) and np.isnan(cs.r_plus[1])
+        for i in (0, 2):
+            assert cs.t[i] == clean.t[i] and cs.r_plus[i] == clean.r_plus[i]
+        with pytest.raises(RecursionBreakdownError, match=message):
+            cs_recursion(mats, kin, up_to=12)
 
     def test_exceeding_basis_rejected(self):
         mats = self.free_mats(size=10)
@@ -253,6 +346,23 @@ class TestSMatrix:
         spec = SystemSpec(basis=BasisSpec("oscillator", lam=1.0, ell=0, size=10))
         with pytest.raises(InputError):
             ScatteringCalculator(spec)
+
+    def test_against_mpmath_oracle(self):
+        # S(E) with seeds from mp.hyp2f1 and the recursion run at 40 digits,
+        # on the calculator's own double-precision inputs (kinematics, J
+        # rows, eigenpairs): it bounds the rounding of the double path
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        worst = 0.0
+        for z_charge in (-1.0, 0.0, 1.0):
+            for ell, size in ((0, 100), (2, 80)):
+                spec = SystemSpec(
+                    basis=BasisSpec("laguerre", lam=20.0, ell=ell, size=size), potential=pot, z_charge=z_charge
+                )
+                calc = ScatteringCalculator(spec)
+                for energy in (0.3, 0.5, 1.2, 20.0):
+                    want = mpmath_s(calc, energy)
+                    worst = max(worst, abs(calc.point(energy).s - want) / abs(want))
+        assert worst <= 1e-10
 
     @pytest.mark.slow
     def test_phase_shift_robust_under_scale_change(self):
