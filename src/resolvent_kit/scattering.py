@@ -47,7 +47,7 @@ from .matrix_core import SpectralPair, gen_sym_eig
 # Energies per batch in ScatteringCalculator.s_values: the (basis size x
 # batch) arrays of a batch stay small (0.4 MB each at N = 100), so peak
 # memory does not grow with the length of the grid.
-BATCH_SIZE = 256
+_BATCH_SIZE = 256
 
 
 def _record(errors: Optional[dict], index, exc: NumericalError):
@@ -225,10 +225,10 @@ def seed_coefficients(
     def stage(i):
         return f"seed at E={float(energy[i])}, ell={ell}, t={float(t[i])}"
 
-    # a stable sort keeps f_minus's failure ahead of the ratio's at one energy
-    for j in np.argsort(failed % size, kind="stable"):
-        i = failed[j] % size
-        _record(errors, i, _cf_error(stage(i), max_terms, last[j]))
+    # ``failed`` ascends, so at each energy f_minus's failure is filed first
+    for index, last_delta in zip(failed, last):
+        i = index % size
+        _record(errors, i, _cf_error(stage(i), max_terms, last_delta))
     bad = ~(np.isfinite(t0) & np.isfinite(r1_plus))
     for i in np.flatnonzero(bad):
         _record(
@@ -356,14 +356,14 @@ class ScatteringCalculator:
         the NumericalError of every energy that failed (its S is NaN).
 
         Any E <= 0 raises InputError for the whole call. The energies run
-        in batches of at most BATCH_SIZE, which bounds the working memory.
+        in batches of at most 256, which bounds the working memory.
         """
         energies = np.ravel(np.asarray(energies, dtype=float))
         kin = KinematicParams.for_system(energies, self.system.basis.lam, self.system.z_charge)
         s = np.empty(energies.size, dtype=complex)
         errors = {}
-        for lo in range(0, energies.size, BATCH_SIZE):
-            part = slice(lo, lo + BATCH_SIZE)
+        for lo in range(0, energies.size, _BATCH_SIZE):
+            part = slice(lo, lo + _BATCH_SIZE)
             part_errors = {}
             s[part] = self._s_batch(KinematicParams(kin.energy[part], kin.theta[part], kin.t[part]), part_errors)
             errors.update((lo + i, exc) for i, exc in part_errors.items())
