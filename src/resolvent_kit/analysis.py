@@ -315,15 +315,12 @@ def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None, **b
 
     last = mats.size - 1
     weights = pair.gamma[last] ** 2 / pair.sigma
-    abs_g = np.empty(grid.size)
-    flagged = []
-    for i, e in enumerate(grid):
-        gaps = pair.eps - e
-        if np.min(np.abs(gaps)) < 1e-14 * max(1.0, float(np.max(np.abs(pair.eps)))):
-            abs_g[i] = math.nan
-            flagged.append(i)
-        else:
-            abs_g[i] = abs(float(np.sum(weights / gaps)))
+    gaps = pair.eps[None, :] - grid[:, None]
+    on_pole = np.min(np.abs(gaps), axis=1) < 1e-14 * max(1.0, float(np.max(np.abs(pair.eps))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        abs_g = np.abs(np.sum(weights / gaps, axis=1))
+    abs_g[on_pole] = math.nan
+    flagged = np.flatnonzero(on_pole).tolist()
     meta = {"system": _system_snapshot(system), "kind": "resolvent_magnitude"}
     scan = ScanTable(energies=grid, columns={"abs_g": abs_g}, metadata=meta, flagged=tuple(flagged))
     return BoundStateResult(energies=energies, scan=scan)

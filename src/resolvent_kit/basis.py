@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import functools
 import math
 
 import numpy as np
@@ -87,7 +88,7 @@ def gauss_quadrature(alpha: float, npts: int):
     nodes, log_w = gauss_rule_log(alpha, npts)
     with np.errstate(under="ignore"):
         weights = np.exp(log_w)
-    return nodes, weights
+    return nodes.copy(), weights
 
 
 def log_weights(alpha: float, npts: int, nodes: np.ndarray) -> np.ndarray:
@@ -100,23 +101,35 @@ def log_weights(alpha: float, npts: int, nodes: np.ndarray) -> np.ndarray:
 def gauss_rule_log(alpha: float, npts: int):
     """(nodes, log weights) of the generalized Gauss-Laguerre rule; the
     form quadrature sums should consume so tiny weights keep relative
-    accuracy."""
+    accuracy.
+
+    A rule depends only on (alpha, npts), so each is built once per
+    process and shared: the returned arrays are read-only."""
     if npts < 1:
         raise InputError("quadrature needs at least one point")
     if alpha <= -1.0:
         raise InputError(f"weight exponent must exceed -1, got {alpha}")
+    return _gauss_rule_cached(float(alpha), int(npts))
+
+
+@functools.lru_cache(maxsize=128)
+def _gauss_rule_cached(alpha: float, npts: int):
     k = np.arange(npts, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     if npts == 1:
-        return diag.copy(), np.array([gammaln(alpha + 1.0)])
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    nodes = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
-    # One Newton step against the degree-npts polynomial cleans up the
-    # O(norm * eps) eigenvalue round-off; x lhat' = n lhat - sqrt(n(n+a)) lhat_(n-1).
-    cur, prev, _ = _scaled_orthonormal_pair(alpha, npts, nodes)
-    deriv = (npts * cur - math.sqrt(npts * (npts + alpha)) * prev) / nodes
-    nodes = nodes - cur / deriv
-    return nodes, log_weights(alpha, npts, nodes)
+        nodes, log_w = diag, np.array([gammaln(alpha + 1.0)])
+    else:
+        off = np.sqrt(k[1:] * (k[1:] + alpha))
+        nodes = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+        # One Newton step against the degree-npts polynomial cleans up the
+        # O(norm * eps) eigenvalue round-off; x lhat' = n lhat - sqrt(n(n+a)) lhat_(n-1).
+        cur, prev, _ = _scaled_orthonormal_pair(alpha, npts, nodes)
+        deriv = (npts * cur - math.sqrt(npts * (npts + alpha)) * prev) / nodes
+        nodes = nodes - cur / deriv
+        log_w = log_weights(alpha, npts, nodes)
+    nodes.setflags(write=False)
+    log_w.setflags(write=False)
+    return nodes, log_w
 
 
 def orthonormal_laguerre_table(alpha: float, nmax: int, x, log_scale=None) -> np.ndarray:
@@ -280,7 +293,12 @@ _QUAD_POINT_CAP = 4096
 
 def _potential_with_convergence_check(spec: SystemSpec, alpha_weight, alpha_poly, npts, arg_of_r, conv_tol):
     """Doubling test on the potential quadrature; escalates the rule until
-    doubling changes nothing, errors out at the point cap."""
+    doubling changes nothing, errors out at the point cap.
+
+    The cap is checked after the doubled rule is built, so from a start
+    below the cap the last doubling builds fewer than 2 * _QUAD_POINT_CAP
+    points before QuadratureError; that also bounds the largest cached
+    rule at about 128 KB."""
     v1 = _potential_by_quadrature(spec, alpha_weight, alpha_poly, npts, arg_of_r)
     while True:
         v2 = _potential_by_quadrature(spec, alpha_weight, alpha_poly, 2 * npts, arg_of_r)

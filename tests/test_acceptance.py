@@ -84,8 +84,9 @@ def fig3_im_peak(fig3_calc):
     center, width = 3.425, 0.25
     for pts in (251, 201):
         grid = np.linspace(center - width / 2, center + width / 2, pts)
-        ims = np.array([fig3_calc.point(e).s.imag for e in grid])
-        center = float(grid[int(np.argmax(ims))])
+        s, errors = fig3_calc.s_values(grid)
+        assert not errors
+        center = float(grid[int(np.argmax(s.imag))])
         width = 4.0 * (grid[1] - grid[0])
     return center
 

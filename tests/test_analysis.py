@@ -206,6 +206,32 @@ class TestBoundStates:
             near = np.abs(rescan.scan.energies - e0) < 1e-6
             assert np.nanmax(abs_g[near]) > 1e3 * background
 
+    def test_abs_g_matches_linear_solve(self):
+        # oracle: the last diagonal element of (H - E Omega)^-1 by a dense
+        # solve, independent of the eigendecomposition
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=15), potential=pot)
+        grid = np.linspace(-5.9, -0.05, 10)
+        scan = bound_states(spec, grid=grid).scan
+        assert scan.flagged == ()
+        mats = build_matrices(spec)
+        unit = np.zeros(mats.size)
+        unit[-1] = 1.0
+        for e, got in zip(grid, scan.columns["abs_g"]):
+            want = abs(np.linalg.solve(mats.h.data - e * mats.omega.data, unit)[-1])
+            assert got == pytest.approx(want, rel=1e-10)
+
+    def test_exact_eigenvalue_flags_only_that_index(self):
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=15), potential=pot)
+        pole = float(bound_states(spec).energies[0])
+        grid = np.array([pole - 0.5, pole - 1e-3, pole, pole + 1e-3, pole + 0.5])
+        scan = bound_states(spec, grid=grid).scan
+        abs_g = scan.columns["abs_g"]
+        assert scan.flagged == (2,)
+        assert math.isnan(abs_g[2])
+        assert np.all(np.isfinite(np.delete(abs_g, 2)))
+
     def test_scan_covers_spectrum(self):
         pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=15), potential=pot)

@@ -13,7 +13,7 @@ from resolvent_kit.basis import (
     orthonormal_laguerre_table,
     oscillator_matrices,
 )
-from resolvent_kit.errors import InputError
+from resolvent_kit.errors import InputError, QuadratureError
 from resolvent_kit.matrix_core import gen_sym_eig, is_spd
 from resolvent_kit.potential import parse_potential
 
@@ -61,6 +61,48 @@ class TestGaussQuadrature:
             gauss_quadrature(0.0, 0)
         with pytest.raises(InputError):
             gauss_quadrature(-1.5, 4)
+
+
+class TestGaussRuleCache:
+    def test_rule_is_read_only(self):
+        nodes, log_w = gauss_rule_log(1.5, 9)
+        for arr in (nodes, log_w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        one_node, one_w = gauss_rule_log(0.0, 1)
+        assert not one_node.flags.writeable and not one_w.flags.writeable
+
+    def test_repeat_call_same_rule(self):
+        first = [a.copy() for a in gauss_rule_log(2.5, 17)]
+        again = gauss_rule_log(2.5, 17)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+
+    def test_int_and_float_alpha_share_rule(self):
+        for npts in (1, 12):
+            for a, b in zip(gauss_rule_log(2, npts), gauss_rule_log(2.0, npts)):
+                np.testing.assert_array_equal(a, b)
+        for a, b in zip(gauss_rule_log(2.0, np.int64(12)), gauss_rule_log(np.float64(2.0), 12)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_validation_runs_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(InputError):
+                gauss_rule_log(0.0, 0)
+            with pytest.raises(InputError):
+                gauss_rule_log(-1.0, 4)
+            with pytest.raises(InputError):
+                gauss_rule_log(-2.5, 4)
+
+    def test_gauss_quadrature_returns_writable_copies(self):
+        nodes, weights = gauss_quadrature(0.5, 6)
+        assert nodes.flags.writeable and weights.flags.writeable
+        nodes[:] = 0.0
+        weights[:] = 0.0
+        fresh, _ = gauss_quadrature(0.5, 6)
+        assert np.all(fresh > 0.0)
+        np.testing.assert_array_equal(fresh, gauss_rule_log(0.5, 6)[0])
 
 
 class TestLaguerreMatrices:
@@ -130,6 +172,17 @@ class TestLaguerreMatrices:
     def test_family_mismatch(self):
         with pytest.raises(InputError):
             laguerre_matrices(SystemSpec(basis=BasisSpec("oscillator", lam=1.0, ell=0, size=4)))
+
+    def test_unconverged_doubling_raises_at_cap(self):
+        # r^-1.5 against the weight x^2 leaves x^(1/2) in the integrand, so
+        # each doubling still moves the matrix far above conv_tol; from 40
+        # points the doublings reach the cap at 2560 -> 5120
+        spec = self.spec(pot=parse_potential("r^-1.5"))
+        with pytest.raises(QuadratureError, match=r"doubling 2560 -> 5120 points") as info:
+            laguerre_matrices(spec)
+        residual = info.value.residual
+        assert np.isfinite(residual) and residual > 1e-8
+        assert f"{residual:.3e}" in str(info.value)
 
 
 class TestOscillatorMatrices:
