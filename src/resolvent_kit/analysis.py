@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.signal
 
 from .basis import OSCILLATOR, SystemSpec, build_matrices
 from .errors import FitResidualError, InputError
 from .matrix_core import SpectralPair, gen_sym_eig, sym_eig
-from .scattering import ScatteringCalculator
+from .scattering import ScatteringCalculator, _batches
 
 
 @dataclass(frozen=True)
@@ -143,6 +142,35 @@ def _quadratic_refine(x: np.ndarray, y: np.ndarray, i: int) -> float:
     return float(x1 + np.clip(shift, -1.0, 1.0) * step)
 
 
+def _prominent_peaks(x: np.ndarray, min_prominence: float):
+    """(indices, prominences) of the local maxima of ``x`` whose
+    prominence is at least ``min_prominence``.
+
+    A run of equal samples is a peak when both neighbours are lower; it
+    counts once, at its middle rounded down, so the endpoints are never
+    peaks. A peak's prominence is its height minus the higher of the two
+    minima reached on each side before the signal rises above the peak
+    (or is NaN) or ends. These are the peaks and the prominences that
+    SciPy's ``find_peaks(x, prominence=min_prominence)`` returns; the
+    tests use it as the oracle.
+    """
+    n = x.size
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.append(starts[1:], n) - 1
+    inner = (starts > 0) & (ends < n - 1)
+    starts, ends = starts[inner], ends[inner]
+    top = (x[starts - 1] < x[starts]) & (x[ends + 1] < x[starts])
+    peaks = (starts[top] + ends[top]) // 2
+
+    def base(side):  # side[0] is the peak; walk until the signal rises above it
+        stop = int(np.argmax(~(side <= side[0])))
+        return side[: stop or side.size].min()
+
+    prominences = np.array([x[p] - max(base(x[p::-1]), base(x[p:])) for p in peaks], dtype=float)
+    keep = prominences >= min_prominence
+    return peaks[keep], prominences[keep]
+
+
 def find_resonances(table: ScanTable, prominence: float = 0.15) -> ResonanceReport:
     """Peaks of the time delay in an existing scan.
 
@@ -159,16 +187,16 @@ def find_resonances(table: ScanTable, prominence: float = 0.15) -> ResonanceRepo
     # featureless data: variation at the round-off level of the phases
     if span <= 1e-9 * max(1.0, float(np.max(np.abs(tau)))):
         return ResonanceReport(peaks=())
-    idx, props = scipy.signal.find_peaks(tau, prominence=prominence * span)
+    idx, prominences = _prominent_peaks(tau, prominence * span)
     peaks = []
-    for j, i in enumerate(idx):
+    for i, prom in zip(idx, prominences):
         e_peak = _quadratic_refine(es, tau, int(i))
         width = 2.0 / tau[i] if tau[i] > 0 else math.inf
         peaks.append(
             ResonancePeak(
                 e_peak=e_peak,
                 width_estimate=float(width),
-                quality=float(props["prominences"][j] / span),
+                quality=float(prom / span),
             )
         )
     peaks.sort(key=lambda p: p.e_peak)
@@ -315,10 +343,14 @@ def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None, **b
 
     last = mats.size - 1
     weights = pair.gamma[last] ** 2 / pair.sigma
-    gaps = pair.eps[None, :] - grid[:, None]
-    on_pole = np.min(np.abs(gaps), axis=1) < 1e-14 * max(1.0, float(np.max(np.abs(pair.eps))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        abs_g = np.abs(np.sum(weights / gaps, axis=1))
+    tol = 1e-14 * max(1.0, float(np.max(np.abs(pair.eps))))
+    abs_g = np.empty(grid.size)
+    on_pole = np.empty(grid.size, dtype=bool)
+    for part in _batches(grid.size):
+        gaps = pair.eps[None, :] - grid[part, None]
+        on_pole[part] = np.min(np.abs(gaps), axis=1) < tol
+        with np.errstate(divide="ignore", invalid="ignore"):
+            abs_g[part] = np.abs(np.sum(weights / gaps, axis=1))
     abs_g[on_pole] = math.nan
     flagged = np.flatnonzero(on_pole).tolist()
     meta = {"system": _system_snapshot(system), "kind": "resolvent_magnitude"}
@@ -379,14 +411,19 @@ def density_of_states(
     }
     if method == "smoothing":
         width = delta if delta is not None else default_smoothing_width(poles, grid[0], grid[-1])
-        rho = (residues[None, :] * (width / math.pi) / ((poles[None, :] - grid[:, None]) ** 2 + width**2)).sum(axis=1)
+        rho = np.empty(grid.size)
+        for part in _batches(grid.size):
+            gaps = poles[None, :] - grid[part, None]
+            rho[part] = (residues[None, :] * (width / math.pi) / (gaps**2 + width**2)).sum(axis=1)
         meta["delta"] = float(width)
         return ScanTable(energies=grid, columns={"rho": rho}, metadata=meta)
     if method != "continuation":
         raise InputError(f"unknown DOS method {method!r}")
 
     z_fit = grid + 1j * fit_height
-    g_fit = (residues[None, :] / (poles[None, :] - z_fit[:, None])).sum(axis=1)
+    g_fit = np.empty(grid.size, dtype=complex)
+    for part in _batches(grid.size):
+        g_fit[part] = (residues[None, :] / (poles[None, :] - z_fit[part, None])).sum(axis=1)
     fit = _rational_fit(z_fit, g_fit, fit_order)
     residual = float(np.max(np.abs(fit(z_fit) - g_fit)) / np.max(np.abs(g_fit)))
     if residual > fit_threshold:

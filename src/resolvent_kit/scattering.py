@@ -44,10 +44,16 @@ from .errors import (
 )
 from .matrix_core import SpectralPair, gen_sym_eig
 
-# Energies per batch in ScatteringCalculator.s_values: the (basis size x
-# batch) arrays of a batch stay small (0.4 MB each at N = 100), so peak
-# memory does not grow with the length of the grid.
+# Energies per batch in ScatteringCalculator.s_values and in the analysis
+# pole sums: the (basis size x batch) arrays of a batch stay small (0.4 MB
+# each at N = 100), so peak memory does not grow with the length of the grid.
+# Each point is reduced on its own, so the batch size changes no value.
 _BATCH_SIZE = 256
+
+
+def _batches(n: int) -> list:
+    """Slices of at most ``_BATCH_SIZE`` points covering ``range(n)``."""
+    return [slice(lo, lo + _BATCH_SIZE) for lo in range(0, n, _BATCH_SIZE)]
 
 
 def _record(errors: Optional[dict], index, exc: NumericalError):
@@ -362,11 +368,10 @@ class ScatteringCalculator:
         kin = KinematicParams.for_system(energies, self.system.basis.lam, self.system.z_charge)
         s = np.empty(energies.size, dtype=complex)
         errors = {}
-        for lo in range(0, energies.size, _BATCH_SIZE):
-            part = slice(lo, lo + _BATCH_SIZE)
+        for part in _batches(energies.size):
             part_errors = {}
             s[part] = self._s_batch(KinematicParams(kin.energy[part], kin.theta[part], kin.t[part]), part_errors)
-            errors.update((lo + i, exc) for i, exc in part_errors.items())
+            errors.update((part.start + i, exc) for i, exc in part_errors.items())
         return s, dict(sorted(errors.items()))
 
     def _s_batch(self, kin: KinematicParams, errors: dict) -> np.ndarray:

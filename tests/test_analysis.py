@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from resolvent_kit.analysis import (
     ScanTable,
+    _prominent_peaks,
     bound_states,
     default_smoothing_width,
     density_of_states,
@@ -16,7 +18,7 @@ from resolvent_kit.basis import BasisSpec, SystemSpec, build_matrices
 from resolvent_kit.errors import FitResidualError, InputError, SpectrumEvaluationError
 from resolvent_kit.matrix_core import gen_sym_eig
 from resolvent_kit.potential import parse_potential
-from resolvent_kit.scattering import ScatteringCalculator
+from resolvent_kit.scattering import _BATCH_SIZE, ScatteringCalculator
 
 
 def breit_wigner_table(e0=3.0, gamma=0.12, background=0.4, step=0.01):
@@ -151,6 +153,70 @@ class TestFindResonances:
             assert table.energies[0] < p.e_peak < table.energies[-1]
 
 
+def oracle_quality(table, prominence=0.15):
+    """find_resonances' quality values computed with scipy.signal.find_peaks."""
+    tau = np.gradient(np.unwrap(table.columns["delta"], period=math.pi), table.energies)
+    span = np.max(tau) - np.min(tau)
+    _, props = scipy.signal.find_peaks(tau, prominence=prominence * span)
+    return [float(p / span) for p in props["prominences"]]
+
+
+class TestProminentPeaks:
+    """The peak helper against scipy.signal.find_peaks as the oracle."""
+
+    @staticmethod
+    def signals():
+        rng = np.random.default_rng(20240711)
+        for _ in range(400):
+            n = int(rng.integers(3, 80))
+            yield rng.normal(size=n)
+            yield rng.integers(0, 4, size=n).astype(float)  # plateaus everywhere
+            yield np.repeat(rng.integers(-3, 4, size=n), rng.integers(1, 5, size=n)).astype(float)
+            yield np.cumsum(rng.normal(size=n))
+            with_nan = rng.normal(size=n)
+            with_nan[rng.integers(0, n)] = math.nan  # the walk to a base stops at NaN
+            yield with_nan
+        yield np.array([5.0, 1.0, 2.0, 1.0, 5.0])  # maxima at both endpoints
+        yield np.array([1.0, 3.0, 3.0, 3.0])  # a flat top that runs into the end
+        yield np.array([0.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 2.0, 0.0])  # even and odd flat tops
+        yield np.full(7, 2.5)
+        yield np.linspace(0.0, 1.0, 9)
+        yield np.linspace(1.0, 0.0, 9)
+        yield np.array([1.0])
+        yield np.array([1.0, 2.0])
+
+    @staticmethod
+    def assert_same(x, min_prominence):
+        want, props = scipy.signal.find_peaks(x, prominence=min_prominence)
+        got, prominences = _prominent_peaks(x, min_prominence)
+        np.testing.assert_array_equal(got, want)
+        assert prominences.tobytes() == props["prominences"].tobytes()
+
+    def test_matches_find_peaks(self):
+        for x in self.signals():
+            for min_prominence in (0.0, 0.5, 1.0, 2.5):
+                self.assert_same(x, min_prominence)
+
+    def test_threshold_is_inclusive(self):
+        x = np.array([0.0, 3.0, 1.0, 2.0, 0.5, 2.5, 0.0])
+        _, prominences = _prominent_peaks(x, 0.0)
+        for p in prominences:
+            _, kept = _prominent_peaks(x, float(p))
+            assert p in kept
+            self.assert_same(x, float(p))
+
+    def test_quality_is_prominence_over_span(self, barrier_calc):
+        tables = [
+            breit_wigner_table(),
+            scan_smatrix(barrier_calc, np.linspace(0.5, 8.0, 301)),
+        ]
+        for table in tables:
+            for prominence in (0.15, 0.01):
+                got = [p.quality for p in find_resonances(table, prominence=prominence).peaks]
+                assert got == oracle_quality(table, prominence)
+                assert got
+
+
 @pytest.fixture(scope="module")
 def barrier_calc():
     pot = parse_potential("7.5*r^2*exp(-r)")
@@ -232,6 +298,27 @@ class TestBoundStates:
         assert math.isnan(abs_g[2])
         assert np.all(np.isfinite(np.delete(abs_g, 2)))
 
+    def test_batched_scan_flags_only_the_pole(self):
+        # three batches plus one point, with an exact generalized
+        # eigenvalue in the second batch
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=15), potential=pot)
+        pole = float(bound_states(spec).energies[0])
+        k = _BATCH_SIZE + _BATCH_SIZE // 2
+        grid = pole + 0.005 * (np.arange(3 * _BATCH_SIZE + 1) - k)
+        assert grid[k] == pole and grid[-1] < 0.0
+        scan = bound_states(spec, grid=grid).scan
+        abs_g = scan.columns["abs_g"]
+        assert scan.flagged == (k,)
+        assert math.isnan(abs_g[k])
+        mats = build_matrices(spec)
+        unit = np.zeros(mats.size)
+        unit[-1] = 1.0
+        for i, e in enumerate(grid):
+            if i != k:
+                want = abs(np.linalg.solve(mats.h.data - e * mats.omega.data, unit)[-1])
+                assert abs_g[i] == pytest.approx(want, rel=1e-10)
+
     def test_scan_covers_spectrum(self):
         pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=15), potential=pot)
@@ -256,6 +343,21 @@ class TestDensityOfStates:
         grid = np.linspace(0.1, 8.0, 200)
         table = density_of_states(self.osc_spec(), grid, method="smoothing")
         assert np.min(table.columns["rho"]) >= -1e-12
+
+    def test_batched_grid(self):
+        # a grid of more than two batches: the weight, the sign, and the
+        # smoothing sum against its closed form from numpy's eigh
+        spec = self.osc_spec(size=100)
+        grid = np.linspace(0.05, 8.0, 2 * _BATCH_SIZE + 3)
+        tables = {method: density_of_states(spec, grid, method=method) for method in ("smoothing", "continuation")}
+        for table in tables.values():
+            assert table.metadata["total_weight"] == pytest.approx(1.0, abs=1e-10)
+            assert np.min(table.columns["rho"]) >= -1e-12
+        poles, vecs = np.linalg.eigh(build_matrices(spec).h.data)
+        smooth = tables["smoothing"]
+        width = smooth.metadata["delta"]
+        want = [np.sum(vecs[0] ** 2 * (width / math.pi) / ((poles - e) ** 2 + width**2)) for e in grid]
+        np.testing.assert_allclose(smooth.columns["rho"], want, rtol=1e-9)
 
     def test_default_width_rule(self):
         grid = np.linspace(0.1, 6.0, 60)
