@@ -47,7 +47,6 @@ from .errors import (
     SpectrumEvaluationError,
 )
 from .matrix_core import (
-    GeneralMatrix,
     SpectralPair,
     SymMatrix,
     delete_row_col,

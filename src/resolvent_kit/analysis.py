@@ -21,8 +21,9 @@ import numpy as np
 
 from .basis import OSCILLATOR, SystemSpec, build_matrices
 from .errors import FitResidualError, InputError
-from .matrix_core import SpectralPair, gen_sym_eig, sym_eig
-from .scattering import ScatteringCalculator, _batches
+from .matrix_core import gen_sym_eig, sym_eig
+from .resolvent import PartialFractions, _pole_error
+from .scattering import ScatteringCalculator
 
 
 @dataclass(frozen=True)
@@ -330,7 +331,9 @@ def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None, **b
     The poles of the finite resolvent are exactly the generalized
     eigenvalues of (H, Overlap), so the negative ones are read off
     directly; scanning |G(E)| for divergences is strictly less accurate
-    but is emitted for plotting parity.
+    but is emitted for plotting parity. G is the (last, last) element.
+    Grid points that the pole rule (``resolvent.POLE_RTOL``) puts on an
+    eigenvalue are flagged, with NaN in ``abs_g``.
     """
     mats = build_matrices(system, **build_kwargs)
     pair = gen_sym_eig(mats.h.data, mats.omega.data)
@@ -342,19 +345,10 @@ def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None, **b
     grid = np.asarray(grid, dtype=float)
 
     last = mats.size - 1
-    weights = pair.gamma[last] ** 2 / pair.sigma
-    tol = 1e-14 * max(1.0, float(np.max(np.abs(pair.eps))))
-    abs_g = np.empty(grid.size)
-    on_pole = np.empty(grid.size, dtype=bool)
-    for part in _batches(grid.size):
-        gaps = pair.eps[None, :] - grid[part, None]
-        on_pole[part] = np.min(np.abs(gaps), axis=1) < tol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            abs_g[part] = np.abs(np.sum(weights / gaps, axis=1))
-    abs_g[on_pole] = math.nan
-    flagged = np.flatnonzero(on_pole).tolist()
+    g, on_pole = PartialFractions.from_pair(pair, last, last).evaluate(grid)
     meta = {"system": _system_snapshot(system), "kind": "resolvent_magnitude"}
-    scan = ScanTable(energies=grid, columns={"abs_g": abs_g}, metadata=meta, flagged=tuple(flagged))
+    flagged = tuple(np.flatnonzero(on_pole).tolist())
+    scan = ScanTable(energies=grid, columns={"abs_g": np.abs(g)}, metadata=meta, flagged=flagged)
     return BoundStateResult(energies=energies, scan=scan)
 
 
@@ -363,13 +357,19 @@ def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None, **b
 # ---------------------------------------------------------------------------
 
 
-def _pole_weights(system: SystemSpec, **build_kwargs):
+def _g00(system: SystemSpec, **build_kwargs) -> PartialFractions:
     if system.basis.family != OSCILLATOR:
         raise InputError("density of states uses the orthonormal oscillator basis")
     mats = build_matrices(system, **build_kwargs)
-    pair: SpectralPair = sym_eig(mats.h.data)
-    residues = pair.gamma[0] ** 2
-    return pair.eps, residues
+    return PartialFractions.from_pair(sym_eig(mats.h.data), 0, 0)
+
+
+def _g00_off_poles(g00: PartialFractions, z: np.ndarray) -> np.ndarray:
+    """G_00 at every point of z, raising on the first point on a pole."""
+    values, on_pole = g00.evaluate(z)
+    if on_pole.any():
+        raise _pole_error(g00.poles, z[np.argmax(on_pole)])
+    return values
 
 
 def default_smoothing_width(poles: np.ndarray, e_min: float, e_max: float) -> float:
@@ -393,37 +393,37 @@ def density_of_states(
 ) -> ScanTable:
     """rho(E) = Im G_00(E)/pi from the pole/residue data of G_00.
 
-    smoothing:     evaluate at E + i*delta (Lorentzian broadening); delta
+    smoothing:     Im G_00(E + i*delta)/pi (Lorentzian broadening); delta
                    defaults to five mean local pole spacings.
     continuation:  fit G_00 on the contour Im z = fit_height to a rational
                    function of order (fit_order-1)/fit_order by linearized
                    least squares, then evaluate the fit on the real axis.
                    Fails loudly if the fit residual exceeds fit_threshold
                    (relative).
+
+    Either method raises SpectrumEvaluationError if a point it evaluates
+    G_00 at (E + i*delta, or the fit contour) sits on a pole by the pole
+    rule (``resolvent.POLE_RTOL``), which takes a vanishing delta or
+    fit_height.
     """
     grid = np.asarray(grid, dtype=float)
-    poles, residues = _pole_weights(system, **build_kwargs)
+    g00 = _g00(system, **build_kwargs)
     meta = {
         "system": _system_snapshot(system),
         "kind": "dos",
         "method": method,
-        "total_weight": float(residues.sum()),
+        "total_weight": float(g00.coeffs.sum()),
     }
     if method == "smoothing":
-        width = delta if delta is not None else default_smoothing_width(poles, grid[0], grid[-1])
-        rho = np.empty(grid.size)
-        for part in _batches(grid.size):
-            gaps = poles[None, :] - grid[part, None]
-            rho[part] = (residues[None, :] * (width / math.pi) / (gaps**2 + width**2)).sum(axis=1)
+        width = delta if delta is not None else default_smoothing_width(g00.poles, grid[0], grid[-1])
+        rho = _g00_off_poles(g00, grid + 1j * width).imag / math.pi
         meta["delta"] = float(width)
         return ScanTable(energies=grid, columns={"rho": rho}, metadata=meta)
     if method != "continuation":
         raise InputError(f"unknown DOS method {method!r}")
 
     z_fit = grid + 1j * fit_height
-    g_fit = np.empty(grid.size, dtype=complex)
-    for part in _batches(grid.size):
-        g_fit[part] = (residues[None, :] / (poles[None, :] - z_fit[part, None])).sum(axis=1)
+    g_fit = _g00_off_poles(g00, z_fit)
     fit = _rational_fit(z_fit, g_fit, fit_order)
     residual = float(np.max(np.abs(fit(z_fit) - g_fit)) / np.max(np.abs(g_fit)))
     if residual > fit_threshold:

@@ -43,32 +43,46 @@ LAGUERRE = "laguerre"
 OSCILLATOR = "oscillator"
 
 
-def _scaled_orthonormal_pair(alpha: float, degree: int, x: np.ndarray):
-    """(lhat_degree, lhat_(degree-1), logscale) with a common per-node
-    scale factor exp(logscale) divided out, where lhat_n is the
-    orthonormal generalized Laguerre polynomial
-    sqrt(n!/Gamma(n+alpha+1)) L_n^alpha.
+def _orthonormal_recurrence(alpha: float, degree: int, x: np.ndarray, cur, logscale, rows=None):
+    """Three-term recurrence of the orthonormal generalized Laguerre
+    polynomials lhat_n = sqrt(n!/Gamma(n+alpha+1)) L_n^alpha at the nodes
+    x, from degree 0 to ``degree``.
 
-    The three-term recurrence is renormalized per node whenever values
-    grow large, so this stays finite for any degree and x where a plain
-    evaluation would overflow. Ratios of the two returned values are
-    scale-free.
+    The caller's start values carry lhat_0 = Gamma(alpha+1)^(-1/2) times
+    any per-node scale it wants applied: the value at degree n is
+    cur * exp(logscale). Whenever a value grows large, its node is
+    renormalized and the factor moves into ``logscale``, so the recurrence
+    stays finite where a plain evaluation would overflow.
+
+    Returns (cur, prev, logscale) at the last degree; the ratio of cur and
+    prev is scale-free. Given ``rows``, row n receives the value at degree
+    n for n = 0 .. degree, zero where it underflows.
     """
-    x = np.asarray(x, dtype=float)
-    cur = np.full_like(x, np.exp(-0.5 * gammaln(alpha + 1.0)))
     prev = np.zeros_like(x)
-    logscale = np.zeros_like(x)
-    for n in range(degree):
-        a = (2.0 * n + alpha + 1.0 - x) / np.sqrt((n + 1.0) * (n + alpha + 1.0))
-        b = np.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0))) if n >= 1 else 0.0
-        cur, prev = a * cur - b * prev, cur
-        big = np.abs(cur) > 1e120
-        if np.any(big):
-            factor = np.where(big, np.abs(cur), 1.0)
-            logscale += np.log(factor)
-            cur = cur / factor
-            prev = prev / factor
+    with np.errstate(under="ignore"):
+        if rows is not None:
+            scale = np.exp(logscale)  # recomputed only when logscale changes
+            rows[0] = cur * scale
+        for n in range(degree):
+            a = (2.0 * n + alpha + 1.0 - x) / np.sqrt((n + 1.0) * (n + alpha + 1.0))
+            b = np.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0))) if n >= 1 else 0.0
+            cur, prev = a * cur - b * prev, cur
+            big = np.abs(cur) > 1e120
+            if np.any(big):
+                factor = np.where(big, np.abs(cur), 1.0)
+                logscale = logscale + np.log(factor)
+                cur = cur / factor
+                prev = prev / factor
+                if rows is not None:
+                    scale = np.exp(logscale)
+            if rows is not None:
+                rows[n + 1] = cur * scale
     return cur, prev, logscale
+
+
+def _lhat0(alpha: float, x: np.ndarray):
+    """Start values (cur, logscale) of the recurrence for the bare lhat_n."""
+    return np.full_like(x, np.exp(-0.5 * gammaln(alpha + 1.0))), np.zeros_like(x)
 
 
 def gauss_quadrature(alpha: float, npts: int):
@@ -93,7 +107,8 @@ def gauss_quadrature(alpha: float, npts: int):
 
 def log_weights(alpha: float, npts: int, nodes: np.ndarray) -> np.ndarray:
     """log of the Gauss-Laguerre weights at the given nodes."""
-    cur, _, logscale = _scaled_orthonormal_pair(alpha, npts + 1, nodes)
+    nodes = np.asarray(nodes, dtype=float)
+    cur, _, logscale = _orthonormal_recurrence(alpha, npts + 1, nodes, *_lhat0(alpha, nodes))
     logmag = np.log(np.abs(cur)) + logscale
     return np.log(nodes) - math.log(npts + 1.0) - math.log(npts + alpha + 1.0) - 2.0 * logmag
 
@@ -123,7 +138,7 @@ def _gauss_rule_cached(alpha: float, npts: int):
         nodes = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
         # One Newton step against the degree-npts polynomial cleans up the
         # O(norm * eps) eigenvalue round-off; x lhat' = n lhat - sqrt(n(n+a)) lhat_(n-1).
-        cur, prev, _ = _scaled_orthonormal_pair(alpha, npts, nodes)
+        cur, prev, _ = _orthonormal_recurrence(alpha, npts, nodes, *_lhat0(alpha, nodes))
         deriv = (npts * cur - math.sqrt(npts * (npts + alpha)) * prev) / nodes
         nodes = nodes - cur / deriv
         log_w = log_weights(alpha, npts, nodes)
@@ -144,23 +159,8 @@ def orthonormal_laguerre_table(alpha: float, nmax: int, x, log_scale=None) -> np
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1, x.size))
-    logscale = np.zeros_like(x) if log_scale is None else np.asarray(log_scale, dtype=float).copy()
-    logscale = logscale - 0.5 * gammaln(alpha + 1.0)
-    cur = np.ones_like(x)
-    prev = np.zeros_like(x)
-    with np.errstate(under="ignore"):
-        out[0] = cur * np.exp(logscale)
-        for n in range(nmax):
-            a = (2.0 * n + alpha + 1.0 - x) / np.sqrt((n + 1.0) * (n + alpha + 1.0))
-            b = np.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0))) if n >= 1 else 0.0
-            cur, prev = a * cur - b * prev, cur
-            big = np.abs(cur) > 1e120
-            if np.any(big):
-                factor = np.where(big, np.abs(cur), 1.0)
-                logscale += np.log(factor)
-                cur = cur / factor
-                prev = prev / factor
-            out[n + 1] = cur * np.exp(logscale)
+    logscale = np.zeros_like(x) if log_scale is None else np.asarray(log_scale, dtype=float)
+    _orthonormal_recurrence(alpha, nmax, x, np.ones_like(x), logscale - 0.5 * gammaln(alpha + 1.0), rows=out)
     return out
 
 

@@ -33,6 +33,7 @@ from .config import COMMANDS, RunConfig, build_config, parse_config_file
 from .errors import ConfigError, InputError, NumericalError, ResolventKitError
 from .matrix_core import gen_sym_eig
 from .potential import parse_potential
+from .resolvent import PartialFractions
 from .scattering import ScatteringCalculator
 
 
@@ -171,15 +172,8 @@ def cmd_resolvent(cfg: RunConfig) -> tuple:
     if not (0 <= n < cfg.size and 0 <= m < cfg.size):
         raise ConfigError(f"matrix element indices ({n}, {m}) out of range for N={cfg.size}")
     grid = _grid(cfg)
-    weights = pair.gamma[n] * pair.gamma[m] / pair.sigma
-    values = np.full(grid.size, complex(np.nan, np.nan))
-    flagged = []
-    for i, e in enumerate(grid):
-        gaps = pair.eps - (e + 1j * cfg.im_z)
-        if np.min(np.abs(gaps)) < 1e-15 * max(1.0, abs(e)):  # green_last's pole rule
-            flagged.append(i)
-        else:
-            values[i] = np.sum(weights / gaps)
+    values, on_pole = PartialFractions.from_pair(pair, n, m).evaluate(grid + 1j * cfg.im_z)
+    flagged = np.flatnonzero(on_pole).tolist()
     table = ScanTable(
         energies=grid,
         columns={"re_g": values.real, "im_g": values.imag, "abs_g": np.abs(values)},

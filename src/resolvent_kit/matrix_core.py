@@ -55,27 +55,6 @@ class SymMatrix:
 
 
 @dataclass(frozen=True)
-class GeneralMatrix:
-    """Real matrix of any shape; no symmetry requirement."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.data, dtype=float)
-        if a.ndim != 2:
-            raise InputError(f"expected a 2-d array, got shape {a.shape}")
-        object.__setattr__(self, "data", _freeze(a))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
 class SpectralPair:
     """Solution of H Gamma = Omega Gamma diag(eps).
 
@@ -110,7 +89,7 @@ class SpectralPair:
 
 
 def _as_square_array(a) -> np.ndarray:
-    if isinstance(a, SymMatrix) or isinstance(a, GeneralMatrix):
+    if isinstance(a, SymMatrix):
         a = a.data
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -192,30 +171,22 @@ def delete_row_col(a, n: int, m: int):
     """Submatrix with row n and column m removed.
 
     Entry (i, j) of the result is entry (i + [i >= n], j + [j >= m]) of
-    the input. Accepts real or complex arrays (the resolvent pencil
-    H - z*Omega is complex); dtype is preserved.
+    the input. Accepts a SymMatrix or a real or complex array (the
+    resolvent pencil H - z*Omega is complex) and returns an array of the
+    same dtype.
     """
-    arr = a.data if isinstance(a, (SymMatrix, GeneralMatrix)) else np.asarray(a)
+    arr = a.data if isinstance(a, SymMatrix) else np.asarray(a)
     rows, cols = arr.shape
     if rows < 2 or cols < 2:
         raise InputError("empty submatrix")
     if not (0 <= n < rows and 0 <= m < cols):
         raise InputError(f"indices ({n}, {m}) out of range for shape {arr.shape}")
-    out = np.delete(np.delete(arr, n, axis=0), m, axis=1)
-    if isinstance(a, (SymMatrix, GeneralMatrix)):
-        return GeneralMatrix(out)
-    return out
+    return np.delete(np.delete(arr, n, axis=0), m, axis=1)
 
 
 def det(a) -> float:
     """Signed determinant via pivoted LU factorization."""
     return float(np.linalg.det(_as_square_array(a)))
-
-
-def slogdet(a):
-    """(sign, log|det|) of a real square matrix; sign is 0 for singular."""
-    sign, logabs = np.linalg.slogdet(_as_square_array(a))
-    return float(sign), float(logabs)
 
 
 def eig_general(a) -> np.ndarray:

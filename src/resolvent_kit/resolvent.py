@@ -17,13 +17,16 @@ The eigenvalue-only routes pay one eigendecomposition up front and are
 then cheap per evaluation point, which is what the scattering and
 density-of-states scans exploit.
 
-Also here: partial-fraction coefficients of G, and the closed-form
-identities that recover eigenvector component products from eigenvalue
-spectra alone.
+Also here: the pole/residue form of G, ``PartialFractions``, whose
+``evaluate`` is the one evaluator of the sum and applies the one pole
+rule (``POLE_RTOL``) for every consumer of the package; and the
+closed-form identities that recover eigenvector component products from
+eigenvalue spectra alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,9 +54,35 @@ from .matrix_core import (
 # caller at the spectral sum.
 DEGENERACY_RTOL = 1e-8
 
-# z closer than this (relative to the spectral scale) to an eigenvalue
-# counts as "on the spectrum".
-POLE_RTOL = 1e-12
+# The one pole rule of every resolvent consumer: z sits on the pole eps_j
+# when |z - eps_j| < POLE_RTOL * max(1, |z|). Only essentially exact hits
+# are refused, because narrow-resonance structure in S(E) lives at gaps of
+# 1e-12 and below, which evaluate fine in floating point.
+POLE_RTOL = 1e-15
+
+# Points per batch of PartialFractions.evaluate and of
+# ScatteringCalculator.s_values: the (points x basis size) arrays of a batch
+# stay small (0.4 MB each at N = 100), so peak memory does not grow with the
+# length of the grid. Each point is reduced on its own, so the batch size
+# changes no value.
+_BATCH_SIZE = 256
+
+
+def _batches(n: int) -> list:
+    """Slices of at most ``_BATCH_SIZE`` points covering ``range(n)``."""
+    return [slice(lo, lo + _BATCH_SIZE) for lo in range(0, n, _BATCH_SIZE)]
+
+
+def _on_pole(gaps: np.ndarray, z) -> np.ndarray:
+    """The pole rule (see ``POLE_RTOL``) for ``gaps = eps - z``, with the
+    poles along the last axis and z broadcasting against the rest."""
+    return np.min(np.abs(gaps), axis=-1) < POLE_RTOL * np.maximum(1.0, np.abs(z))
+
+
+def _pole_error(poles: np.ndarray, z) -> SpectrumEvaluationError:
+    """The error for a point z that the pole rule puts on ``poles``."""
+    pole = float(poles[np.argmin(np.abs(poles - z))])
+    return SpectrumEvaluationError(f"evaluation at spectrum: z={z} sits on eigenvalue {pole}", pole=pole)
 
 
 @dataclass(frozen=True)
@@ -97,30 +126,43 @@ class ResolventInput:
 
 @dataclass(frozen=True)
 class PartialFractions:
-    """Pole/residue form of one resolvent element: sum_j coeffs[j] / (poles[j] - z)."""
+    """Pole/residue form of one resolvent element: sum_j coeffs[j] / (poles[j] - z).
+
+    Every resolvent consumer evaluates its element through ``evaluate``;
+    this is the only place the sum is written out.
+    """
 
     poles: np.ndarray
     coeffs: np.ndarray
     n: int
     m: int
 
-    def evaluate(self, z: complex) -> complex:
-        return complex(np.sum(self.coeffs / (self.poles - z)))
+    @classmethod
+    def from_pair(cls, pair: SpectralPair, n: int, m: int) -> "PartialFractions":
+        """G_{n,m} of any symmetric-definite pencil from its eigenpairs:
+        residues gamma[n,j] gamma[m,j] / sigma_j."""
+        return cls(poles=pair.eps, coeffs=pair.gamma[n] * pair.gamma[m] / pair.sigma, n=n, m=m)
 
+    def evaluate(self, z):
+        """(values, on_pole) at a scalar or an array of points z, both in
+        the shape of z.
 
-def _spectral_scale(eps: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(eps)))) if eps.size else 1.0
-
-
-def _check_off_spectrum(eps: np.ndarray, z: complex, rtol: float = POLE_RTOL):
-    gaps = np.abs(eps - z)
-    tol = rtol * _spectral_scale(eps)
-    i = int(np.argmin(gaps))
-    if gaps[i] < tol:
-        raise SpectrumEvaluationError(
-            f"evaluation at spectrum: z={z} within {tol:g} of eigenvalue {eps[i]}",
-            pole=float(eps[i]),
-        )
+        Points the pole rule (``POLE_RTOL``) puts on a pole are True in
+        ``on_pole`` and NaN in ``values``. Values keep the dtype of z, so
+        real energies stay in real arithmetic. The points run in batches
+        of at most ``_BATCH_SIZE``.
+        """
+        z = np.asarray(z)
+        flat = z.ravel()
+        values = np.empty(flat.size, dtype=np.result_type(self.coeffs, flat))
+        on_pole = np.empty(flat.size, dtype=bool)
+        for part in _batches(flat.size):
+            gaps = self.poles[None, :] - flat[part, None]
+            on_pole[part] = _on_pole(gaps, flat[part])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values[part] = np.sum(self.coeffs / gaps, axis=1)
+        values[on_pole] = complex(math.nan, math.nan) if values.dtype.kind == "c" else math.nan
+        return values.reshape(z.shape), on_pole.reshape(z.shape)
 
 
 def _check_nondegenerate(eps: np.ndarray):
@@ -150,11 +192,6 @@ def paired_product_ratio(num, den):
     return out
 
 
-def _slogdet(a) -> tuple:
-    sign, logabs = np.linalg.slogdet(np.asarray(a))
-    return sign, logabs
-
-
 def _is_singular_submatrix(a: np.ndarray, rtol: float = 1e-12) -> bool:
     s = np.linalg.svd(a, compute_uv=False)
     return s[-1] <= rtol * max(s[0], np.finfo(float).tiny)
@@ -173,9 +210,10 @@ def green_spectral(inp: ResolventInput, n: int, m: int, pair: Optional[SpectralP
     """
     if pair is None:
         pair = inp.spectral_pair()
-    _check_off_spectrum(pair.eps, inp.z)
-    terms = pair.gamma[n] * pair.gamma[m] / (pair.sigma * (pair.eps - inp.z))
-    return complex(np.sum(terms))
+    value, on_pole = PartialFractions.from_pair(pair, n, m).evaluate(inp.z)
+    if on_pole:
+        raise _pole_error(pair.eps, inp.z)
+    return complex(value)
 
 
 def green_cofactor(inp: ResolventInput, n: int, m: int) -> complex:
@@ -186,13 +224,13 @@ def green_cofactor(inp: ResolventInput, n: int, m: int) -> complex:
     in log space so dimension ~100 does not overflow.
     """
     c = inp.pencil()
-    sign_full, log_full = _slogdet(c)
+    sign_full, log_full = np.linalg.slogdet(c)
     if sign_full == 0 or not np.isfinite(log_full):
         raise SpectrumEvaluationError(
             f"evaluation at spectrum: det(H - z*Omega) vanished at z={inp.z}", pole=inp.z
         )
     sub = delete_row_col(c, n, m)
-    sign_sub, log_sub = _slogdet(sub)
+    sign_sub, log_sub = np.linalg.slogdet(sub)
     if sign_sub == 0:
         return 0j
     return complex((-1.0) ** (n + m) * sign_sub / sign_full * np.exp(log_sub - log_full))
@@ -246,12 +284,13 @@ def green_eigprod_general(
     if inp.omega is None:
         raise InputError("green_eigprod_general requires an explicit overlap matrix")
     eps = pair.eps if pair is not None else _gen_eigvals(inp.h, inp.omega)
-    _check_off_spectrum(np.asarray(eps), inp.z)
+    if _on_pole(eps - inp.z, inp.z):
+        raise _pole_error(eps, inp.z)
     if sub_eigs is None:
         sub_eigs = _deleted_pencil_eigs(inp.h, inp.omega, n, m)
-    sign_full, log_full = _slogdet(inp.omega)
+    sign_full, log_full = np.linalg.slogdet(inp.omega)
     sub_om = delete_row_col(inp.omega, n, m)
-    sign_sub, log_sub = _slogdet(sub_om)
+    sign_sub, log_sub = np.linalg.slogdet(sub_om)
     if sign_sub == 0:
         raise SingularSubmatrixError(
             "eigenvalue-product form undefined: deleted overlap submatrix is "
@@ -276,12 +315,12 @@ def green_diag_orthonormal(
     Both spectra are z-independent; pass them in when scanning many z.
     """
     hm = _as_sym_array(h)
-    if eps is None:
-        eps = np.linalg.eigvalsh(hm)
-    _check_off_spectrum(np.asarray(eps), complex(z))
+    eps = np.linalg.eigvalsh(hm) if eps is None else np.asarray(eps)
+    if _on_pole(eps - z, z):
+        raise _pole_error(eps, z)
     if sub_eps is None:
         sub_eps = np.linalg.eigvalsh(delete_row_col(hm, n, n))
-    return complex(paired_product_ratio(np.asarray(sub_eps) - z, np.asarray(eps) - z))
+    return complex(paired_product_ratio(np.asarray(sub_eps) - z, eps - z))
 
 
 def inverse_oracle(inp: ResolventInput) -> np.ndarray:
@@ -309,7 +348,7 @@ def _coeff_from_dets(h: np.ndarray, eps: np.ndarray, n: int, m: int, j: int) -> 
     (generally nonsymmetric) deleted matrix; assembled in log space.
     """
     shifted = delete_row_col(h - eps[j] * np.eye(h.shape[0]), n, m)
-    sign_num, log_num = _slogdet(shifted)
+    sign_num, log_num = np.linalg.slogdet(shifted)
     if sign_num == 0:
         return 0.0
     gaps = np.delete(eps, j) - eps[j]
@@ -386,8 +425,8 @@ def eigvec_from_eigs_general(h, omega, n: int, m: int, k: int) -> float:
     eps = _gen_eigvals(hm, om)
     _check_nondegenerate(eps)
     sub_eigs = _deleted_pencil_eigs(hm, om, n, m)
-    sign_full, log_full = _slogdet(om)
-    sign_sub, log_sub = _slogdet(delete_row_col(om, n, m))
+    sign_full, log_full = np.linalg.slogdet(om)
+    sign_sub, log_sub = np.linalg.slogdet(delete_row_col(om, n, m))
     if sign_sub == 0:
         raise SingularSubmatrixError(
             "eigenvalue-product form undefined: deleted overlap submatrix is "

@@ -40,20 +40,9 @@ from .errors import (
     InputError,
     NumericalError,
     RecursionBreakdownError,
-    SpectrumEvaluationError,
 )
 from .matrix_core import SpectralPair, gen_sym_eig
-
-# Energies per batch in ScatteringCalculator.s_values and in the analysis
-# pole sums: the (basis size x batch) arrays of a batch stay small (0.4 MB
-# each at N = 100), so peak memory does not grow with the length of the grid.
-# Each point is reduced on its own, so the batch size changes no value.
-_BATCH_SIZE = 256
-
-
-def _batches(n: int) -> list:
-    """Slices of at most ``_BATCH_SIZE`` points covering ``range(n)``."""
-    return [slice(lo, lo + _BATCH_SIZE) for lo in range(0, n, _BATCH_SIZE)]
+from .resolvent import PartialFractions, _batches, _pole_error
 
 
 def _record(errors: Optional[dict], index, exc: NumericalError):
@@ -329,7 +318,7 @@ class ScatteringCalculator:
         self.mats = mats if mats is not None else build_matrices(system, **build_kwargs)
         self.pair: SpectralPair = gen_sym_eig(self.mats.h.data, self.mats.omega.data)
         last = self.mats.size - 1
-        self._weights = self.pair.gamma[last] ** 2 / self.pair.sigma
+        self._g_last = PartialFractions.from_pair(self.pair, last, last)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -338,23 +327,16 @@ class ScatteringCalculator:
         return self.pair.eps
 
     def green_last(self, energies: np.ndarray, errors: Optional[dict] = None) -> np.ndarray:
-        """G_(N-1,N-1)(E) of the full Hamiltonian via the spectral sum, at
-        each energy of a 1-D array.
+        """G_(N-1,N-1)(E) of the full Hamiltonian at each energy of a 1-D
+        array, from its pole/residue form in real arithmetic.
 
-        Refuses only essentially exact pole hits, |E - eps| <
-        1e-15 max(1, |E|); narrow-resonance structure lives at gaps of
-        1e-12 and below, which evaluate fine in floating point.
+        An energy that the pole rule (``resolvent.POLE_RTOL``) puts on an
+        eigenvalue is NaN and fails with a SpectrumEvaluationError naming
+        that eigenvalue (see the module docstring for ``errors``).
         """
-        gaps = self.pair.eps[None, :] - energies[:, None]
-        nearest = np.argmin(np.abs(gaps), axis=1)
-        hit = np.abs(gaps[np.arange(energies.size), nearest]) < 1e-15 * np.maximum(1.0, np.abs(energies))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.sum(self._weights / gaps, axis=1)
-        for i in np.flatnonzero(hit):
-            pole = float(self.pair.eps[nearest[i]])
-            message = f"evaluation at spectrum: E={float(energies[i])} sits on eigenvalue {pole}"
-            _record(errors, i, SpectrumEvaluationError(message, pole=pole))
-        g[hit] = math.nan
+        g, on_pole = self._g_last.evaluate(energies)
+        for i in np.flatnonzero(on_pole):
+            _record(errors, i, _pole_error(self.pair.eps, energies[i]))
         return g
 
     def s_values(self, energies):

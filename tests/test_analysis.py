@@ -16,9 +16,10 @@ from resolvent_kit.analysis import (
 )
 from resolvent_kit.basis import BasisSpec, SystemSpec, build_matrices
 from resolvent_kit.errors import FitResidualError, InputError, SpectrumEvaluationError
-from resolvent_kit.matrix_core import gen_sym_eig
+from resolvent_kit.matrix_core import gen_sym_eig, sym_eig
 from resolvent_kit.potential import parse_potential
-from resolvent_kit.scattering import _BATCH_SIZE, ScatteringCalculator
+from resolvent_kit.resolvent import _BATCH_SIZE
+from resolvent_kit.scattering import ScatteringCalculator
 
 
 def breit_wigner_table(e0=3.0, gamma=0.12, background=0.4, step=0.01):
@@ -400,6 +401,16 @@ class TestDensityOfStates:
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=10))
         with pytest.raises(InputError):
             density_of_states(spec, np.linspace(0.1, 2.0, 10))
+
+    def test_point_on_a_pole_raises(self):
+        # a vanishing width or contour height puts a grid point on a pole
+        spec = self.osc_spec(size=20)
+        pole = float(sym_eig(build_matrices(spec).h.data).eps[3])
+        grid = np.array([pole - 0.1, pole, pole + 0.1])
+        for kwargs in ({"method": "smoothing", "delta": 0.0}, {"method": "continuation", "fit_height": 0.0}):
+            with pytest.raises(SpectrumEvaluationError) as err:
+                density_of_states(spec, grid, **kwargs)
+            assert err.value.pole == pole
 
     def test_unknown_method(self):
         with pytest.raises(InputError):

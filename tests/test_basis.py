@@ -56,6 +56,18 @@ class TestGaussQuadrature:
         gram = t @ t.T
         assert np.max(np.abs(gram - np.eye(81))) < 1e-11
 
+    def test_table_rows_past_a_renormalization(self):
+        # at x = 2000 the values pass 1e120 near degree 65, so the
+        # recurrence renormalizes there; every row, before and after, must
+        # still equal the directly evaluated orthonormal polynomial
+        from scipy.special import eval_genlaguerre, gammaln
+
+        alpha, n = 1.0, np.arange(76)
+        x = np.array([3.0, 2000.0])
+        want = eval_genlaguerre(n[:, None], alpha, x) * np.exp(0.5 * (gammaln(n + 1.0) - gammaln(n + alpha + 1.0)))[:, None]
+        assert np.abs(want[-1, 1]) > 1e130
+        np.testing.assert_allclose(orthonormal_laguerre_table(alpha, 75, x), want, rtol=1e-11)
+
     def test_bad_args(self):
         with pytest.raises(InputError):
             gauss_quadrature(0.0, 0)

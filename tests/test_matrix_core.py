@@ -3,7 +3,6 @@ import pytest
 
 from resolvent_kit.errors import InputError, OverlapNotSPDError
 from resolvent_kit.matrix_core import (
-    GeneralMatrix,
     SymMatrix,
     delete_row_col,
     det,
@@ -24,10 +23,6 @@ class TestTypes:
         m = SymMatrix(np.eye(3))
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
-
-    def test_general_matrix_shape(self):
-        g = GeneralMatrix(np.ones((2, 5)))
-        assert (g.rows, g.cols) == (2, 5)
 
     def test_spectral_pair_scale_invariance(self, rng):
         h = random_symmetric(rng, 5)
@@ -149,11 +144,6 @@ class TestDeleteRowCol:
     def test_too_small(self):
         with pytest.raises(InputError, match="empty submatrix"):
             delete_row_col(np.array([[1.0]]), 0, 0)
-
-    def test_wraps_domain_types(self):
-        out = delete_row_col(GeneralMatrix(np.eye(3)), 0, 0)
-        assert isinstance(out, GeneralMatrix)
-        assert out.rows == out.cols == 2
 
 
 class TestDet:

@@ -9,6 +9,8 @@ from resolvent_kit.errors import (
 )
 from resolvent_kit.matrix_core import delete_row_col, det, gen_sym_eig, sym_eig
 from resolvent_kit.resolvent import (
+    _BATCH_SIZE,
+    PartialFractions,
     ResolventInput,
     eigvec_from_eigs_general,
     eigvec_prod_from_eigs,
@@ -223,7 +225,40 @@ class TestPartialFractions:
         pf = green_partial_fractions(h, 1, 3)
         for z in (0.3 + 0.4j, -2.0 + 0.0j, 5.0 + 2.0j):
             inp = ResolventInput(h=h, omega=None, z=z)
-            assert pf.evaluate(z) == pytest.approx(green_spectral(inp, 1, 3), rel=1e-9, abs=1e-12)
+            value, on_pole = pf.evaluate(z)
+            assert not on_pole
+            assert complex(value) == pytest.approx(green_spectral(inp, 1, 3), rel=1e-9, abs=1e-12)
+
+    def test_from_pair_matches_inverse_across_batches(self, rng):
+        # a non-orthogonal pencil, an off-diagonal element, and complex
+        # points filling three batches and one point of a fourth
+        h = random_symmetric(rng, 6)
+        om = random_spd(rng, 6)
+        pair = gen_sym_eig(h, om)
+        zs = rng.uniform(-4.0, 4.0, 3 * _BATCH_SIZE + 1) + 1j * rng.uniform(0.05, 2.0, 3 * _BATCH_SIZE + 1)
+        want = np.array([inverse_oracle(ResolventInput(h=h, omega=om, z=z))[1, 4] for z in zs])
+        # residues divide by sigma, so rescaled eigenvectors change nothing
+        for p in (pair, pair.rescaled(rng.uniform(0.5, 2.0, 6))):
+            values, on_pole = PartialFractions.from_pair(p, 1, 4).evaluate(zs)
+            assert values.shape == on_pole.shape == zs.shape
+            assert not on_pole.any()
+            assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-10
+
+    def test_from_pair_residues_match_determinant_route(self, rng):
+        h = random_symmetric(rng, 5)
+        for n, m in ((0, 0), (1, 3), (4, 2)):
+            got = PartialFractions.from_pair(sym_eig(h), n, m).coeffs
+            np.testing.assert_allclose(got, green_partial_fractions(h, n, m).coeffs, rtol=0, atol=1e-10)
+
+    def test_real_points_stay_real_and_flag_poles(self):
+        pf = PartialFractions.from_pair(sym_eig(np.diag([1.0, 2.0])), 0, 0)
+        values, on_pole = pf.evaluate(np.array([0.5, 1.0, 3.0]))
+        assert values.dtype == np.float64
+        assert on_pole.tolist() == [False, True, False]
+        assert values[0] == 2.0 and np.isnan(values[1]) and values[2] == -0.5
+        value, on_pole = pf.evaluate(1.0 + 0j)
+        assert value.shape == () and bool(on_pole)
+        assert np.isnan(value.real) and np.isnan(value.imag)
 
     def test_residues_are_eigenvector_products(self, rng):
         h = random_symmetric(rng, 5)
