@@ -222,13 +222,19 @@ def green_cofactor(inp: ResolventInput, n: int, m: int) -> complex:
     Valid for every (n, m) and any basis; the universal fallback when the
     eigenvalue-product form is undefined. Determinant ratio is assembled
     in log space so dimension ~100 does not overflow.
+
+    The determinant rarely rounds to exactly 0 on an eigenvalue, so a z
+    within ``POLE_RTOL`` of the real axis is tested against the pencil's
+    eigenvalues by the pole rule; a vanishing determinant is refused too.
     """
     c = inp.pencil()
+    if abs(inp.z.imag) < POLE_RTOL * max(1.0, abs(inp.z)):
+        eps = inp.spectral_pair().eps
+        if _on_pole(eps - inp.z, inp.z):
+            raise _pole_error(eps, inp.z)
     sign_full, log_full = np.linalg.slogdet(c)
     if sign_full == 0 or not np.isfinite(log_full):
-        raise SpectrumEvaluationError(
-            f"evaluation at spectrum: det(H - z*Omega) vanished at z={inp.z}", pole=inp.z
-        )
+        raise _pole_error(inp.spectral_pair().eps, inp.z)
     sub = delete_row_col(c, n, m)
     sign_sub, log_sub = np.linalg.slogdet(sub)
     if sign_sub == 0:

@@ -1,4 +1,4 @@
-"""Scattering matrix from the tridiagonal reference-Hamiltonian recursion.
+"""Scattering matrix from the reference-Hamiltonian coefficients at n = N.
 
 In the Laguerre basis the reference pencil J(E) = H0 - E*Overlap is
 tridiagonal, so its sine-like and cosine-like coefficient sequences
@@ -8,8 +8,14 @@ two derived quantities are ever needed:
     T_n = (c_n - i s_n) / (c_n + i s_n)            (unimodular for E > 0)
     R_n(+/-) = (c_n +/- i s_n) / (c_(n-1) +/- i s_(n-1))
 
-seeded at n = 0, 1 by Gauss-hypergeometric expressions of the scattering
-kinematics and propagated by the recursion. With G the (last, last)
+For a neutral system (Z = 0) both are ratios of terminating
+hypergeometric polynomials of degree ell, evaluated in closed form at
+n = N; they are within 1e-13 relative of 50-digit mpmath for E 1e-3 ..
+50, lam 1 .. 20, ell <= 3, N <= 120. Coulomb systems seed them at
+n = 0, 1 by Gauss-hypergeometric expressions of the scattering
+kinematics and propagate them by the recursion; far below E = lam^2/8 a
+repulsive Coulomb S(E) then carries rounding error of up to 1e-7 .. 5e-6
+(see the README's numerical conventions). With G the (last, last)
 element of the full resolvent (H0 + V - E*Overlap)^(-1) and J the
 boundary element of the reference pencil, the scattering matrix is
 
@@ -17,7 +23,7 @@ boundary element of the reference pencil, the scattering matrix is
 
 which is exactly unimodular for real E and reduces to S = 1 when V = 0.
 At real E the pencil is real, so R_n(-) = conj(R_n(+)) and only the plus
-branch is propagated.
+branch is computed.
 
 Every stage is elementwise in E and works on an array of energies at
 once. A stage that fails at some energies either raises the first
@@ -60,6 +66,9 @@ class KinematicParams:
     theta is the Laguerre-basis angle with cos(theta) =
     (8E - lam^2)/(8E + lam^2), in (0, pi) for E > 0; t = Z / sqrt(2E) is
     the Coulomb strength parameter. Both have the shape of ``energy``.
+    theta is computed as 2 atan2(lam, sqrt(8E)), which is accurate to a
+    few ulps everywhere; arccos of the cosine loses digits as theta nears
+    pi (E << lam^2/8), and e^(2iN theta) multiplies that loss by 2N.
     """
 
     energy: np.ndarray
@@ -72,8 +81,7 @@ class KinematicParams:
         bad = ~(energy > 0.0)
         if bad.any():
             raise InputError(f"scattering energy must be positive, got {float(energy[bad][0])}")
-        cos_theta = (8.0 * energy - lam**2) / (8.0 * energy + lam**2)
-        theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
+        theta = 2.0 * np.arctan2(lam, np.sqrt(8.0 * energy))
         return cls(energy=energy, theta=theta, t=z_charge / np.sqrt(2.0 * energy))
 
 
@@ -237,22 +245,28 @@ def seed_coefficients(
 def cs_recursion(
     mats: MatrixSet, kin: KinematicParams, up_to: int, tol: float = 1e-15, errors: Optional[dict] = None
 ) -> CSCoefficients:
-    """T_(up_to-1) and R_up_to(+) at every energy of ``kin``, propagated
-    from the seeds through rows 1 .. up_to-1 of the tridiagonal reference
-    pencil:
+    """T_(up_to-1) and R_up_to(+) at every energy of ``kin``.
+
+    A neutral system (Z = 0) takes both from their closed forms at
+    n = up_to (see ``_neutral_coefficients``), with neither seeds nor
+    recursion. Otherwise they are propagated from the seeds through rows
+    1 .. up_to-1 of the tridiagonal reference pencil:
 
         R_(n+1) = -(J_nn + J_(n,n-1) / R_n) / J_(n,n+1)
         T_n     = T_(n-1) * conj(R_n) / R_n
 
     A vanishing coupling, or a vanishing or non-finite ratio, is a
     breakdown that fails the element; elements whose seeds failed come
-    in as NaN and are carried without further checks.
+    in as NaN and are carried without further checks. A non-finite
+    closed form fails its element the same way.
     """
     size = mats.size
     if not 1 <= up_to <= size:
         raise InputError(f"recursion index {up_to} outside 1 .. basis size {size}")
     if mats.spec.basis.family != LAGUERRE:
         raise InputError("coefficient recursion is seeded for the Laguerre basis only")
+    if mats.spec.z_charge == 0.0:
+        return _neutral_coefficients(kin, mats.spec.basis.ell, up_to, errors)
     # complex copies spare the loop a real-to-complex cast at every step
     diag, off = mats.j_tridiagonal(np.ravel(kin.energy))
     neg_diag, off = (-diag).astype(complex), off.astype(complex)
@@ -277,6 +291,62 @@ def cs_recursion(
         t=np.where(failed, nan, t).reshape(kin.energy.shape),
         r_plus=np.where(failed, nan, r).reshape(kin.energy.shape),
     )
+
+
+def _neutral_coefficients(kin: KinematicParams, ell: int, n: int, errors: Optional[dict]) -> CSCoefficients:
+    """T_(n-1) and R_n(+) of a neutral system in closed form.
+
+    At Z = 0 the reference solutions are terminating hypergeometric
+    series (Heller & Yamani, PRA 9, 1201 (1974); Yamani & Fishman,
+    JMP 16, 410 (1975)). With F_n = 2F1(-ell, n; ell+n+1; x) and
+    x = e^(-2i theta),
+
+        T_(n-1) = e^(2in theta) conj(F_n) / F_n
+        R_n(+)  = e^(-i theta) sqrt(n (n+2ell+1)) / (ell+n+1) F_(n+1) / F_n
+
+    which at n = 1 are the seeds. F_n is a polynomial of degree ell in x,
+    but its sum in powers of x cancels to O(n^-ell) of its terms as x
+    nears 1, at both ends of the energy range. Re-expanded about x = 1
+    (DLMF 15.8.7) it is (ell+1)_ell / (ell+n+1)_ell times
+
+        P_n(y) = sum_k (-ell)_k (n)_k / ((-2ell)_k k!) y^k,  y = 1 - x,
+
+    whose coefficients are all positive; the real prefactors cancel in
+    T and leave sqrt(n / (n+2ell+1)) in R. Against 50-digit mpmath
+    (E 1e-3 .. 50, lam 1 .. 20, ell <= 3, n <= 120) R is within 1e-15 and
+    T within 1e-13 relative, T's error being theta's rounding times 2n;
+    the sum in powers of x reaches 8e-12. A non-finite T or R fails its
+    element (see the module docstring for ``errors``).
+    """
+    energy, theta = np.ravel(kin.energy), np.ravel(kin.theta)
+    phase = np.exp(-1j * theta)
+    y = 2j * np.sin(theta) * phase  # 1 - x without the cancellation near x = 1
+    p_n, p_next = _neutral_polynomial(ell, n, y), _neutral_polynomial(ell, n + 1, y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.exp(2j * n * theta) * np.conj(p_n) / p_n
+        r_plus = phase * math.sqrt(n / (n + 2.0 * ell + 1.0)) * p_next / p_n
+    bad = ~(np.isfinite(t) & np.isfinite(r_plus))
+    for i in np.flatnonzero(bad):
+        _record(
+            errors, i,
+            NumericalError(
+                f"closed form at E={float(energy[i])}, ell={ell}: non-finite "
+                f"T_{n - 1} = {complex(t[i])}, R_{n}(+) = {complex(r_plus[i])}"
+            ),
+        )
+    t[bad] = r_plus[bad] = complex("nan")
+    return CSCoefficients(t=t.reshape(kin.energy.shape), r_plus=r_plus.reshape(kin.energy.shape))
+
+
+def _neutral_polynomial(ell: int, n: int, y: np.ndarray) -> np.ndarray:
+    """P_n(y) of ``_neutral_coefficients`` by Horner's rule."""
+    coeffs = [1.0]
+    for k in range(ell):
+        coeffs.append(coeffs[-1] * (ell - k) * (n + k) / ((2.0 * ell - k) * (k + 1.0)))
+    p = np.full(y.shape, coeffs[-1], dtype=complex)
+    for c in reversed(coeffs[:-1]):
+        p = p * y + c
+    return p
 
 
 def _report_breakdowns(index, r1p, neg_diag, off, up_to, errors):
@@ -306,9 +376,11 @@ class ScatteringCalculator:
     cheaply at many energies.
 
     The eigendecomposition of the full pencil (H0 + V, Overlap) is done
-    once; an array of M energies then costs one batched seed evaluation,
-    one N-step recursion over length-M arrays, and one M x N spectral sum
-    for the resolvent element.
+    once; an array of M energies then costs the reference coefficients
+    at n = N and one M x N spectral sum for the resolvent element. For
+    Z = 0 the coefficients are two closed-form polynomials of degree ell
+    over length-M arrays; for Z != 0 they are one batched seed
+    evaluation and one N-step recursion.
     """
 
     def __init__(self, system: SystemSpec, mats: Optional[MatrixSet] = None, **build_kwargs):

@@ -28,6 +28,7 @@ from resolvent_kit.matrix_core import gen_sym_eig
 from resolvent_kit.potential import parse_potential
 from resolvent_kit.resolvent import (
     ResolventInput,
+    green_cofactor,
     green_diag_orthonormal,
     green_eigprod_general,
     green_spectral,
@@ -127,6 +128,10 @@ def spectral(sys_, e, tmp_path):
     return green_spectral(ResolventInput(h=sys_.h, omega=sys_.omega, z=e), N_INDEX, M_INDEX)
 
 
+def cofactor(sys_, e, tmp_path):
+    return green_cofactor(ResolventInput(h=sys_.h, omega=sys_.omega, z=e), N_INDEX, M_INDEX)
+
+
 def eigprod_general(sys_, e, tmp_path):
     inp = ResolventInput(h=sys_.h, omega=sys_.omega, z=e)
     return green_eigprod_general(inp, N_INDEX, M_INDEX, pair=sys_.pair)
@@ -142,6 +147,7 @@ CONSUMERS = {
     "bound_states": (bound_states_abs_g, "laguerre", (LAST, LAST, abs)),
     "cli_resolvent": (cli_resolvent, "laguerre", (N_INDEX, M_INDEX, None)),
     "green_spectral": (spectral, "laguerre", (N_INDEX, M_INDEX, None)),
+    "green_cofactor": (cofactor, "laguerre", (N_INDEX, M_INDEX, None)),
     "green_eigprod_general": (eigprod_general, "laguerre", (N_INDEX, M_INDEX, None)),
     "green_diag_orthonormal": (diag_orthonormal, "oscillator", (N_INDEX, N_INDEX, None)),
 }

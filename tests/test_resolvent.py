@@ -103,6 +103,20 @@ class TestGreenCofactor:
         with pytest.raises(SpectrumEvaluationError):
             green_cofactor(inp, 0, 0)
 
+    def test_every_eigenvalue_refused(self):
+        # on this pencil the LU pivot rounds to ~1e-16, not 0, at most of
+        # its eigenvalues, which once gave |G_11| of 1e12 .. 6e14 there
+        rng = np.random.RandomState(3)
+        h, om = random_symmetric(rng, 6), random_spd(rng, 6)
+        for pole in gen_sym_eig(h, om).eps:
+            inp = ResolventInput(h=h, omega=om, z=float(pole))
+            with pytest.raises(SpectrumEvaluationError) as err:
+                green_cofactor(inp, 1, 1)
+            assert err.value.pole == pole and isinstance(err.value.pole, float)
+            with pytest.raises(SpectrumEvaluationError) as spectral:
+                green_spectral(inp, 1, 1)
+            assert str(err.value) == str(spectral.value)
+
 
 class TestGreenEigprodGeneral:
     def test_identity_overlap_diagonal_matches_orthonormal_form(self, rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from resolvent_kit.basis import BasisSpec, MatrixSet, SystemSpec, build_matrices
-from resolvent_kit.errors import ConvergenceError, InputError, RecursionBreakdownError
+from resolvent_kit.errors import ConvergenceError, InputError, NumericalError, RecursionBreakdownError
 from resolvent_kit.potential import parse_potential
 from resolvent_kit.scattering import (
     KinematicParams,
@@ -17,6 +17,14 @@ from resolvent_kit.scattering import (
 )
 
 import mpmath as mp
+
+
+def mp_green_boundary(calc, energy):
+    """G J at ``energy`` in the current mpmath precision, from the double
+    resolvent weights and boundary element of ``calc``."""
+    weights = calc.pair.gamma[-1] ** 2 / calc.pair.sigma
+    g = mp.fsum(mp.mpf(float(w)) / (mp.mpf(float(e)) - energy) for w, e in zip(weights, calc.pair.eps))
+    return g * mp.mpf(float(calc.mats.j_boundary(energy)))
 
 
 def mpmath_s(calc, energy, dps=40):
@@ -36,9 +44,7 @@ def mpmath_s(calc, energy, dps=40):
         for n in range(1, calc.mats.size):
             t = t * mp.conj(r) / r
             r = -(mp.mpf(diag[n]) + mp.mpf(off[n - 1]) / r) / mp.mpf(off[n])
-        weights = calc.pair.gamma[-1] ** 2 / calc.pair.sigma
-        g = mp.fsum(mp.mpf(float(w)) / (mp.mpf(float(e)) - energy) for w, e in zip(weights, calc.pair.eps))
-        gj = g * mp.mpf(float(calc.mats.j_boundary(energy)))
+        gj = mp_green_boundary(calc, energy)
         return complex(t * (1 + gj * mp.conj(r)) / (1 + gj * r))
 
 
@@ -209,8 +215,10 @@ class TestSeeds:
 
 
 class TestRecursion:
-    def free_mats(self, size=20, ell=0, lam=1.0):
-        return build_matrices(SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=size)))
+    def free_mats(self, size=20, ell=0, lam=1.0, z_charge=0.0):
+        return build_matrices(
+            SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=size), z_charge=z_charge)
+        )
 
     def test_neutral_s_wave_closed_form(self):
         # for Z = 0, ell = 0 the coefficient ratios are exactly
@@ -284,7 +292,8 @@ class TestRecursion:
     )
     def test_breakdown_fails_only_its_energy(self, monkeypatch, band, row, value, message):
         # cut the coupling J_(4,5), or make J_33 and so R_4 infinite, at the
-        # middle energy of three only
+        # middle energy of three only; on Coulomb systems, because only
+        # Z != 0 runs the recursion through the rows of J
         build = MatrixSet.j_tridiagonal
 
         def broken(self, energy):
@@ -292,24 +301,134 @@ class TestRecursion:
             bands[band][row, 1] = value
             return tuple(bands)
 
-        mats = self.free_mats(size=12)
-        kin = KinematicParams.for_system(np.array([0.5, 1.0, 1.5]), 1.0, 0.0)
-        clean = cs_recursion(mats, kin, up_to=12)
+        cases = []
+        for z_charge in (-1.0, 1.0):
+            mats = self.free_mats(size=12, z_charge=z_charge)
+            kin = KinematicParams.for_system(np.array([0.5, 1.0, 1.5]), 1.0, z_charge)
+            cases.append((mats, kin, cs_recursion(mats, kin, up_to=12)))
         monkeypatch.setattr(MatrixSet, "j_tridiagonal", broken)
-        errors = {}
-        cs = cs_recursion(mats, kin, up_to=12, errors=errors)
-        assert list(errors) == [1] and str(errors[1]) == message and errors[1].index == 4
-        assert np.isnan(cs.t[1]) and np.isnan(cs.r_plus[1])
-        for i in (0, 2):
-            assert cs.t[i] == clean.t[i] and cs.r_plus[i] == clean.r_plus[i]
-        with pytest.raises(RecursionBreakdownError, match=message):
-            cs_recursion(mats, kin, up_to=12)
+        for mats, kin, clean in cases:
+            errors = {}
+            cs = cs_recursion(mats, kin, up_to=12, errors=errors)
+            assert list(errors) == [1] and str(errors[1]) == message and errors[1].index == 4
+            assert np.isnan(cs.t[1]) and np.isnan(cs.r_plus[1])
+            for i in (0, 2):
+                assert cs.t[i] == clean.t[i] and cs.r_plus[i] == clean.r_plus[i]
+            with pytest.raises(RecursionBreakdownError, match=message):
+                cs_recursion(mats, kin, up_to=12)
 
     def test_exceeding_basis_rejected(self):
         mats = self.free_mats(size=10)
         kin = KinematicParams.for_system(1.0, 1.0, 0.0)
         with pytest.raises(InputError):
             cs_recursion(mats, kin, up_to=11)
+
+
+def closed_form_reference(energy, lam, ell, n, dps=50):
+    """T_(n-1) and R_n(+) of a neutral system from their closed forms,
+    with F_n = 2F1(-ell, n; ell+n+1; e^(-2i theta)) by mp.hyp2f1 and theta
+    from E at ``dps`` digits; it reads neither the J rows nor the double
+    kinematics."""
+    with mp.workdps(dps):
+        theta = 2 * mp.atan2(lam, mp.sqrt(8 * mp.mpf(energy)))
+        x = mp.expj(-2 * theta)
+        f_n = mp.hyp2f1(-ell, n, ell + n + 1, x)
+        f_next = mp.hyp2f1(-ell, n + 1, ell + n + 2, x)
+        t = mp.expj(2 * n * theta) * mp.conj(f_n) / f_n
+        r = mp.expj(-theta) * mp.sqrt(n * (n + 2 * ell + 1)) / (ell + n + 1) * f_next / f_n
+        return complex(t), complex(r)
+
+
+def closed_form_s(calc, energy, dps=50):
+    """S(E) of a neutral system from ``closed_form_reference`` and the
+    resolvent weights of ``calc``; no J rows, no double kinematics."""
+    basis = calc.system.basis
+    t, r = closed_form_reference(energy, basis.lam, basis.ell, calc.mats.size, dps)
+    with mp.workdps(dps):
+        t, r, gj = mp.mpc(t), mp.mpc(r), mp_green_boundary(calc, energy)
+        return complex(t * (1 + gj * mp.conj(r)) / (1 + gj * r))
+
+
+class TestNeutralClosedForm:
+    """cs_recursion at Z = 0 against the 50-digit closed forms."""
+
+    def worst_error(self, energies, lams, ells, sizes):
+        worst = 0.0
+        for lam in lams:
+            for ell in ells:
+                mats = build_matrices(SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=max(sizes))))
+                kin = KinematicParams.for_system(energies, lam, 0.0)
+                for n in sizes:
+                    cs = cs_recursion(mats, kin, up_to=n)
+                    for i, energy in enumerate(energies):
+                        want_t, want_r = closed_form_reference(float(energy), lam, ell, n)
+                        worst = max(
+                            worst, abs(cs.t[i] - want_t) / abs(want_t), abs(cs.r_plus[i] - want_r) / abs(want_r)
+                        )
+        return worst
+
+    def test_against_mpmath(self):
+        # worst seen 1e-13, in T; the double-precision recursion this
+        # replaces misses the bound by far (9e-7 at lam = 20, ell = 3,
+        # n = 120, E = 0.014)
+        worst = self.worst_error(np.geomspace(1e-3, 50.0), (1.0, 5.0, 20.0), range(4), (2, 15, 60, 120))
+        assert worst <= 1e-10
+
+    @pytest.mark.slow
+    def test_against_mpmath_wide(self):
+        # past the grid above in ell, n and lam; worst seen 3e-13, at
+        # lam = 0.5, ell = 6, n = 250
+        worst = self.worst_error(
+            np.geomspace(1e-3, 50.0, 31), (0.5, 1.0, 5.0, 20.0, 40.0), range(4, 7), (2, 60, 250)
+        )
+        assert worst <= 1e-10
+
+    def test_s_against_mpmath(self):
+        # S on the calculator's own resolvent element, so this bounds the
+        # reference coefficients and the S assembly; worst seen 9e-14,
+        # where the recursion reached 1e-11 (lam = 20, ell = 2)
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        energies = np.geomspace(1e-3, 50.0, 25)
+        worst = 0.0
+        for lam in (1.0, 20.0):
+            for ell, size in ((0, 100), (1, 90), (2, 80)):
+                calc = ScatteringCalculator(
+                    SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=size), potential=pot)
+                )
+                s, errors = calc.s_values(energies)
+                assert errors == {}
+                for got, energy in zip(s, energies):
+                    want = closed_form_s(calc, float(energy))
+                    worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-10
+
+    def test_non_finite_fails_only_its_energy(self):
+        # no positive energy makes the closed form non-finite, so a NaN
+        # angle at the middle energy of three stands in for one
+        mats = build_matrices(SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=2, size=12)))
+        kin = KinematicParams.for_system(np.array([0.5, 1.0, 1.5]), 1.0, 0.0)
+        broken = KinematicParams(kin.energy, np.where([False, True, False], np.nan, kin.theta), kin.t)
+        clean = cs_recursion(mats, kin, up_to=12)
+        errors = {}
+        cs = cs_recursion(mats, broken, up_to=12, errors=errors)
+        assert list(errors) == [1] and type(errors[1]) is NumericalError
+        assert str(errors[1]).startswith("closed form at E=1.0, ell=2: non-finite T_11 = ")
+        assert np.isnan(cs.t[1]) and np.isnan(cs.r_plus[1])
+        for i in (0, 2):
+            assert cs.t[i] == clean.t[i] and cs.r_plus[i] == clean.r_plus[i]
+        with pytest.raises(NumericalError, match=r"^closed form at E=1\.0, ell=2"):
+            cs_recursion(mats, broken, up_to=12)
+
+    def test_first_index_is_the_seed(self):
+        energies = np.geomspace(1e-3, 50.0, 25)
+        for lam in (1.0, 5.0, 20.0):
+            for ell in range(4):
+                mats = build_matrices(SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=4)))
+                kin = KinematicParams.for_system(energies, lam, 0.0)
+                cs = cs_recursion(mats, kin, up_to=1)
+                t0, r1p = seed_coefficients(kin, ell)
+                np.testing.assert_allclose(cs.t, t0, rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(cs.r_plus, r1p, rtol=1e-14, atol=0.0)
 
 
 class TestSMatrix:
