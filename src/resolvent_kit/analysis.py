@@ -204,8 +204,17 @@ def find_resonances(table: ScanTable, prominence: float = 0.15) -> ResonanceRepo
     return ResonanceReport(peaks=tuple(peaks))
 
 
-def _window_scan(calc, center, width, points):
-    es = np.linspace(center - 0.5 * width, center + 0.5 * width, points)
+# Each refinement window is scanned at _REFINE_POINTS energies and shrinks
+# by 8 per step down to _FINAL_WIDTH_RTOL * max(1, e_max).
+_REFINE_POINTS = 33
+_FINAL_WIDTH_RTOL = 1e-7
+
+
+def _window_scan(calc, center, width, e_min):
+    """Phases on a window about ``center``; a window that would reach
+    E <= 0 starts at ``e_min`` instead."""
+    lo = center - 0.5 * width
+    es = np.linspace(lo if lo > 0.0 else e_min, center + 0.5 * width, _REFINE_POINTS)
     s, _ = calc.s_values(es)
     return es, 0.5 * np.angle(s)
 
@@ -220,7 +229,7 @@ def _phase_gain_and_peak(es, ds):
     return float(d[-1] - d[0]), float(es[good][i]), (es[good], tau, i)
 
 
-def _refine_candidate(calc, center, width, min_gain, points, final_width):
+def _refine_candidate(calc, center, width, min_gain, e_min, final_width):
     """Shrinking phase scans around one candidate; returns a peak or None.
 
     Detection requires the window's scan step to resolve the structure,
@@ -234,7 +243,7 @@ def _refine_candidate(calc, center, width, min_gain, points, final_width):
     gain_seen = 0.0
     floor = max(abs(center), 1.0) * 1e-12
     for _ in range(40):
-        es, ds = _window_scan(calc, best, width, points)
+        es, ds = _window_scan(calc, best, width, e_min)
         gain, peak, prof = _phase_gain_and_peak(es, ds)
         if not detected:
             if abs(gain) >= min_gain:
@@ -265,8 +274,6 @@ def locate_resonances(
     e_max: float,
     coarse_steps: int = 400,
     min_phase_gain: float = 0.5,
-    refine_points: int = 33,
-    final_width: Optional[float] = None,
 ) -> ResonanceReport:
     """Find and refine resonances in (e_min, e_max).
 
@@ -275,16 +282,17 @@ def locate_resonances(
     (H, Overlap) inside the range (narrow resonances invisible to any
     uniform grid). Every candidate must show a phase gain of at least
     ``min_phase_gain`` radians across some window before it is reported.
+    Needs 0 < e_min < e_max; a refinement window that would reach E <= 0
+    starts at e_min instead.
     """
     calc = (
         system_or_calc
         if isinstance(system_or_calc, ScatteringCalculator)
         else ScatteringCalculator(system_or_calc)
     )
-    if not (0.0 <= e_min < e_max):
-        raise InputError("need 0 <= e_min < e_max")
+    if not (0.0 < e_min < e_max):
+        raise InputError(f"need 0 < e_min < e_max, got e_min={e_min}, e_max={e_max}")
     scale = max(1.0, e_max)
-    final = final_width if final_width is not None else 1e-7 * scale
     step = (e_max - e_min) / coarse_steps
 
     candidates = []
@@ -302,7 +310,7 @@ def locate_resonances(
 
     peaks = []
     for center, width in candidates:
-        got = _refine_candidate(calc, center, width, min_phase_gain, refine_points, final)
+        got = _refine_candidate(calc, center, width, min_phase_gain, e_min, _FINAL_WIDTH_RTOL * scale)
         if got is not None:
             peaks.append(got)
 
@@ -325,7 +333,7 @@ def locate_resonances(
 # ---------------------------------------------------------------------------
 
 
-def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None, **build_kwargs) -> BoundStateResult:
+def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None) -> BoundStateResult:
     """Bound energies and the |G| scan that blows up at them.
 
     The poles of the finite resolvent are exactly the generalized
@@ -335,7 +343,7 @@ def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None, **b
     Grid points that the pole rule (``resolvent.POLE_RTOL``) puts on an
     eigenvalue are flagged, with NaN in ``abs_g``.
     """
-    mats = build_matrices(system, **build_kwargs)
+    mats = build_matrices(system)
     pair = gen_sym_eig(mats.h.data, mats.omega.data)
     energies = pair.eps[pair.eps < 0.0].copy()
 
@@ -357,10 +365,10 @@ def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None, **b
 # ---------------------------------------------------------------------------
 
 
-def _g00(system: SystemSpec, **build_kwargs) -> PartialFractions:
+def _g00(system: SystemSpec) -> PartialFractions:
     if system.basis.family != OSCILLATOR:
         raise InputError("density of states uses the orthonormal oscillator basis")
-    mats = build_matrices(system, **build_kwargs)
+    mats = build_matrices(system)
     return PartialFractions.from_pair(sym_eig(mats.h.data), 0, 0)
 
 
@@ -389,7 +397,6 @@ def density_of_states(
     fit_height: float = 0.5,
     fit_order: int = 8,
     fit_threshold: float = 5e-2,
-    **build_kwargs,
 ) -> ScanTable:
     """rho(E) = Im G_00(E)/pi from the pole/residue data of G_00.
 
@@ -401,13 +408,16 @@ def density_of_states(
                    Fails loudly if the fit residual exceeds fit_threshold
                    (relative).
 
-    Either method raises SpectrumEvaluationError if a point it evaluates
-    G_00 at (E + i*delta, or the fit contour) sits on a pole by the pole
-    rule (``resolvent.POLE_RTOL``), which takes a vanishing delta or
-    fit_height.
+    A delta or fit_height that is not positive raises InputError. Either
+    method raises SpectrumEvaluationError if a point it evaluates G_00 at
+    (E + i*delta, or the fit contour) sits on a pole by the pole rule
+    (``resolvent.POLE_RTOL``).
     """
+    for name, value in (("delta", delta), ("fit_height", fit_height)):
+        if value is not None and not value > 0.0:
+            raise InputError(f"{name} must be positive, got {value}")
     grid = np.asarray(grid, dtype=float)
-    g00 = _g00(system, **build_kwargs)
+    g00 = _g00(system)
     meta = {
         "system": _system_snapshot(system),
         "kind": "dos",

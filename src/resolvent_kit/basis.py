@@ -18,7 +18,7 @@ obtained via the Laguerre three-term recurrence and then cross-checked at
 construction against an exact-degree Gauss quadrature that never uses
 those recurrences for the integrand (kinetic energy enters through
 integration by parts, so only first derivatives of the basis appear).
-Any disagreement beyond ``check_tol`` aborts the build. The short-range
+Any disagreement beyond ``CHECK_TOL`` aborts the build. The short-range
 potential matrix is always computed by quadrature, with an order-doubling
 convergence check.
 """
@@ -288,10 +288,18 @@ def _potential_by_quadrature(spec: SystemSpec, alpha_weight, alpha_poly, npts, a
     return 0.5 * (vm + vm.T)
 
 
+# The potential quadrature starts from max(4 * size, 40) points and
+# doubles until a doubling changes the matrix by at most CONV_TOL
+# (relative), or raises at _QUAD_POINT_CAP.
 _QUAD_POINT_CAP = 4096
+CONV_TOL = 1e-8
+
+# Largest disagreement (relative) allowed between the closed-form H0 and
+# overlap matrices and their exact quadrature.
+CHECK_TOL = 1e-10
 
 
-def _potential_with_convergence_check(spec: SystemSpec, alpha_weight, alpha_poly, npts, arg_of_r, conv_tol):
+def _potential_with_convergence_check(spec: SystemSpec, alpha_weight, alpha_poly, arg_of_r):
     """Doubling test on the potential quadrature; escalates the rule until
     doubling changes nothing, errors out at the point cap.
 
@@ -299,28 +307,24 @@ def _potential_with_convergence_check(spec: SystemSpec, alpha_weight, alpha_poly
     below the cap the last doubling builds fewer than 2 * _QUAD_POINT_CAP
     points before QuadratureError; that also bounds the largest cached
     rule at about 128 KB."""
+    npts = max(4 * spec.basis.size, 40)
     v1 = _potential_by_quadrature(spec, alpha_weight, alpha_poly, npts, arg_of_r)
     while True:
         v2 = _potential_by_quadrature(spec, alpha_weight, alpha_poly, 2 * npts, arg_of_r)
         residual = float(np.max(np.abs(v1 - v2)) / (1.0 + np.max(np.abs(v2))))
-        if np.isfinite(residual) and residual <= conv_tol:
+        if np.isfinite(residual) and residual <= CONV_TOL:
             return v2
         if 2 * npts >= _QUAD_POINT_CAP:
             raise QuadratureError(
                 f"potential quadrature did not converge: doubling {npts} -> {2 * npts} points "
-                f"still changes the matrix by {residual:.3e} (tolerance {conv_tol:.1e})",
+                f"still changes the matrix by {residual:.3e} (tolerance {CONV_TOL:.1e})",
                 residual=residual,
             )
         npts *= 2
         v1 = v2
 
 
-def laguerre_matrices(
-    spec: SystemSpec,
-    quad_points: Optional[int] = None,
-    conv_tol: float = 1e-8,
-    check_tol: float = 1e-10,
-) -> MatrixSet:
+def laguerre_matrices(spec: SystemSpec) -> MatrixSet:
     """Overlap, reference Hamiltonian, and potential matrices in the
     Laguerre basis, plus the boundary coupling for scattering."""
     b = spec.basis
@@ -331,12 +335,8 @@ def laguerre_matrices(
 
     omega = _bands_to_matrix(omega_d, omega_o)
     h0 = _bands_to_matrix(h0_d, h0_o)
-    _check_laguerre_against_quadrature(spec, h0, omega, check_tol)
-
-    npts = quad_points if quad_points is not None else max(4 * size, 40)
-    v = _potential_with_convergence_check(
-        spec, 2 * ell + 2, 2 * ell + 1, npts, lambda x: x / lam, conv_tol
-    )
+    _check_laguerre_against_quadrature(spec, h0, omega, CHECK_TOL)
+    v = _potential_with_convergence_check(spec, 2 * ell + 2, 2 * ell + 1, lambda x: x / lam)
 
     s_last = float(np.sqrt(size * (size + 2.0 * ell + 1.0)))
     off_h0 = 0.125 * lam**2 * s_last
@@ -400,12 +400,7 @@ def _check_laguerre_against_quadrature(spec: SystemSpec, h0: np.ndarray, omega: 
         )
 
 
-def oscillator_matrices(
-    spec: SystemSpec,
-    quad_points: Optional[int] = None,
-    conv_tol: float = 1e-8,
-    check_tol: float = 1e-10,
-) -> MatrixSet:
+def oscillator_matrices(spec: SystemSpec) -> MatrixSet:
     """Identity overlap plus quadrature-built H0 and potential matrices in
     the oscillator basis (working variable x = lam^2 r^2)."""
     b = spec.basis
@@ -437,12 +432,8 @@ def oscillator_matrices(
         coulomb_band = z_charge * lam * float(np.sum(tc[size - 1] * tc[size]))
     h0 = 0.5 * (h0 + h0.T)
 
-    _check_oscillator_against_quadrature(lam, ell, size, kinetic + centrifugal, check_tol)
-
-    npts_v = quad_points if quad_points is not None else max(4 * size, 40)
-    v = _potential_with_convergence_check(
-        spec, alpha, alpha, npts_v, lambda x: np.sqrt(x) / lam, conv_tol
-    )
+    _check_oscillator_against_quadrature(lam, ell, size, kinetic + centrifugal)
+    v = _potential_with_convergence_check(spec, alpha, alpha, lambda x: np.sqrt(x) / lam)
 
     off_h0 = 0.5 * lam**2 * np.sqrt(size * (size + ell + 0.5))
     if coulomb_band is not None:
@@ -460,7 +451,7 @@ def oscillator_matrices(
     )
 
 
-def _check_oscillator_against_quadrature(lam, ell, size, t_quad, check_tol):
+def _check_oscillator_against_quadrature(lam, ell, size, t_quad):
     """Quadrature kinetic+centrifugal vs the closed tridiagonal form
     (lam^2/2)(2n + ell + 3/2) on the diagonal and
     (lam^2/2) sqrt((n+1)(n + ell + 3/2)) beside it."""
@@ -469,15 +460,15 @@ def _check_oscillator_against_quadrature(lam, ell, size, t_quad, check_tol):
     off = 0.5 * lam**2 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + ell + 1.5))
     t_ref = _bands_to_matrix(diag, off)
     resid = float(np.max(np.abs(t_quad - t_ref)) / (1.0 + np.max(np.abs(t_ref))))
-    if resid > check_tol:
+    if resid > CHECK_TOL:
         raise QuadratureError(
             f"oscillator kinetic matrix disagrees with its closed form by {resid:.3e}",
             residual=resid,
         )
 
 
-def build_matrices(spec: SystemSpec, **kwargs) -> MatrixSet:
+def build_matrices(spec: SystemSpec) -> MatrixSet:
     """Dispatch on the basis family."""
     if spec.basis.family == LAGUERRE:
-        return laguerre_matrices(spec, **kwargs)
-    return oscillator_matrices(spec, **kwargs)
+        return laguerre_matrices(spec)
+    return oscillator_matrices(spec)

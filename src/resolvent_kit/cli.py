@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json as json_mod
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .analysis import (
     scan_smatrix,
 )
 from .basis import BasisSpec, SystemSpec, build_matrices
-from .config import COMMANDS, RunConfig, build_config, parse_config_file
+from .config import CHOICES, COMMANDS, FIELD_TYPES, RunConfig, build_config, file_key, parse_config_file
 from .errors import ConfigError, InputError, NumericalError, ResolventKitError
 from .matrix_core import gen_sym_eig
 from .potential import parse_potential
@@ -285,6 +286,10 @@ _COMMAND_IMPL = {
 }
 
 
+# every setting but the command, which is the first positional argument
+_FLAG_FIELDS = [f.name for f in fields(RunConfig) if f.name != "command"]
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract reserves 2
     # for numerical failures and 1 for bad input.
@@ -298,39 +303,11 @@ def _build_argparser() -> _Parser:
     parser.add_argument("config_positional", nargs="?", default=None, metavar="CONFIG",
                         help="config file (required for 'run')")
     parser.add_argument("--config", dest="config_flag", default=None, help="config file")
-    parser.add_argument("--family", choices=("laguerre", "oscillator"))
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--ell", type=int)
-    parser.add_argument("--Z", dest="z_charge", type=float)
-    parser.add_argument("--N", dest="size", type=int)
-    parser.add_argument("--potential", type=str)
-    parser.add_argument("--e-min", dest="e_min", type=float)
-    parser.add_argument("--e-max", dest="e_max", type=float)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--method", choices=("smoothing", "continuation"))
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--fit-height", dest="fit_height", type=float)
-    parser.add_argument("--fit-order", dest="fit_order", type=int)
-    parser.add_argument("--fit-threshold", dest="fit_threshold", type=float)
-    parser.add_argument("--n-index", dest="n_index", type=int)
-    parser.add_argument("--m-index", dest="m_index", type=int)
-    parser.add_argument("--im-z", dest="im_z", type=float)
-    parser.add_argument("--prominence", type=float)
-    parser.add_argument("--min-phase-gain", dest="min_phase_gain", type=float)
-    parser.add_argument("--range-r", dest="range_r", type=float)
-    parser.add_argument("--csv", type=str)
-    parser.add_argument("--json", type=str)
-    parser.add_argument("--gnuplot-script", dest="gnuplot_script", type=str)
+    for name in _FLAG_FIELDS:
+        flag = "--" + file_key(name).replace("_", "-")
+        parser.add_argument(flag, dest=name, type=FIELD_TYPES[name], choices=CHOICES.get(name))
     parser.add_argument("--version", action="version", version=__version__)
     return parser
-
-
-_CLI_FIELDS = (
-    "family", "lam", "ell", "z_charge", "size", "potential", "e_min", "e_max",
-    "steps", "method", "delta", "fit_height", "fit_order", "fit_threshold",
-    "n_index", "m_index", "im_z", "prominence", "min_phase_gain", "range_r",
-    "csv", "json", "gnuplot_script",
-)
 
 
 def main(argv=None) -> int:
@@ -338,7 +315,7 @@ def main(argv=None) -> int:
         args = _build_argparser().parse_args(argv)
         config_path = args.config_flag or args.config_positional
         file_overrides = parse_config_file(config_path) if config_path else {}
-        cli_overrides = {name: getattr(args, name) for name in _CLI_FIELDS}
+        cli_overrides = {name: getattr(args, name) for name in _FLAG_FIELDS}
         if args.command == "run":
             if not config_path:
                 raise ConfigError("'run' needs a config file")

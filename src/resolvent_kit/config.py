@@ -2,16 +2,24 @@
 
 Precedence: command line > config file > defaults. Unknown keys are
 rejected rather than ignored so typos fail loudly.
+
+``RunConfig`` is the one list of run settings: the file key, the
+command-line flag and the value type of each setting are derived from
+its field.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ConfigError
 
 COMMANDS = ("smatrix", "resonances", "bound-states", "dos", "resolvent", "selftest")
+
+# the allowed values of the settings that take one of a fixed set
+CHOICES = {"family": ("laguerre", "oscillator"), "method": ("smoothing", "continuation")}
 
 
 @dataclass
@@ -44,8 +52,10 @@ class RunConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {', '.join(COMMANDS)}")
-        if self.family not in ("laguerre", "oscillator"):
-            raise ConfigError(f"unknown basis family {self.family!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"unknown {name} {value!r}; expected one of {', '.join(allowed)}")
         if not self.e_min < self.e_max:
             raise ConfigError(f"need e_min < e_max, got {self.e_min} >= {self.e_max}")
         if self.steps < 1:
@@ -59,57 +69,37 @@ class RunConfig:
         return self
 
     def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[_FILE_KEYS[f.name]] = getattr(self, f.name)
-        return out
+        return {file_key(f.name): getattr(self, f.name) for f in fields(self)}
 
 
-# config-file / CLI spelling of each field
-_FILE_KEYS = {
-    "command": "command",
-    "family": "family",
-    "lam": "lambda",
-    "ell": "ell",
-    "z_charge": "Z",
-    "size": "N",
-    "potential": "potential",
-    "e_min": "e_min",
-    "e_max": "e_max",
-    "steps": "steps",
-    "method": "method",
-    "delta": "delta",
-    "fit_height": "fit_height",
-    "fit_order": "fit_order",
-    "fit_threshold": "fit_threshold",
-    "n_index": "n_index",
-    "m_index": "m_index",
-    "im_z": "im_z",
-    "prominence": "prominence",
-    "min_phase_gain": "min_phase_gain",
-    "range_r": "range_r",
-    "csv": "csv",
-    "json": "json",
-    "gnuplot_script": "gnuplot_script",
+# every file key is its field's name but these
+_RENAMED_KEYS = {"lam": "lambda", "z_charge": "Z", "size": "N"}
+
+
+def file_key(name: str) -> str:
+    """Config-file key of a field; the command-line flag is ``--`` + key
+    with ``_`` written as ``-``."""
+    return _RENAMED_KEYS.get(name, name)
+
+
+# str, int or float per field: the annotation, with Optional[T] read as T
+FIELD_TYPES = {
+    name: (typing.get_args(hint) or (hint,))[0] for name, hint in typing.get_type_hints(RunConfig).items()
 }
-_FIELD_BY_KEY = {v: k for k, v in _FILE_KEYS.items()}
-
-_STR_FIELDS = {"command", "family", "potential", "method", "csv", "json", "gnuplot_script"}
-_INT_FIELDS = {"ell", "size", "steps", "fit_order", "n_index", "m_index"}
+_FIELD_BY_KEY = {file_key(name): name for name in FIELD_TYPES}
 
 
 def _convert(field_name: str, raw: str):
     raw = raw.strip()
-    if field_name in _STR_FIELDS:
+    kind = FIELD_TYPES[field_name]
+    if kind is str:
         return raw
     if raw.lower() in ("none", ""):
         return None
     try:
-        if field_name in _INT_FIELDS:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value {raw!r} for key {_FILE_KEYS[field_name]!r}") from exc
+        raise ConfigError(f"bad value {raw!r} for key {file_key(field_name)!r}") from exc
 
 
 def parse_config_file(path: str) -> dict:

@@ -13,9 +13,9 @@ Four interchangeable routes to G_{n,m}(z), the (n, m) element of
 * ``green_diag_orthonormal``  -- the same product form specialized to
                                  diagonal elements in an orthonormal basis.
 
-The eigenvalue-only routes pay one eigendecomposition up front and are
-then cheap per evaluation point, which is what the scattering and
-density-of-states scans exploit.
+The eigenvalue-product routes need the spectra of the full and the
+row/column-deleted pencils but no eigenvectors; the scans evaluate their
+elements through the pole/residue form below instead.
 
 Also here: the pole/residue form of G, ``PartialFractions``, whose
 ``evaluate`` is the one evaluator of the sum and applies the one pole
@@ -247,86 +247,70 @@ def _gen_eigvals(h: np.ndarray, om: np.ndarray) -> np.ndarray:
     return scipy.linalg.eigh(h, om, eigvals_only=True)
 
 
-def _deleted_pencil_eigs(h: np.ndarray, om: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Generalized eigenvalues of the (n, m)-deleted pencil.
+def _product_form(h: np.ndarray, om: Optional[np.ndarray], n: int, m: int):
+    """The z-independent data of the eigenvalue-product form of G_{n,m}:
+    (prefactor, deleted-pencil eigenvalues), the prefactor being
 
-    Symmetric-definite for n == m (real output); otherwise a QZ problem
-    with complex eigenvalues, preceded by a singularity check on the
-    deleted overlap.
+        (-1)^(n+m) det Omega^(n,m) / det Omega
+
+    ``om=None`` is an orthonormal basis (Omega = I, n == m), with
+    prefactor 1. A symmetric-definite deleted pencil (n == m) has real
+    eigenvalues; otherwise it is a QZ problem with complex ones, and a
+    singular deleted overlap or an infinite eigenvalue leaves the form
+    undefined: SingularSubmatrixError, pointing at ``green_cofactor``.
     """
-    hs = delete_row_col(h, n, m)
-    os_ = delete_row_col(om, n, m)
-    if n == m:
-        return _gen_eigvals(hs, os_)
-    if _is_singular_submatrix(os_):
+    if om is None:
+        return 1.0, np.linalg.eigvalsh(delete_row_col(h, n, n))
+    hs, os_ = delete_row_col(h, n, m), delete_row_col(om, n, m)
+    sign_full, log_full = np.linalg.slogdet(om)
+    sign_sub, log_sub = np.linalg.slogdet(os_)
+    if sign_sub == 0 or (n != m and _is_singular_submatrix(os_)):
         raise SingularSubmatrixError(
             "eigenvalue-product form undefined: deleted overlap submatrix is "
             f"singular for (n, m)=({n}, {m}); use green_cofactor"
         )
-    alpha, beta = scipy.linalg.eig(hs, os_, right=False, homogeneous_eigvals=True)
-    if np.any(np.abs(beta) < 1e-300):
-        raise SingularSubmatrixError(
-            f"deleted pencil for (n, m)=({n}, {m}) has an infinite eigenvalue; use green_cofactor"
-        )
-    return alpha / beta
+    if n == m:
+        sub = _gen_eigvals(hs, os_)
+    else:
+        alpha, beta = scipy.linalg.eig(hs, os_, right=False, homogeneous_eigvals=True)
+        if np.any(np.abs(beta) < 1e-300):
+            raise SingularSubmatrixError(
+                f"deleted pencil for (n, m)=({n}, {m}) has an infinite eigenvalue; use green_cofactor"
+            )
+        sub = alpha / beta
+    return (-1.0) ** (n + m) * sign_sub * sign_full * np.exp(log_sub - log_full), sub
 
 
-def green_eigprod_general(
-    inp: ResolventInput,
-    n: int,
-    m: int,
-    pair: Optional[SpectralPair] = None,
-    sub_eigs: Optional[np.ndarray] = None,
-) -> complex:
+def _green_product(h, om, eps: np.ndarray, z: complex, n: int, m: int) -> complex:
+    """prefactor * prod_i (eps_sub_i - z) / prod_j (eps_j - z), refusing a
+    z that the pole rule puts on ``eps``."""
+    if _on_pole(eps - z, z):
+        raise _pole_error(eps, z)
+    pref, sub = _product_form(h, om, n, m)
+    return complex(pref * paired_product_ratio(sub - z, eps - z))
+
+
+def green_eigprod_general(inp: ResolventInput, n: int, m: int, pair: Optional[SpectralPair] = None) -> complex:
     """Eigenvalue-product form for a non-orthogonal basis.
 
     (-1)^(n+m) * (det Omega^(n,m) / det Omega)
                * prod_i (eps_sub_i - z) / prod_j (eps_j - z)
 
-    The deleted-pencil eigenvalues ``sub_eigs`` depend only on (n, m), not
-    on z, so callers scanning many z should compute them once (helper:
-    ``_deleted_pencil_eigs``).
+    ``pair`` may carry a precomputed decomposition of (H, Omega).
     """
     if inp.omega is None:
         raise InputError("green_eigprod_general requires an explicit overlap matrix")
     eps = pair.eps if pair is not None else _gen_eigvals(inp.h, inp.omega)
-    if _on_pole(eps - inp.z, inp.z):
-        raise _pole_error(eps, inp.z)
-    if sub_eigs is None:
-        sub_eigs = _deleted_pencil_eigs(inp.h, inp.omega, n, m)
-    sign_full, log_full = np.linalg.slogdet(inp.omega)
-    sub_om = delete_row_col(inp.omega, n, m)
-    sign_sub, log_sub = np.linalg.slogdet(sub_om)
-    if sign_sub == 0:
-        raise SingularSubmatrixError(
-            "eigenvalue-product form undefined: deleted overlap submatrix is "
-            f"singular for (n, m)=({n}, {m}); use green_cofactor"
-        )
-    pref = (-1.0) ** (n + m) * sign_sub * sign_full * np.exp(log_sub - log_full)
-    ratio = paired_product_ratio(np.asarray(sub_eigs) - inp.z, np.asarray(eps) - inp.z)
-    return complex(pref * ratio)
+    return _green_product(inp.h, inp.omega, eps, inp.z, n, m)
 
 
-def green_diag_orthonormal(
-    h,
-    z: complex,
-    n: int,
-    eps: Optional[np.ndarray] = None,
-    sub_eps: Optional[np.ndarray] = None,
-) -> complex:
+def green_diag_orthonormal(h, z: complex, n: int) -> complex:
     """Diagonal element in an orthonormal basis as a pure eigenvalue ratio:
 
         prod_i (eps^(n,n)_i - z) / prod_j (eps_j - z)
-
-    Both spectra are z-independent; pass them in when scanning many z.
     """
     hm = _as_sym_array(h)
-    eps = np.linalg.eigvalsh(hm) if eps is None else np.asarray(eps)
-    if _on_pole(eps - z, z):
-        raise _pole_error(eps, z)
-    if sub_eps is None:
-        sub_eps = np.linalg.eigvalsh(delete_row_col(hm, n, n))
-    return complex(paired_product_ratio(np.asarray(sub_eps) - z, eps - z))
+    return _green_product(hm, None, np.linalg.eigvalsh(hm), z, n, n)
 
 
 def inverse_oracle(inp: ResolventInput) -> np.ndarray:
@@ -393,6 +377,14 @@ def eigvec_prod_from_eigs(h, n: int, m: int, k: int) -> float:
     return _coeff_from_dets(hm, eps, n, m, k)
 
 
+def _eigvec_product(hm: np.ndarray, om: Optional[np.ndarray], n: int, m: int, k: int) -> float:
+    """prefactor * prod_i (eps_sub_i - eps_k) / prod_{j != k} (eps_j - eps_k)."""
+    eps = np.linalg.eigvalsh(hm) if om is None else _gen_eigvals(hm, om)
+    _check_nondegenerate(eps)
+    pref, sub = _product_form(hm, om, n, m)
+    return float(np.real(pref * paired_product_ratio(sub - eps[k], np.delete(eps, k) - eps[k])))
+
+
 def eigvec_sq_from_eigs(h, n: int, k: int) -> float:
     """gamma[n,k]^2 from the spectra of H and its (n, n)-deleted principal
     submatrix:
@@ -404,12 +396,7 @@ def eigvec_sq_from_eigs(h, n: int, k: int) -> float:
     hm = _as_sym_array(h)
     if hm.shape[0] == 1:
         return 1.0
-    eps = np.linalg.eigvalsh(hm)
-    _check_nondegenerate(eps)
-    sub_eps = np.linalg.eigvalsh(delete_row_col(hm, n, n))
-    num = sub_eps - eps[k]
-    den = np.delete(eps, k) - eps[k]
-    return float(np.real(paired_product_ratio(num, den)))
+    return _eigvec_product(hm, None, n, n, k)
 
 
 def eigvec_from_eigs_general(h, omega, n: int, m: int, k: int) -> float:
@@ -428,17 +415,4 @@ def eigvec_from_eigs_general(h, omega, n: int, m: int, k: int) -> float:
         raise InputError("overlap not SPD")
     if hm.shape[0] == 1:
         return 1.0 / float(om[0, 0]) if n == m == 0 else 0.0
-    eps = _gen_eigvals(hm, om)
-    _check_nondegenerate(eps)
-    sub_eigs = _deleted_pencil_eigs(hm, om, n, m)
-    sign_full, log_full = np.linalg.slogdet(om)
-    sign_sub, log_sub = np.linalg.slogdet(delete_row_col(om, n, m))
-    if sign_sub == 0:
-        raise SingularSubmatrixError(
-            "eigenvalue-product form undefined: deleted overlap submatrix is "
-            f"singular for (n, m)=({n}, {m}); use the spectral route"
-        )
-    pref = (-1.0) ** (n + m) * sign_sub * sign_full * np.exp(log_sub - log_full)
-    num = np.asarray(sub_eigs) - eps[k]
-    den = np.delete(eps, k) - eps[k]
-    return float(np.real(pref * paired_product_ratio(num, den)))
+    return _eigvec_product(hm, om, n, m, k)

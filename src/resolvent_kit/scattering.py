@@ -195,10 +195,12 @@ def hyp2f1_b1(a: complex, c: complex, x: complex, tol: float = 1e-15, max_terms:
 # Seeds and recursion
 # ---------------------------------------------------------------------------
 
+# A seed's continued fraction has converged at its first Lentz factor
+# with |Delta - 1| < SEED_TOL.
+SEED_TOL = 1e-15
 
-def seed_coefficients(
-    kin: KinematicParams, ell: int, tol: float = 1e-15, max_terms: int = 10**6, errors: Optional[dict] = None
-):
+
+def seed_coefficients(kin: KinematicParams, ell: int, max_terms: int = 10**6, errors: Optional[dict] = None):
     """T_0 and R_1(+) at every energy of ``kin``, in its shape.
 
     With a = -ell + i t, c = ell + 2 + i t and x = e^(-2 i theta), T_0
@@ -218,7 +220,7 @@ def seed_coefficients(
     # share z and beta, so both run as one batch of 2M fractions
     both, failed, last = _gauss_cf(
         np.repeat([0.0, 1.0], size), np.tile(a, 2), np.concatenate([c - 1.0, c]), np.tile(x_minus, 2),
-        tol, max_terms,
+        SEED_TOL, max_terms,
     )
     f_minus, ratio = both[:size], both[size:]
     with np.errstate(invalid="ignore"):
@@ -243,7 +245,7 @@ def seed_coefficients(
 
 
 def cs_recursion(
-    mats: MatrixSet, kin: KinematicParams, up_to: int, tol: float = 1e-15, errors: Optional[dict] = None
+    mats: MatrixSet, kin: KinematicParams, up_to: int, errors: Optional[dict] = None
 ) -> CSCoefficients:
     """T_(up_to-1) and R_up_to(+) at every energy of ``kin``.
 
@@ -271,7 +273,7 @@ def cs_recursion(
     diag, off = mats.j_tridiagonal(np.ravel(kin.energy))
     neg_diag, off = (-diag).astype(complex), off.astype(complex)
 
-    t0, r1p = seed_coefficients(kin, mats.spec.basis.ell, tol=tol, errors=errors)
+    t0, r1p = seed_coefficients(kin, mats.spec.basis.ell, errors=errors)
     t = np.ravel(t0)
     failed = np.isnan(t)
     r1p = np.where(failed, 1.0, np.ravel(r1p))  # a finite stand-in for failed seeds
@@ -383,11 +385,11 @@ class ScatteringCalculator:
     evaluation and one N-step recursion.
     """
 
-    def __init__(self, system: SystemSpec, mats: Optional[MatrixSet] = None, **build_kwargs):
+    def __init__(self, system: SystemSpec):
         if system.basis.family != LAGUERRE:
             raise InputError("S-matrix evaluation requires the Laguerre basis")
         self.system = system
-        self.mats = mats if mats is not None else build_matrices(system, **build_kwargs)
+        self.mats = build_matrices(system)
         self.pair: SpectralPair = gen_sym_eig(self.mats.h.data, self.mats.omega.data)
         last = self.mats.size - 1
         self._g_last = PartialFractions.from_pair(self.pair, last, last)

@@ -237,6 +237,23 @@ class TestLocateResonances:
         b = locate_resonances(barrier_calc, 2.0, 5.0, coarse_steps=200)
         assert abs(a.peaks[0].e_peak - b.peaks[0].e_peak) < 1e-3
 
+    def test_windows_reaching_threshold_start_at_e_min(self, barrier_calc):
+        # refinement windows about the lowest candidates reach E <= 0 on
+        # these ranges; each such window starts at e_min instead, and the
+        # barrier resonance is the one found on a range that needs no such
+        # window
+        want = locate_resonances(barrier_calc, 2.0, 5.0, coarse_steps=100).positions()
+        for e_min, e_max in ((0.02, 2.0), (0.01, 6.0)):
+            found = locate_resonances(barrier_calc, e_min, e_max, coarse_steps=100).positions()
+            assert np.all((found > e_min) & (found < e_max))
+            if e_max > want[0]:
+                assert np.min(np.abs(found - want[0])) < 1e-6
+
+    def test_range_must_be_positive(self, barrier_calc):
+        for e_min in (0.0, -1.0):
+            with pytest.raises(InputError, match="0 < e_min < e_max"):
+                locate_resonances(barrier_calc, e_min, 2.0, coarse_steps=20)
+
     def test_no_false_positives_in_free_case(self):
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=30))
         report = locate_resonances(spec, 0.5, 4.0, coarse_steps=100)
@@ -403,11 +420,12 @@ class TestDensityOfStates:
             density_of_states(spec, np.linspace(0.1, 2.0, 10))
 
     def test_point_on_a_pole_raises(self):
-        # a vanishing width or contour height puts a grid point on a pole
+        # a positive width or contour height far below the pole rule puts
+        # a grid point on a pole
         spec = self.osc_spec(size=20)
         pole = float(sym_eig(build_matrices(spec).h.data).eps[3])
         grid = np.array([pole - 0.1, pole, pole + 0.1])
-        for kwargs in ({"method": "smoothing", "delta": 0.0}, {"method": "continuation", "fit_height": 0.0}):
+        for kwargs in ({"method": "smoothing", "delta": 1e-300}, {"method": "continuation", "fit_height": 1e-300}):
             with pytest.raises(SpectrumEvaluationError) as err:
                 density_of_states(spec, grid, **kwargs)
             assert err.value.pole == pole
@@ -415,3 +433,12 @@ class TestDensityOfStates:
     def test_unknown_method(self):
         with pytest.raises(InputError):
             density_of_states(self.osc_spec(), np.linspace(0.1, 2.0, 10), method="magic")
+
+    def test_nonpositive_width_or_height_rejected(self):
+        # a negative delta or fit_height would return -rho, and delta = 0
+        # an all-zero rho off the poles
+        grid = np.linspace(0.1, 2.0, 10)
+        for name, method in (("delta", "smoothing"), ("fit_height", "continuation")):
+            for value in (-0.1, 0.0, math.nan):
+                with pytest.raises(InputError, match=name):
+                    density_of_states(self.osc_spec(), grid, method=method, **{name: value})

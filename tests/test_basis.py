@@ -6,6 +6,8 @@ import pytest
 from resolvent_kit.basis import (
     BasisSpec,
     SystemSpec,
+    _check_laguerre_against_quadrature,
+    _potential_by_quadrature,
     build_matrices,
     gauss_quadrature,
     gauss_rule_log,
@@ -130,8 +132,11 @@ class TestLaguerreMatrices:
         assert np.all(mats.v.data == 0.0)
 
     def test_overlap_matches_quadrature_oracle(self):
-        # construction runs the oracle at 1e-10; verify the N=8 case at 1e-12
-        mats = laguerre_matrices(self.spec(size=8), check_tol=1e-12)
+        # construction runs the oracle at CHECK_TOL = 1e-10; verify the N=8
+        # case at 1e-12
+        spec = self.spec(size=8)
+        mats = laguerre_matrices(spec)
+        _check_laguerre_against_quadrature(spec, mats.h0.data, mats.omega.data, 1e-12)
         om = mats.omega.data
         n = np.arange(8.0)
         np.testing.assert_allclose(np.diag(om), 2 * n + 2, atol=1e-12)
@@ -177,9 +182,9 @@ class TestLaguerreMatrices:
     def test_potential_quadrature_converges(self):
         pot = parse_potential("7.5*r^2*exp(-r)")
         mats = laguerre_matrices(self.spec(size=12, pot=pot))
-        # independent check: refine the rule 4x and compare
-        finer = laguerre_matrices(self.spec(size=12, pot=pot), quad_points=400)
-        assert np.max(np.abs(mats.v.data - finer.v.data)) < 1e-9
+        # independent check against a fixed 400-point rule (lam = 1, ell = 0)
+        finer = _potential_by_quadrature(self.spec(size=12, pot=pot), 2, 1, 400, lambda x: x)
+        assert np.max(np.abs(mats.v.data - finer)) < 1e-9
 
     def test_family_mismatch(self):
         with pytest.raises(InputError):
@@ -187,7 +192,7 @@ class TestLaguerreMatrices:
 
     def test_unconverged_doubling_raises_at_cap(self):
         # r^-1.5 against the weight x^2 leaves x^(1/2) in the integrand, so
-        # each doubling still moves the matrix far above conv_tol; from 40
+        # each doubling still moves the matrix far above CONV_TOL; from 40
         # points the doublings reach the cap at 2560 -> 5120
         spec = self.spec(pot=parse_potential("r^-1.5"))
         with pytest.raises(QuadratureError, match=r"doubling 2560 -> 5120 points") as info:

@@ -1,10 +1,12 @@
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from resolvent_kit.cli import main
-from resolvent_kit.config import build_config, parse_config_file
+from resolvent_kit.config import CHOICES, FIELD_TYPES, RunConfig, build_config, file_key, parse_config_file
 
 
 def run_cli(args):
@@ -230,3 +232,49 @@ class TestArtifacts:
         peaks = [r["energy"] for r in payload["results"]["resonances"]]
         assert any(abs(p - 3.426) < 0.02 for p in peaks)
         assert "eigenvalues_in_range" in payload["diagnostics"]
+
+
+class TestSettings:
+    """Every run setting has one file key and one flag, ``--`` + key with
+    ``_`` written as ``-``, and both set the same value."""
+
+    @staticmethod
+    def sample(name):
+        """A valid non-default value of a setting, as text."""
+        if name in CHOICES:
+            return CHOICES[name][-1]
+        return {str: f"{name}.txt", int: "3", float: "0.75"}[FIELD_TYPES[name]]
+
+    def test_file_key_and_flag_agree(self, tmp_path):
+        from resolvent_kit.cli import _build_argparser
+
+        defaults = RunConfig()
+        for f in fields(RunConfig):
+            if f.name == "command":
+                continue
+            key = file_key(f.name)
+            raw = self.sample(f.name)
+            cfg_file = tmp_path / f"{f.name}.cfg"
+            cfg_file.write_text(f"{key} = {raw}\n")
+            from_file = build_config(parse_config_file(str(cfg_file)), {})
+            args = _build_argparser().parse_args(["smatrix", "--" + key.replace("_", "-"), raw])
+            from_flag = build_config({}, {f.name: getattr(args, f.name)})
+            assert getattr(from_file, f.name) == getattr(from_flag, f.name) != getattr(defaults, f.name)
+            assert type(getattr(from_file, f.name)) is type(getattr(from_flag, f.name))
+
+    def test_help_lists_each_key_once(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            run_cli(["smatrix", "--help"])
+        assert done.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, flags=re.MULTILINE)
+        flags = ["--" + key.replace("_", "-") for key in RunConfig().as_dict() if key != "command"]
+        assert sorted(listed) == sorted(["--help", "--config", "--version"] + flags)
+
+    def test_bad_choice_in_file_exits_one(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bogus.cfg"
+        cfg_file.write_text(
+            f"command = smatrix\nmethod = bogus\ncsv = {tmp_path / 'a.csv'}\njson = {tmp_path / 'a.json'}\n"
+        )
+        assert run_cli(["run", str(cfg_file)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
