@@ -210,13 +210,11 @@ _REFINE_POINTS = 33
 _FINAL_WIDTH_RTOL = 1e-7
 
 
-def _window_scan(calc, center, width, e_min):
-    """Phases on a window about ``center``; a window that would reach
-    E <= 0 starts at ``e_min`` instead."""
+def _window(center, width, e_min):
+    """The energies of a window about ``center``; a window that would
+    reach E <= 0 starts at ``e_min`` instead."""
     lo = center - 0.5 * width
-    es = np.linspace(lo if lo > 0.0 else e_min, center + 0.5 * width, _REFINE_POINTS)
-    s, _ = calc.s_values(es)
-    return es, 0.5 * np.angle(s)
+    return np.linspace(lo if lo > 0.0 else e_min, center + 0.5 * width, _REFINE_POINTS)
 
 
 def _phase_gain_and_peak(es, ds):
@@ -229,8 +227,36 @@ def _phase_gain_and_peak(es, ds):
     return float(d[-1] - d[0]), float(es[good][i]), (es[good], tau, i)
 
 
-def _refine_candidate(calc, center, width, min_gain, e_min, final_width):
-    """Shrinking phase scans around one candidate; returns a peak or None.
+def _refine_candidates(calc, candidates, min_gain, e_min, final_width):
+    """Shrinking phase scans around each (center, width) candidate;
+    returns a peak or None per candidate, in order.
+
+    The candidates advance in lockstep: each step scans the windows of
+    all candidates still refining with one S(E) batch, so a search makes
+    at most one ``s_values`` call per step, however many candidates it
+    has. S(E) at an energy does not depend on the rest of its batch, so
+    each candidate gets the result it would get alone.
+    """
+    runs = [_refinement(center, width, min_gain, e_min, final_width) for center, width in candidates]
+    results = [None] * len(runs)
+    windows = {k: next(run) for k, run in enumerate(runs)}
+    while windows:
+        s, _ = calc.s_values(np.concatenate(list(windows.values())))
+        phases = 0.5 * np.angle(s).reshape(len(windows), _REFINE_POINTS)
+        stepped = {}
+        for k, ds in zip(windows, phases):
+            try:
+                stepped[k] = runs[k].send(ds)
+            except StopIteration as done:
+                results[k] = done.value
+        windows = stepped
+    return results
+
+
+def _refinement(center, width, min_gain, e_min, final_width):
+    """One candidate's shrinking phase scans, as a generator: it yields
+    each window's energies, is sent back their phases, and returns a
+    peak or None.
 
     Detection requires the window's scan step to resolve the structure,
     so the window descends geometrically until the phase gain appears;
@@ -243,7 +269,8 @@ def _refine_candidate(calc, center, width, min_gain, e_min, final_width):
     gain_seen = 0.0
     floor = max(abs(center), 1.0) * 1e-12
     for _ in range(40):
-        es, ds = _window_scan(calc, best, width, e_min)
+        es = _window(best, width, e_min)
+        ds = yield es
         gain, peak, prof = _phase_gain_and_peak(es, ds)
         if not detected:
             if abs(gain) >= min_gain:
@@ -308,11 +335,8 @@ def locate_resonances(
     for e in ev[(ev > e_min) & (ev < e_max)]:
         candidates.append((float(e), 4.0 * step))
 
-    peaks = []
-    for center, width in candidates:
-        got = _refine_candidate(calc, center, width, min_phase_gain, e_min, _FINAL_WIDTH_RTOL * scale)
-        if got is not None:
-            peaks.append(got)
+    refined = _refine_candidates(calc, candidates, min_phase_gain, e_min, _FINAL_WIDTH_RTOL * scale)
+    peaks = [p for p in refined if p is not None]
 
     # candidates found through both routes converge to the same energy;
     # keep the sharpest report per location

@@ -68,7 +68,7 @@ def _orthonormal_recurrence(alpha: float, degree: int, x: np.ndarray, cur, logsc
             b = np.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0))) if n >= 1 else 0.0
             cur, prev = a * cur - b * prev, cur
             big = np.abs(cur) > 1e120
-            if np.any(big):
+            if big.any():
                 factor = np.where(big, np.abs(cur), 1.0)
                 logscale = logscale + np.log(factor)
                 cur = cur / factor

@@ -108,16 +108,13 @@ def _as_sym_array(a) -> np.ndarray:
 
 def _fix_column_signs(gamma: np.ndarray) -> np.ndarray:
     """First component of each column that is nonzero (above 1e-12 of the
-    column max) is made positive. Gives a reproducible eigenvector matrix
-    across LAPACK builds."""
-    g = gamma.copy()
-    for j in range(g.shape[1]):
-        col = g[:, j]
-        thresh = 1e-12 * np.abs(col).max()
-        nz = np.nonzero(np.abs(col) > thresh)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            g[:, j] = -col
-    return g
+    column max) is made positive; an all-zero column is left alone. Gives
+    a reproducible eigenvector matrix across LAPACK builds."""
+    mag = np.abs(gamma)
+    # an all-zero column has no entry above its threshold; its lead is its
+    # first entry, a zero, which flips nothing
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    return np.where(gamma[lead, np.arange(gamma.shape[1])] < 0.0, -gamma, gamma)
 
 
 def sym_eig(a) -> SpectralPair:

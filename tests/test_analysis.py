@@ -7,6 +7,7 @@ import scipy.signal
 from resolvent_kit.analysis import (
     ScanTable,
     _prominent_peaks,
+    _refine_candidates,
     bound_states,
     default_smoothing_width,
     density_of_states,
@@ -219,6 +220,20 @@ class TestProminentPeaks:
 
 
 @pytest.fixture(scope="module")
+def two_gaussian_calc():
+    pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+    spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=100), potential=pot)
+    return ScatteringCalculator(spec)
+
+
+@pytest.fixture(scope="module")
+def p_wave_calc():
+    pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+    spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=1, size=100), potential=pot, z_charge=1.0)
+    return ScatteringCalculator(spec)
+
+
+@pytest.fixture(scope="module")
 def barrier_calc():
     pot = parse_potential("7.5*r^2*exp(-r)")
     spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=60), potential=pot)
@@ -258,6 +273,64 @@ class TestLocateResonances:
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=30))
         report = locate_resonances(spec, 0.5, 4.0, coarse_steps=100)
         assert report.peaks == ()
+
+    @pytest.mark.parametrize(
+        "calc_name,e_min,e_max,coarse_steps",
+        [
+            ("two_gaussian_calc", 1.8, 5.2, 400),
+            ("p_wave_calc", 1.45, 1.85, 120),
+            # six peaks, five of them near threshold
+            ("barrier_calc", 0.2, 6.0, 100),
+        ],
+    )
+    def test_lockstep_refinement_matches_one_candidate_at_a_time(
+        self, request, monkeypatch, calc_name, e_min, e_max, coarse_steps
+    ):
+        # S at an energy does not depend on the rest of its batch, so each
+        # candidate refined together with all others must come out exactly
+        # as it does alone
+        calc = request.getfixturevalue(calc_name)
+        searched = []
+
+        def spy(calc_, candidates, *rules):
+            searched.append((candidates, rules))
+            return _refine_candidates(calc_, candidates, *rules)
+
+        monkeypatch.setattr("resolvent_kit.analysis._refine_candidates", spy)
+        locate_resonances(calc, e_min, e_max, coarse_steps=coarse_steps)
+        [(candidates, rules)] = searched
+        pole_hits = []
+        real = calc.s_values
+
+        def s_values(energies):
+            s, errors = real(energies)
+            pole_hits.append(len(errors))
+            return s, errors
+
+        monkeypatch.setattr(calc, "s_values", s_values)
+        together = _refine_candidates(calc, candidates, *rules)
+        alone = [_refine_candidates(calc, [c], *rules)[0] for c in candidates]
+
+        def fields(p):
+            return None if p is None else (p.e_peak, p.width_estimate, p.quality)
+
+        assert [fields(p) for p in together] == [fields(p) for p in alone]
+        assert None in together and any(p is not None for p in together)
+        assert any(pole_hits)  # windows about eigenvalue seeds hit poles
+
+    def test_one_s_batch_per_refinement_step(self, two_gaussian_calc, monkeypatch):
+        calls = []
+        real = two_gaussian_calc.s_values
+
+        def s_values(energies):
+            calls.append(len(energies))
+            return real(energies)
+
+        monkeypatch.setattr(two_gaussian_calc, "s_values", s_values)
+        report = locate_resonances(two_gaussian_calc, 1.8, 5.2, coarse_steps=400)
+        assert len(report.peaks) == 2
+        # the coarse scan, then at most one batch per step of the 40-step cap
+        assert len(calls) <= 1 + 40
 
 
 class TestBoundStates:

@@ -4,6 +4,7 @@ import pytest
 from resolvent_kit.errors import InputError, OverlapNotSPDError
 from resolvent_kit.matrix_core import (
     SymMatrix,
+    _fix_column_signs,
     delete_row_col,
     det,
     eig_general,
@@ -76,6 +77,31 @@ class TestSymEig:
             col = g1[:, j]
             nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
             assert col[nz[0]] > 0
+
+    def test_column_signs_match_loop_rule(self, rng):
+        def loop_rule(gamma):
+            g = gamma.copy()
+            for j in range(g.shape[1]):
+                col = g[:, j]
+                nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+                if nz.size and col[nz[0]] < 0.0:
+                    g[:, j] = -col
+            return g
+
+        gamma = rng.standard_normal((7, 9))
+        gamma[:, 2] = 0.0  # all zero: left alone
+        gamma[:, 4] = 0.0
+        gamma[:, 5] = -gamma[:, 5]
+        gamma[0, 3], gamma[1, 3] = -1e-14, 0.5  # negative but below threshold
+        gamma[0, 6], gamma[1, 6] = -1e-14, -0.5  # negative below, negative lead
+        gamma[:3, 7], gamma[3, 7] = 0.0, -2.0  # leading zeros, negative lead
+        gamma[0, 8] = -0.0
+        got = _fix_column_signs(gamma)
+        want = loop_rule(gamma)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got[1, 3] > 0 and got[1, 6] > 0 and got[3, 7] > 0
+        assert not np.any(got[:, 2]) and not np.any(got[:, 4])
 
 
 class TestGenSymEig:
