@@ -67,7 +67,12 @@ class ResonancePeak:
 
 @dataclass(frozen=True)
 class ResonanceReport:
+    """Resonance peaks, plus ``scan``: the S(E) table the peaks were
+    detected on (the input table of ``find_resonances``, the coarse scan
+    of ``locate_resonances``)."""
+
     peaks: tuple
+    scan: Optional[ScanTable] = field(default=None, compare=False, repr=False)
 
     def positions(self) -> np.ndarray:
         return np.array([p.e_peak for p in self.peaks])
@@ -81,6 +86,12 @@ class BoundStateResult:
     scan: ScanTable
 
 
+def _calculator(system_or_calc) -> ScatteringCalculator:
+    if isinstance(system_or_calc, ScatteringCalculator):
+        return system_or_calc
+    return ScatteringCalculator(system_or_calc)
+
+
 def scan_smatrix(system_or_calc, grid: Sequence[float]) -> ScanTable:
     """S(E) over an increasing energy grid, in one batched evaluation.
 
@@ -88,14 +99,8 @@ def scan_smatrix(system_or_calc, grid: Sequence[float]) -> ScanTable:
     fails (a resolvent pole, a seed or recursion failure) are flagged,
     not fatal, and their columns are NaN.
     """
-    calc = (
-        system_or_calc
-        if isinstance(system_or_calc, ScatteringCalculator)
-        else ScatteringCalculator(system_or_calc)
-    )
+    calc = _calculator(system_or_calc)
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise InputError("empty grid")
     s, errors = calc.s_values(grid)
     cols = {
         "re_s": s.real,
@@ -118,14 +123,15 @@ def _system_snapshot(spec: SystemSpec) -> dict:
     }
 
 
-def _unwrapped_time_delay(energies: np.ndarray, deltas: np.ndarray):
-    """tau = d(delta)/dE from phases known only mod pi."""
+def _time_delay(energies: np.ndarray, deltas: np.ndarray, min_points: int):
+    """(energies, unwrapped phases, tau = d(delta)/dE) at the finite
+    phases, which are known only mod pi; None if fewer than
+    ``min_points`` are finite."""
     good = np.isfinite(deltas)
-    if good.sum() < 3:
-        return None, None
+    if good.sum() < min_points:
+        return None
     d = np.unwrap(deltas[good], period=math.pi)
-    tau = np.gradient(d, energies[good])
-    return energies[good], tau
+    return energies[good], d, np.gradient(d, energies[good])
 
 
 def _quadratic_refine(x: np.ndarray, y: np.ndarray, i: int) -> float:
@@ -181,13 +187,14 @@ def find_resonances(table: ScanTable, prominence: float = 0.15) -> ResonanceRepo
     """
     if "delta" not in table.columns:
         raise InputError("table has no phase-shift column")
-    es, tau = _unwrapped_time_delay(table.energies, np.asarray(table.columns["delta"], dtype=float))
-    if es is None:
-        return ResonanceReport(peaks=())
+    profile = _time_delay(table.energies, np.asarray(table.columns["delta"], dtype=float), 3)
+    if profile is None:
+        return ResonanceReport(peaks=(), scan=table)
+    es, _, tau = profile
     span = float(np.max(tau) - np.min(tau))
     # featureless data: variation at the round-off level of the phases
     if span <= 1e-9 * max(1.0, float(np.max(np.abs(tau)))):
-        return ResonanceReport(peaks=())
+        return ResonanceReport(peaks=(), scan=table)
     idx, prominences = _prominent_peaks(tau, prominence * span)
     peaks = []
     for i, prom in zip(idx, prominences):
@@ -201,7 +208,7 @@ def find_resonances(table: ScanTable, prominence: float = 0.15) -> ResonanceRepo
             )
         )
     peaks.sort(key=lambda p: p.e_peak)
-    return ResonanceReport(peaks=tuple(peaks))
+    return ResonanceReport(peaks=tuple(peaks), scan=table)
 
 
 # Each refinement window is scanned at _REFINE_POINTS energies and shrinks
@@ -215,16 +222,6 @@ def _window(center, width, e_min):
     reach E <= 0 starts at ``e_min`` instead."""
     lo = center - 0.5 * width
     return np.linspace(lo if lo > 0.0 else e_min, center + 0.5 * width, _REFINE_POINTS)
-
-
-def _phase_gain_and_peak(es, ds):
-    good = np.isfinite(ds)
-    if good.sum() < 5:
-        return 0.0, None, None
-    d = np.unwrap(ds[good], period=math.pi)
-    tau = np.gradient(d, es[good])
-    i = int(np.argmax(tau))
-    return float(d[-1] - d[0]), float(es[good][i]), (es[good], tau, i)
 
 
 def _refine_candidates(calc, candidates, min_gain, e_min, final_width):
@@ -271,7 +268,12 @@ def _refinement(center, width, min_gain, e_min, final_width):
     for _ in range(40):
         es = _window(best, width, e_min)
         ds = yield es
-        gain, peak, prof = _phase_gain_and_peak(es, ds)
+        profile = _time_delay(es, ds, 5)
+        if profile is None:
+            gain = 0.0
+        else:
+            esg, d, tau = profile
+            gain = float(d[-1] - d[0])
         if not detected:
             if abs(gain) >= min_gain:
                 detected = True
@@ -280,15 +282,14 @@ def _refinement(center, width, min_gain, e_min, final_width):
             else:
                 width /= 8.0
                 continue
-        if detected:
-            gain_seen = max(gain_seen, abs(gain))
-            if peak is not None:
-                esg, tau, i = prof
-                best = _quadratic_refine(esg, tau, i)
-                tau_peak = float(tau[i])
-            if width <= final_width:
-                break
-            width = max(width / 8.0, final_width)
+        gain_seen = max(gain_seen, abs(gain))
+        if profile is not None:
+            i = int(np.argmax(tau))
+            best = _quadratic_refine(esg, tau, i)
+            tau_peak = float(tau[i])
+        if width <= final_width:
+            break
+        width = max(width / 8.0, final_width)
     if not detected:
         return None
     width_est = 2.0 / tau_peak if tau_peak > 0 else math.inf
@@ -310,15 +311,12 @@ def locate_resonances(
     uniform grid). Every candidate must show a phase gain of at least
     ``min_phase_gain`` radians across some window before it is reported.
     Needs 0 < e_min < e_max; a refinement window that would reach E <= 0
-    starts at e_min instead.
+    starts at e_min instead. The report's ``scan`` is the coarse scan of
+    ``coarse_steps + 1`` points from e_min to e_max.
     """
-    calc = (
-        system_or_calc
-        if isinstance(system_or_calc, ScatteringCalculator)
-        else ScatteringCalculator(system_or_calc)
-    )
     if not (0.0 < e_min < e_max):
         raise InputError(f"need 0 < e_min < e_max, got e_min={e_min}, e_max={e_max}")
+    calc = _calculator(system_or_calc)
     scale = max(1.0, e_max)
     step = (e_max - e_min) / coarse_steps
 
@@ -349,7 +347,7 @@ def locate_resonances(
                 merged[-1] = p
         else:
             merged.append(p)
-    return ResonanceReport(peaks=tuple(merged))
+    return ResonanceReport(peaks=tuple(merged), scan=table)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +438,8 @@ def density_of_states(
     for name, value in (("delta", delta), ("fit_height", fit_height)):
         if value is not None and not value > 0.0:
             raise InputError(f"{name} must be positive, got {value}")
+    if method not in ("smoothing", "continuation"):
+        raise InputError(f"unknown DOS method {method!r}")
     grid = np.asarray(grid, dtype=float)
     g00 = _g00(system)
     meta = {
@@ -453,8 +453,6 @@ def density_of_states(
         rho = _g00_off_poles(g00, grid + 1j * width).imag / math.pi
         meta["delta"] = float(width)
         return ScanTable(energies=grid, columns={"rho": rho}, metadata=meta)
-    if method != "continuation":
-        raise InputError(f"unknown DOS method {method!r}")
 
     z_fit = grid + 1j * fit_height
     g_fit = _g00_off_poles(g00, z_fit)
@@ -485,12 +483,12 @@ def _rational_fit(z: np.ndarray, g: np.ndarray, order: int):
         return (w - mid) / half
 
     zz = zeta(z)
-    num_basis = np.vander(zz, order, increasing=True)  # 1 .. zeta^(order-1)
-    den_basis = np.vander(zz, order, increasing=True)  # 1 .. zeta^(order-1), plus monic zeta^order
+    # 1 .. zeta^(order-1): all of P, and Q below its monic zeta^order
+    powers = np.vander(zz, order, increasing=True)
     weight = np.ones_like(g)
     coeffs = None
     for _ in range(3):
-        lhs = np.hstack([num_basis, -(g[:, None]) * den_basis]) / weight[:, None]
+        lhs = np.hstack([powers, -(g[:, None]) * powers]) / weight[:, None]
         rhs = (g * zz**order) / weight
         coeffs, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
         q = np.concatenate([coeffs[order:], [1.0]])

@@ -26,7 +26,7 @@ convergence check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import functools
 import math
@@ -225,16 +225,22 @@ class SystemSpec:
 class MatrixSet:
     """Operator matrices of one system in one basis.
 
-    ``j_boundary(E)`` is the (size-1, size) element of H0 - E*Overlap,
-    i.e. the coupling of the last kept basis row to the first dropped
-    one; the scattering recursion terminates through it.
+    A Laguerre set also keeps the bands of its tridiagonal reference
+    pencil J(E) = H0 - E*Overlap, on which the scattering recursion runs:
+    the diagonals of H0 and Overlap, and their superdiagonals, which run
+    one entry past the matrices. That last entry is the coupling of the
+    last kept basis row to the first dropped one. The oscillator basis
+    has no tridiagonal reference pencil, so an oscillator set keeps none.
     """
 
     h0: SymMatrix
     v: SymMatrix
     omega: SymMatrix
-    j_boundary: Callable[[float], float]
     spec: SystemSpec = field(repr=False)
+    h0_diag: Optional[np.ndarray] = field(default=None, repr=False)
+    h0_super: Optional[np.ndarray] = field(default=None, repr=False)
+    omega_diag: Optional[np.ndarray] = field(default=None, repr=False)
+    omega_super: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def h(self) -> SymMatrix:
@@ -244,29 +250,38 @@ class MatrixSet:
     def size(self) -> int:
         return self.h0.n
 
+    def _require_pencil(self):
+        if self.h0_diag is None:
+            raise InputError(f"the {self.spec.basis.family} basis has no tridiagonal reference pencil")
+
     def j_tridiagonal(self, energy):
         """(diagonal, superdiagonal) of H0 - E*Overlap, the superdiagonal
         extended by j_boundary(E). For an array of energies the basis
         index runs along the first axis and the energies along the rest."""
+        self._require_pencil()
         energy = np.asarray(energy, dtype=float)
         index = (slice(None),) + (None,) * energy.ndim
-        h0 = self.h0.data
-        om = self.omega.data
-        diag = np.diag(h0)[index] - energy * np.diag(om)[index]
-        off = np.diag(h0, 1)[index] - energy * np.diag(om, 1)[index]
-        boundary = np.broadcast_to(self.j_boundary(energy), energy.shape)
-        return diag, np.concatenate([off, boundary[None]])
+        diag = self.h0_diag[index] - energy * self.omega_diag[index]
+        return diag, self.h0_super[index] - energy * self.omega_super[index]
+
+    def j_boundary(self, energy):
+        """The (size-1, size) element of H0 - E*Overlap, through which
+        the scattering recursion terminates."""
+        self._require_pencil()
+        return self.h0_super[-1] - energy * self.omega_super[-1]
 
 
 def _laguerre_analytic(lam: float, ell: int, z_charge: float, size: int):
     """Tridiagonal overlap and H0 bands for the Laguerre family, sized
     ``size`` (diagonals) with ``size`` superdiagonal entries so the
-    boundary element is available."""
+    boundary element is available. The arrays are read-only."""
     n = np.arange(size)
     omega_d = 2.0 * n + 2.0 * ell + 2.0
     omega_o = -np.sqrt((n + 1.0) * (n + 2.0 * ell + 2.0))
     h0_d = 0.25 * lam**2 * (n + ell + 1.0) + z_charge * lam
     h0_o = 0.125 * lam**2 * np.sqrt((n + 1.0) * (n + 2.0 * ell + 2.0))
+    for band in (omega_d, omega_o, h0_d, h0_o):
+        band.setflags(write=False)
     return omega_d, omega_o, h0_d, h0_o
 
 
@@ -326,7 +341,8 @@ def _potential_with_convergence_check(spec: SystemSpec, alpha_weight, alpha_poly
 
 def laguerre_matrices(spec: SystemSpec) -> MatrixSet:
     """Overlap, reference Hamiltonian, and potential matrices in the
-    Laguerre basis, plus the boundary coupling for scattering."""
+    Laguerre basis, plus the bands of the reference pencil for
+    scattering."""
     b = spec.basis
     if b.family != LAGUERRE:
         raise InputError("laguerre_matrices requires a Laguerre basis spec")
@@ -338,16 +354,31 @@ def laguerre_matrices(spec: SystemSpec) -> MatrixSet:
     _check_laguerre_against_quadrature(spec, h0, omega, CHECK_TOL)
     v = _potential_with_convergence_check(spec, 2 * ell + 2, 2 * ell + 1, lambda x: x / lam)
 
-    s_last = float(np.sqrt(size * (size + 2.0 * ell + 1.0)))
-    off_h0 = 0.125 * lam**2 * s_last
-    off_omega = -s_last
-
-    def j_boundary(energy: float) -> float:
-        return off_h0 - energy * off_omega
-
     return MatrixSet(
-        h0=SymMatrix(h0), v=SymMatrix(v), omega=SymMatrix(omega), j_boundary=j_boundary, spec=spec
+        h0=SymMatrix(h0), v=SymMatrix(v), omega=SymMatrix(omega), spec=spec,
+        h0_diag=h0_d, h0_super=h0_o, omega_diag=omega_d, omega_super=omega_o,
     )
+
+
+def _kinetic_by_quadrature(lam, ell, size, rule_alpha, alpha, lead, prefactor):
+    """Kinetic + centrifugal matrix of a basis whose radial derivative
+    has rows D_n = (lead - x/2) lhat_n - sqrt(n) x lhat'_(n-1), with
+    lhat the ``alpha`` orthonormal family and lhat' the alpha+1 one:
+
+        prefactor lam^2 D D^T + (1/2) ell (ell+1) lam^2 lhat lhat^T
+
+    on the (size + 2)-point rule of weight x^rule_alpha, which is exact
+    for these polynomial integrands.
+    """
+    x, lw = gauss_rule_log(rule_alpha, size + 2)
+    ta = orthonormal_laguerre_table(alpha, size - 1, x, log_scale=0.5 * lw)
+    tb = orthonormal_laguerre_table(alpha + 1.0, size - 1, x, log_scale=0.5 * lw)
+    d = (lead - 0.5 * x) * ta
+    root_n = np.sqrt(np.arange(1.0, size))
+    d[1:] -= root_n[:, None] * x * tb[: size - 1]
+    kinetic = prefactor * lam**2 * (d @ d.T)
+    centrifugal = 0.5 * ell * (ell + 1.0) * lam**2 * (ta @ ta.T)
+    return kinetic + centrifugal
 
 
 def _check_laguerre_against_quadrature(spec: SystemSpec, h0: np.ndarray, omega: np.ndarray, check_tol: float):
@@ -374,18 +405,8 @@ def _check_laguerre_against_quadrature(spec: SystemSpec, h0: np.ndarray, omega: 
     coulomb_q = z_charge * lam * (t1 @ t1.T)
 
     # Kinetic + centrifugal: weight x^(2ell). The derivative of the basis
-    # function is x^ell e^(-x/2) [(ell+1-x/2) lhat_n - sqrt(n) x lhat'_(n-1)]
-    # with lhat' the alpha+1 orthonormal family.
-    x0, lw0 = gauss_rule_log(2 * ell, npts)
-    ta = orthonormal_laguerre_table(2 * ell + 1, size - 1, x0, log_scale=0.5 * lw0)
-    tb = orthonormal_laguerre_table(2 * ell + 2, size - 1, x0, log_scale=0.5 * lw0)
-    dpsi = (ell + 1.0 - 0.5 * x0) * ta
-    root_n = np.sqrt(np.arange(1.0, size))
-    dpsi[1:] -= root_n[:, None] * x0 * tb[: size - 1]
-    kinetic_q = 0.5 * lam**2 * (dpsi @ dpsi.T)
-    centrifugal_q = 0.5 * ell * (ell + 1.0) * lam**2 * (ta @ ta.T)
-
-    h0_q = kinetic_q + centrifugal_q + coulomb_q
+    # function is x^ell e^(-x/2) [(ell+1-x/2) lhat_n - sqrt(n) x lhat'_(n-1)].
+    h0_q = _kinetic_by_quadrature(lam, ell, size, 2 * ell, 2 * ell + 1, ell + 1.0, 0.5) + coulomb_q
     scale_h = 1.0 + np.max(np.abs(h0))
     scale_o = 1.0 + np.max(np.abs(omega))
     resid = max(
@@ -409,46 +430,20 @@ def oscillator_matrices(spec: SystemSpec) -> MatrixSet:
     size, lam, ell = b.size, b.lam, b.ell
     z_charge = spec.z_charge
     alpha = ell + 0.5
-    npts = size + 2
 
     # Kinetic + centrifugal via first derivatives, weight x^(ell-1/2):
-    # d psi/dr = 2 lam e^(-x/2) x^(ell/2) [ ((ell+1)/2 - x/2) lhat_n
-    #                                       - sqrt(n) x lhat'_(n-1) ] ... /sqrt-normalized
-    xk, lwk = gauss_rule_log(ell - 0.5, npts)
-    ta = orthonormal_laguerre_table(alpha, size - 1, xk, log_scale=0.5 * lwk)
-    tb = orthonormal_laguerre_table(alpha + 1.0, size - 1, xk, log_scale=0.5 * lwk)
-    g = (0.5 * (ell + 1.0) - 0.5 * xk) * ta
-    root_n = np.sqrt(np.arange(1.0, size))
-    g[1:] -= root_n[:, None] * xk * tb[: size - 1]
-    kinetic = 2.0 * lam**2 * (g @ g.T)
-    centrifugal = 0.5 * ell * (ell + 1.0) * lam**2 * (ta @ ta.T)
-
-    h0 = kinetic + centrifugal
-    coulomb_band = None
+    # d psi/dr ~ e^(-x/2) x^(ell/2) [((ell+1)/2 - x/2) lhat_n - sqrt(n) x lhat'_(n-1)].
+    t_quad = _kinetic_by_quadrature(lam, ell, size, ell - 0.5, alpha, 0.5 * (ell + 1.0), 2.0)
+    h0 = t_quad
     if z_charge != 0.0:
-        xc, lwc = gauss_rule_log(float(ell), npts)
-        tc = orthonormal_laguerre_table(alpha, size, xc, log_scale=0.5 * lwc)
-        h0 = h0 + z_charge * lam * (tc[:size] @ tc[:size].T)
-        coulomb_band = z_charge * lam * float(np.sum(tc[size - 1] * tc[size]))
+        xc, lwc = gauss_rule_log(float(ell), size + 2)
+        tc = orthonormal_laguerre_table(alpha, size - 1, xc, log_scale=0.5 * lwc)
+        h0 = h0 + z_charge * lam * (tc @ tc.T)
     h0 = 0.5 * (h0 + h0.T)
 
-    _check_oscillator_against_quadrature(lam, ell, size, kinetic + centrifugal)
+    _check_oscillator_against_quadrature(lam, ell, size, t_quad)
     v = _potential_with_convergence_check(spec, alpha, alpha, lambda x: np.sqrt(x) / lam)
-
-    off_h0 = 0.5 * lam**2 * np.sqrt(size * (size + ell + 0.5))
-    if coulomb_band is not None:
-        off_h0 += coulomb_band
-
-    def j_boundary(energy: float) -> float:
-        return off_h0  # identity overlap has no off-diagonal E term
-
-    return MatrixSet(
-        h0=SymMatrix(h0),
-        v=SymMatrix(v),
-        omega=SymMatrix(np.eye(size)),
-        j_boundary=j_boundary,
-        spec=spec,
-    )
+    return MatrixSet(h0=SymMatrix(h0), v=SymMatrix(v), omega=SymMatrix(np.eye(size)), spec=spec)
 
 
 def _check_oscillator_against_quadrature(lam, ell, size, t_quad):

@@ -113,12 +113,11 @@ def cmd_smatrix(cfg: RunConfig) -> tuple:
 
 
 def cmd_resonances(cfg: RunConfig) -> tuple:
-    system = _system_from_config(cfg)
-    calc = ScatteringCalculator(system)
-    table = scan_smatrix(calc, _grid(cfg))
+    calc = ScatteringCalculator(_system_from_config(cfg))
     report = locate_resonances(
         calc, cfg.e_min, cfg.e_max, coarse_steps=cfg.steps, min_phase_gain=cfg.min_phase_gain
     )
+    table = report.scan  # the coarse scan over _grid(cfg)
     results = _scan_results(table)
     results["resonances"] = _peak_records(report)
     diags = {
@@ -165,13 +164,12 @@ def cmd_dos(cfg: RunConfig) -> tuple:
 
 
 def cmd_resolvent(cfg: RunConfig) -> tuple:
-    system = _system_from_config(cfg)
-    mats = build_matrices(system)
-    pair = gen_sym_eig(mats.h.data, mats.omega.data)
     n = cfg.n_index if cfg.n_index is not None else cfg.size - 1
     m = cfg.m_index if cfg.m_index is not None else cfg.size - 1
     if not (0 <= n < cfg.size and 0 <= m < cfg.size):
         raise ConfigError(f"matrix element indices ({n}, {m}) out of range for N={cfg.size}")
+    mats = build_matrices(_system_from_config(cfg))
+    pair = gen_sym_eig(mats.h.data, mats.omega.data)
     grid = _grid(cfg)
     values, on_pole = PartialFractions.from_pair(pair, n, m).evaluate(grid + 1j * cfg.im_z)
     flagged = np.flatnonzero(on_pole).tolist()

@@ -3,8 +3,9 @@
 This is the linear-algebra substrate for the resolvent formulas: plain and
 generalized eigendecompositions with a fixed normalization and sign
 convention, determinants, and row/column-deleted submatrices. Everything
-here is a pure function; returned arrays are frozen (non-writeable) so
-results can be shared across threads.
+here is a pure function; returned arrays are frozen (non-writeable), so
+a SymMatrix or SpectralPair shared by several consumers cannot be
+written through, just as the Gauss rules cached in ``basis`` cannot.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, InputError, OverlapNotSPDError
-
-# Relative tolerance used by invariant checks (diagonality, eigenvalue
-# consistency) unless the caller overrides it.
-DEFAULT_RTOL = 1e-10
-
 
 def _freeze(a):
     a = np.ascontiguousarray(a)

@@ -114,6 +114,10 @@ class TestScanSMatrix:
             s = barrier_calc.point(float(grid[i])).s
             assert table.columns["re_s"][i] == s.real and table.columns["im_s"][i] == s.imag
 
+    def test_empty_grid_raises(self, barrier_calc):
+        with pytest.raises(InputError, match="empty grid"):
+            scan_smatrix(barrier_calc, [])
+
     def test_nonpositive_energy_raises(self, barrier_calc):
         for grid in ([0.0, 0.5, 1.0], [-1.0, 2.0]):
             with pytest.raises(InputError, match="must be positive"):
@@ -153,6 +157,12 @@ class TestFindResonances:
         table = breit_wigner_table()
         for p in find_resonances(table).peaks:
             assert table.energies[0] < p.e_peak < table.energies[-1]
+
+    def test_report_keeps_its_scan(self):
+        table = breit_wigner_table()
+        assert find_resonances(table).scan is table
+        flat = ScanTable(energies=np.linspace(1.0, 2.0, 50), columns={"delta": np.zeros(50)})
+        assert find_resonances(flat).scan is flat
 
 
 def oracle_quality(table, prominence=0.15):
@@ -268,6 +278,23 @@ class TestLocateResonances:
         for e_min in (0.0, -1.0):
             with pytest.raises(InputError, match="0 < e_min < e_max"):
                 locate_resonances(barrier_calc, e_min, 2.0, coarse_steps=20)
+
+    def test_range_checked_before_build(self, monkeypatch):
+        def build(spec):
+            raise AssertionError("matrices built before the range check")
+
+        monkeypatch.setattr("resolvent_kit.scattering.build_matrices", build)
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=10))
+        with pytest.raises(InputError, match="0 < e_min < e_max"):
+            locate_resonances(spec, 0.0, 2.0, coarse_steps=20)
+
+    def test_report_scan_is_the_coarse_scan(self, barrier_calc):
+        report = locate_resonances(barrier_calc, 2.0, 5.0, coarse_steps=100)
+        want = scan_smatrix(barrier_calc, np.linspace(2.0, 5.0, 101))
+        assert np.array_equal(report.scan.energies, want.energies)
+        for name, col in want.columns.items():
+            assert np.array_equal(report.scan.columns[name], col, equal_nan=True)
+        assert report.scan.flagged == want.flagged
 
     def test_no_false_positives_in_free_case(self):
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=30))
@@ -505,6 +532,14 @@ class TestDensityOfStates:
 
     def test_unknown_method(self):
         with pytest.raises(InputError):
+            density_of_states(self.osc_spec(), np.linspace(0.1, 2.0, 10), method="magic")
+
+    def test_method_checked_before_build(self, monkeypatch):
+        def build(spec):
+            raise AssertionError("matrices built before the method check")
+
+        monkeypatch.setattr("resolvent_kit.analysis.build_matrices", build)
+        with pytest.raises(InputError, match="unknown DOS method 'magic'"):
             density_of_states(self.osc_spec(), np.linspace(0.1, 2.0, 10), method="magic")
 
     def test_nonpositive_width_or_height_rejected(self):

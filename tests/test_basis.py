@@ -163,12 +163,15 @@ class TestLaguerreMatrices:
         assert pair.eps[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_boundary_element_extends_tridiagonal(self):
-        spec = self.spec(size=6, ell=1)
-        mats = laguerre_matrices(spec)
-        bigger = laguerre_matrices(self.spec(size=7, ell=1))
-        for energy in (0.3, 2.0):
-            want = bigger.h0.data[5, 6] - energy * bigger.omega.data[5, 6]
-            assert mats.j_boundary(energy) == pytest.approx(want, rel=1e-12)
+        energies = np.array([0.3, 2.0, 7.5])
+        for ell in (0, 1, 2):
+            mats = laguerre_matrices(self.spec(size=6, ell=ell))
+            bigger = laguerre_matrices(self.spec(size=7, ell=ell))
+            want = bigger.h0.data[5, 6] - energies * bigger.omega.data[5, 6]
+            for energy, w in zip(energies, want):
+                assert mats.j_boundary(energy) == pytest.approx(w, rel=1e-12)
+            np.testing.assert_allclose(mats.j_boundary(energies), want, rtol=1e-12)
+            np.testing.assert_allclose(mats.j_tridiagonal(energies)[1][-1], want, rtol=1e-12)
 
     def test_j_tridiagonal_matches_matrices(self):
         mats = laguerre_matrices(self.spec(size=5))
@@ -249,6 +252,15 @@ class TestOscillatorMatrices:
     def test_family_mismatch(self):
         with pytest.raises(InputError):
             oscillator_matrices(SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=4)))
+
+    def test_no_reference_pencil(self):
+        # 1/r couples every pair of oscillator functions, so there are no
+        # bands for the scattering recursion to run on
+        mats = oscillator_matrices(self.spec(size=6, z=1.0))
+        with pytest.raises(InputError, match="oscillator"):
+            mats.j_tridiagonal(1.0)
+        with pytest.raises(InputError, match="oscillator"):
+            mats.j_boundary(np.array([0.5, 1.0]))
 
 
 class TestSystemSpec:

@@ -89,6 +89,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical error" in err and "FitResidualError" in err
 
+    def test_resolvent_indices_checked_before_build(self, tmp_path, capsys, monkeypatch):
+        def build(spec):
+            raise AssertionError("matrices built before the index check")
+
+        monkeypatch.setattr("resolvent_kit.cli.build_matrices", build)
+        code = run_cli(
+            ["resolvent", "--N", "10", "--n-index", "10", "--csv", str(tmp_path / "g.csv"),
+             "--json", str(tmp_path / "g.json")]
+        )
+        assert code == 1
+        assert "indices (10, 9) out of range for N=10" in capsys.readouterr().err
+
     def test_selftest_passes(self, capsys):
         assert run_cli(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -232,6 +244,40 @@ class TestArtifacts:
         peaks = [r["energy"] for r in payload["results"]["resonances"]]
         assert any(abs(p - 3.426) < 0.02 for p in peaks)
         assert "eigenvalues_in_range" in payload["diagnostics"]
+
+    def test_resonances_scans_the_grid_once(self, tmp_path, monkeypatch):
+        # the CSV is locate_resonances' own coarse scan, not a second one
+        from resolvent_kit.analysis import scan_smatrix
+        from resolvent_kit.basis import BasisSpec, SystemSpec
+        from resolvent_kit.potential import parse_potential
+        from resolvent_kit.scattering import ScatteringCalculator
+
+        sizes = []
+        real = ScatteringCalculator.s_values
+
+        def s_values(self, energies):
+            sizes.append(len(energies))
+            return real(self, energies)
+
+        monkeypatch.setattr(ScatteringCalculator, "s_values", s_values)
+        code = run_cli(
+            [
+                "resonances", "--potential", "7.5*r^2*exp(-r)", "--N", "40",
+                "--e-min", "2.5", "--e-max", "4.5", "--steps", "120",
+                "--csv", str(tmp_path / "r.csv"), "--json", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 0
+        assert sizes.count(121) == 1  # refinement batches hold multiples of 33
+        spec = SystemSpec(
+            basis=BasisSpec("laguerre", lam=1.0, ell=0, size=40), potential=parse_potential("7.5*r^2*exp(-r)")
+        )
+        want = scan_smatrix(spec, np.linspace(2.5, 4.5, 121))
+        header, rows = read_csv(tmp_path / "r.csv")
+        assert header == ["E_au"] + list(want.columns)
+        assert np.array_equal(rows[:, 0], want.energies)
+        for k, col in enumerate(want.columns.values(), start=1):
+            assert np.array_equal(rows[:, k], col, equal_nan=True)
 
 
 class TestSettings:
