@@ -13,14 +13,17 @@ The reference Hamiltonian is the radial Coulomb operator
 
     H0 = -(1/2) d^2/dr^2 + ell(ell+1)/(2 r^2) + Z/r      (atomic units)
 
-For the Laguerre family, H0 and the overlap are filled from closed forms
-obtained via the Laguerre three-term recurrence and then cross-checked at
-construction against an exact-degree Gauss quadrature that never uses
-those recurrences for the integrand (kinetic energy enters through
-integration by parts, so only first derivatives of the basis appear).
-Any disagreement beyond ``CHECK_TOL`` aborts the build. The short-range
-potential matrix is always computed by quadrature, with an order-doubling
-convergence check.
+Both families build H0 and the overlap from closed tridiagonal forms
+(the J-matrix ones: Yamani & Fishman, J. Math. Phys. 16, 410 (1975)),
+lam^2 times a matrix that depends only on (ell, N), plus Z lam on the
+Laguerre diagonal. The oscillator basis has no closed form for 1/r, so
+its Coulomb term is an exact quadrature. Each closed form is checked
+once per (family, ell, N) per process against an exact-degree Gauss
+quadrature that never uses those recurrences for the integrand (kinetic
+energy enters through integration by parts, so only first derivatives of
+the basis appear). Any disagreement beyond ``CHECK_TOL`` aborts the
+build. The short-range potential matrix is always computed by
+quadrature, with an order-doubling convergence check.
 """
 
 from __future__ import annotations
@@ -271,18 +274,22 @@ class MatrixSet:
         return self.h0_super[-1] - energy * self.omega_super[-1]
 
 
-def _laguerre_analytic(lam: float, ell: int, z_charge: float, size: int):
-    """Tridiagonal overlap and H0 bands for the Laguerre family, sized
-    ``size`` (diagonals) with ``size`` superdiagonal entries so the
-    boundary element is available. The arrays are read-only."""
+def _laguerre_analytic(ell: int, size: int):
+    """lam-free closed-form bands of the Laguerre family: the overlap
+    diagonal and superdiagonal, then those of the kinetic + centrifugal
+    matrix divided by lam^2. Each superdiagonal has ``size`` entries, so
+    the boundary element is available."""
     n = np.arange(size)
-    omega_d = 2.0 * n + 2.0 * ell + 2.0
-    omega_o = -np.sqrt((n + 1.0) * (n + 2.0 * ell + 2.0))
-    h0_d = 0.25 * lam**2 * (n + ell + 1.0) + z_charge * lam
-    h0_o = 0.125 * lam**2 * np.sqrt((n + 1.0) * (n + 2.0 * ell + 2.0))
-    for band in (omega_d, omega_o, h0_d, h0_o):
-        band.setflags(write=False)
-    return omega_d, omega_o, h0_d, h0_o
+    root = np.sqrt((n + 1.0) * (n + 2.0 * ell + 2.0))
+    return 2.0 * n + 2.0 * ell + 2.0, -root, 0.25 * (n + ell + 1.0), 0.125 * root
+
+
+def _oscillator_analytic(ell: int, size: int):
+    """lam-free closed-form bands of the oscillator kinetic + centrifugal
+    matrix divided by lam^2: (1/2)(2n + ell + 3/2) on the diagonal and
+    (1/2) sqrt((n+1)(n + ell + 3/2)) beside it."""
+    n = np.arange(size)
+    return 0.5 * (2.0 * n + ell + 1.5), 0.5 * np.sqrt((n + 1.0) * (n + ell + 1.5))
 
 
 def _bands_to_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -347,11 +354,14 @@ def laguerre_matrices(spec: SystemSpec) -> MatrixSet:
     if b.family != LAGUERRE:
         raise InputError("laguerre_matrices requires a Laguerre basis spec")
     size, lam, ell = b.size, b.lam, b.ell
-    omega_d, omega_o, h0_d, h0_o = _laguerre_analytic(lam, ell, spec.z_charge, size)
+    _check_closed_forms(b)
+    omega_d, omega_o, kin_d, kin_o = _laguerre_analytic(ell, size)
+    h0_d, h0_o = lam**2 * kin_d + spec.z_charge * lam, lam**2 * kin_o
+    for band in (omega_d, omega_o, h0_d, h0_o):
+        band.setflags(write=False)
 
     omega = _bands_to_matrix(omega_d, omega_o)
     h0 = _bands_to_matrix(h0_d, h0_o)
-    _check_laguerre_against_quadrature(spec, h0, omega, CHECK_TOL)
     v = _potential_with_convergence_check(spec, 2 * ell + 2, 2 * ell + 1, lambda x: x / lam)
 
     return MatrixSet(
@@ -360,12 +370,38 @@ def laguerre_matrices(spec: SystemSpec) -> MatrixSet:
     )
 
 
-def _kinetic_by_quadrature(lam, ell, size, rule_alpha, alpha, lead, prefactor):
-    """Kinetic + centrifugal matrix of a basis whose radial derivative
-    has rows D_n = (lead - x/2) lhat_n - sqrt(n) x lhat'_(n-1), with
-    lhat the ``alpha`` orthonormal family and lhat' the alpha+1 one:
+def oscillator_matrices(spec: SystemSpec) -> MatrixSet:
+    """Identity overlap, closed-form kinetic matrix plus the quadrature
+    Coulomb term, and the potential matrix in the oscillator basis
+    (working variable x = lam^2 r^2)."""
+    b = spec.basis
+    if b.family != OSCILLATOR:
+        raise InputError("oscillator_matrices requires an oscillator basis spec")
+    size, lam, ell = b.size, b.lam, b.ell
+    _check_closed_forms(b)
+    h0 = lam**2 * _bands_to_matrix(*_oscillator_analytic(ell, size))
+    if spec.z_charge != 0.0:
+        # 1/r = lam x^(-1/2) has no closed form here; weight x^ell keeps it exact
+        h0 = h0 + spec.z_charge * lam * _gram(ell, ell + 0.5, size)
+    v = _potential_with_convergence_check(spec, ell + 0.5, ell + 0.5, lambda x: np.sqrt(x) / lam)
+    return MatrixSet(h0=SymMatrix(h0), v=SymMatrix(v), omega=SymMatrix(np.eye(size)), spec=spec)
 
-        prefactor lam^2 D D^T + (1/2) ell (ell+1) lam^2 lhat lhat^T
+
+def _gram(rule_alpha, alpha, size):
+    """sum_k w_k lhat_n(x_k) lhat_m(x_k) for n, m < size, lhat the
+    ``alpha`` orthonormal family, on the (size + 2)-point rule of weight
+    x^rule_alpha."""
+    x, lw = gauss_rule_log(rule_alpha, size + 2)
+    t = orthonormal_laguerre_table(alpha, size - 1, x, log_scale=0.5 * lw)
+    return t @ t.T
+
+
+def _kinetic_by_quadrature(ell, size, rule_alpha, alpha, lead, prefactor):
+    """Kinetic + centrifugal matrix divided by lam^2, of a basis whose
+    radial derivative has rows D_n = (lead - x/2) lhat_n - sqrt(n) x lhat'_(n-1),
+    with lhat the ``alpha`` orthonormal family and lhat' the alpha+1 one:
+
+        prefactor D D^T + (1/2) ell (ell+1) lhat lhat^T
 
     on the (size + 2)-point rule of weight x^rule_alpha, which is exact
     for these polynomial integrands.
@@ -376,89 +412,44 @@ def _kinetic_by_quadrature(lam, ell, size, rule_alpha, alpha, lead, prefactor):
     d = (lead - 0.5 * x) * ta
     root_n = np.sqrt(np.arange(1.0, size))
     d[1:] -= root_n[:, None] * x * tb[: size - 1]
-    kinetic = prefactor * lam**2 * (d @ d.T)
-    centrifugal = 0.5 * ell * (ell + 1.0) * lam**2 * (ta @ ta.T)
-    return kinetic + centrifugal
+    return prefactor * (d @ d.T) + 0.5 * ell * (ell + 1.0) * (ta @ ta.T)
 
 
-def _check_laguerre_against_quadrature(spec: SystemSpec, h0: np.ndarray, omega: np.ndarray, check_tol: float):
-    """Independent quadrature evaluation of the overlap and H0 matrices.
+@functools.lru_cache(maxsize=None)
+def _closed_form_residual(family: str, ell: int, size: int) -> float:
+    """Largest disagreement (relative) between the lam-free closed forms
+    of one (family, ell, size) and their exact quadrature.
 
-    Every integrand below is (weight) x (polynomial), so a rule of
-    size + 2 points is exact and the comparison probes only the closed
-    forms, not the quadrature itself. The kinetic term is evaluated as
-    (1/2) int psi_n' psi_m' dr.
+    Every integrand is (weight) x (polynomial), so the (size + 2)-point
+    rule is exact and the comparison probes only the closed forms. The
+    kinetic term enters through integration by parts, so only first
+    derivatives of the basis appear. What is compared depends on no lam,
+    Z or potential, so each key is checked once per process.
     """
-    b = spec.basis
-    size, lam, ell = b.size, b.lam, b.ell
-    z_charge = spec.z_charge
-    npts = size + 2
+    if family == LAGUERRE:
+        # x = lam r: kinetic weight x^(2ell), overlap x^(2ell+2), Coulomb x^(2ell+1)
+        omega_d, omega_o, kin_d, kin_o = _laguerre_analytic(ell, size)
+        pairs = [
+            (_bands_to_matrix(kin_d, kin_o), _kinetic_by_quadrature(ell, size, 2 * ell, 2 * ell + 1, ell + 1.0, 0.5)),
+            (_bands_to_matrix(omega_d, omega_o), _gram(2 * ell + 2, 2 * ell + 1, size)),
+            (np.eye(size), _gram(2 * ell + 1, 2 * ell + 1, size)),
+        ]
+    else:
+        # x = lam^2 r^2: kinetic weight x^(ell-1/2)
+        kinetic_q = _kinetic_by_quadrature(ell, size, ell - 0.5, ell + 0.5, 0.5 * (ell + 1.0), 2.0)
+        pairs = [(_bands_to_matrix(*_oscillator_analytic(ell, size)), kinetic_q)]
+    return max(float(np.max(np.abs(a - q)) / (1.0 + np.max(np.abs(a)))) for a, q in pairs)
 
-    # Overlap: weight x^(2ell+2) against L^(2ell+1) polynomials.
-    x2, lw2 = gauss_rule_log(2 * ell + 2, npts)
-    t2 = orthonormal_laguerre_table(2 * ell + 1, size - 1, x2, log_scale=0.5 * lw2)
-    omega_q = t2 @ t2.T
 
-    # Coulomb: weight x^(2ell+1) is the orthonormality weight itself.
-    x1, lw1 = gauss_rule_log(2 * ell + 1, npts)
-    t1 = orthonormal_laguerre_table(2 * ell + 1, size - 1, x1, log_scale=0.5 * lw1)
-    coulomb_q = z_charge * lam * (t1 @ t1.T)
-
-    # Kinetic + centrifugal: weight x^(2ell). The derivative of the basis
-    # function is x^ell e^(-x/2) [(ell+1-x/2) lhat_n - sqrt(n) x lhat'_(n-1)].
-    h0_q = _kinetic_by_quadrature(lam, ell, size, 2 * ell, 2 * ell + 1, ell + 1.0, 0.5) + coulomb_q
-    scale_h = 1.0 + np.max(np.abs(h0))
-    scale_o = 1.0 + np.max(np.abs(omega))
-    resid = max(
-        float(np.max(np.abs(h0 - h0_q)) / scale_h),
-        float(np.max(np.abs(omega - omega_q)) / scale_o),
-    )
-    if resid > check_tol:
+def _check_closed_forms(basis: BasisSpec):
+    """Raise QuadratureError when the closed forms of this basis key
+    disagree with their quadrature by more than CHECK_TOL."""
+    residual = _closed_form_residual(basis.family, basis.ell, basis.size)
+    if not residual <= CHECK_TOL:
         raise QuadratureError(
-            f"closed-form and quadrature matrix elements disagree by {resid:.3e} "
-            f"(tolerance {check_tol:.1e})",
-            residual=resid,
-        )
-
-
-def oscillator_matrices(spec: SystemSpec) -> MatrixSet:
-    """Identity overlap plus quadrature-built H0 and potential matrices in
-    the oscillator basis (working variable x = lam^2 r^2)."""
-    b = spec.basis
-    if b.family != OSCILLATOR:
-        raise InputError("oscillator_matrices requires an oscillator basis spec")
-    size, lam, ell = b.size, b.lam, b.ell
-    z_charge = spec.z_charge
-    alpha = ell + 0.5
-
-    # Kinetic + centrifugal via first derivatives, weight x^(ell-1/2):
-    # d psi/dr ~ e^(-x/2) x^(ell/2) [((ell+1)/2 - x/2) lhat_n - sqrt(n) x lhat'_(n-1)].
-    t_quad = _kinetic_by_quadrature(lam, ell, size, ell - 0.5, alpha, 0.5 * (ell + 1.0), 2.0)
-    h0 = t_quad
-    if z_charge != 0.0:
-        xc, lwc = gauss_rule_log(float(ell), size + 2)
-        tc = orthonormal_laguerre_table(alpha, size - 1, xc, log_scale=0.5 * lwc)
-        h0 = h0 + z_charge * lam * (tc @ tc.T)
-    h0 = 0.5 * (h0 + h0.T)
-
-    _check_oscillator_against_quadrature(lam, ell, size, t_quad)
-    v = _potential_with_convergence_check(spec, alpha, alpha, lambda x: np.sqrt(x) / lam)
-    return MatrixSet(h0=SymMatrix(h0), v=SymMatrix(v), omega=SymMatrix(np.eye(size)), spec=spec)
-
-
-def _check_oscillator_against_quadrature(lam, ell, size, t_quad):
-    """Quadrature kinetic+centrifugal vs the closed tridiagonal form
-    (lam^2/2)(2n + ell + 3/2) on the diagonal and
-    (lam^2/2) sqrt((n+1)(n + ell + 3/2)) beside it."""
-    n = np.arange(size)
-    diag = 0.5 * lam**2 * (2.0 * n + ell + 1.5)
-    off = 0.5 * lam**2 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + ell + 1.5))
-    t_ref = _bands_to_matrix(diag, off)
-    resid = float(np.max(np.abs(t_quad - t_ref)) / (1.0 + np.max(np.abs(t_ref))))
-    if resid > CHECK_TOL:
-        raise QuadratureError(
-            f"oscillator kinetic matrix disagrees with its closed form by {resid:.3e}",
-            residual=resid,
+            f"{basis.family} closed-form matrices (ell = {basis.ell}, N = {basis.size}) disagree "
+            f"with their exact quadrature by {residual:.3e} (tolerance {CHECK_TOL:.1e})",
+            residual=residual,
         )
 
 

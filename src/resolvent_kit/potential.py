@@ -17,7 +17,6 @@ a tree equal to ``expr``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -290,6 +289,3 @@ def parse_potential(text: str) -> PotentialExpr:
     if tail.kind != "end":
         raise PotentialSyntaxError(f"unexpected {tail.text!r}", tail.line, tail.column, expected="end of input")
     return node
-
-
-PotentialLike = Union[PotentialExpr, None]

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from resolvent_kit import basis as basis_module
 from resolvent_kit.basis import (
     BasisSpec,
+    CHECK_TOL,
     SystemSpec,
-    _check_laguerre_against_quadrature,
+    _closed_form_residual,
+    _oscillator_analytic,
     _potential_by_quadrature,
     build_matrices,
     gauss_quadrature,
@@ -134,9 +137,8 @@ class TestLaguerreMatrices:
     def test_overlap_matches_quadrature_oracle(self):
         # construction runs the oracle at CHECK_TOL = 1e-10; verify the N=8
         # case at 1e-12
-        spec = self.spec(size=8)
-        mats = laguerre_matrices(spec)
-        _check_laguerre_against_quadrature(spec, mats.h0.data, mats.omega.data, 1e-12)
+        mats = laguerre_matrices(self.spec(size=8))
+        assert _closed_form_residual("laguerre", 0, 8) <= 1e-12
         om = mats.omega.data
         n = np.arange(8.0)
         np.testing.assert_allclose(np.diag(om), 2 * n + 2, atol=1e-12)
@@ -242,6 +244,15 @@ class TestOscillatorMatrices:
         np.testing.assert_allclose(np.diag(h), want, rtol=1e-12)
         assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-10 * np.max(want)
 
+    def test_neutral_h0_is_scaled_closed_form(self):
+        for lam, ell in ((0.45, 0), (2.5, 3)):
+            h0 = oscillator_matrices(self.spec(lam=lam, ell=ell, size=9)).h0.data
+            diag, off = _oscillator_analytic(ell, 9)
+            np.testing.assert_array_equal(np.diag(h0), lam**2 * diag)
+            np.testing.assert_array_equal(np.diag(h0, 1), lam**2 * off[:8])
+            np.testing.assert_array_equal(np.triu(h0, 2), 0.0)
+            np.testing.assert_array_equal(h0, h0.T)
+
     def test_coulomb_term_symmetric_full(self):
         mats = oscillator_matrices(self.spec(size=7, z=1.0))
         h0 = mats.h0.data
@@ -261,6 +272,61 @@ class TestOscillatorMatrices:
             mats.j_tridiagonal(1.0)
         with pytest.raises(InputError, match="oscillator"):
             mats.j_boundary(np.array([0.5, 1.0]))
+
+
+@pytest.fixture
+def fresh_check_cache():
+    # a tampered band function leaves its residual in the cache
+    basis_module._closed_form_residual.cache_clear()
+    yield
+    basis_module._closed_form_residual.cache_clear()
+
+
+class TestClosedFormCheck:
+    @pytest.mark.parametrize("family, band_fn, band", [
+        ("laguerre", "_laguerre_analytic", 0),
+        ("laguerre", "_laguerre_analytic", 3),
+        ("oscillator", "_oscillator_analytic", 1),
+    ])
+    def test_tampered_closed_form_raises(self, monkeypatch, fresh_check_cache, family, band_fn, band):
+        honest = getattr(basis_module, band_fn)
+
+        def tampered(ell, size):
+            bands = [b.copy() for b in honest(ell, size)]
+            bands[band][2] *= 1.0 + 1e-6
+            return tuple(bands)
+
+        monkeypatch.setattr(basis_module, band_fn, tampered)
+        spec = SystemSpec(basis=BasisSpec(family, lam=1.3, ell=2, size=11))
+        for _ in range(2):  # the second build is answered from the cache
+            with pytest.raises(QuadratureError, match=rf"{family} .*ell = 2, N = 11") as info:
+                build_matrices(spec)
+            assert info.value.residual > CHECK_TOL
+
+    def test_quadrature_runs_once_per_key(self, monkeypatch, fresh_check_cache):
+        calls = []
+        honest = basis_module._kinetic_by_quadrature
+
+        def spy(ell, size, *args):
+            calls.append((ell, size))
+            return honest(ell, size, *args)
+
+        monkeypatch.setattr(basis_module, "_kinetic_by_quadrature", spy)
+        well = parse_potential("-2*exp(-r^2)")
+        specs = [
+            SystemSpec(basis=BasisSpec(family, lam=lam, ell=ell, size=size), z_charge=z, potential=pot)
+            for family in ("laguerre", "oscillator")
+            for ell, size in ((0, 10), (1, 12))
+            for lam in (0.7, 3.0)
+            for z in (-1.0, 0.0, 1.0)
+            for pot in (None, well)
+        ]
+        for spec in specs:
+            build_matrices(spec)
+        assert sorted(calls) == [(0, 10), (0, 10), (1, 12), (1, 12)]
+        for spec in specs[:6]:
+            build_matrices(spec)
+        assert len(calls) == 4
 
 
 class TestSystemSpec:
