@@ -135,18 +135,18 @@ def _time_delay(energies: np.ndarray, deltas: np.ndarray, min_points: int):
 
 
 def _quadratic_refine(x: np.ndarray, y: np.ndarray, i: int) -> float:
-    """Vertex of the parabola through points i-1, i, i+1."""
+    """Vertex of the parabola through points i-1, i, i+1, which may be
+    unevenly spaced, clipped to [x[i-1], x[i+1]]."""
     if i == 0 or i == len(x) - 1:
         return float(x[i])
     x0, x1, x2 = x[i - 1], x[i], x[i + 1]
     y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-    denom = (y0 - 2.0 * y1 + y2)
+    a, b = x1 - x0, x1 - x2
+    denom = a * (y1 - y2) - b * (y1 - y0)
     if denom == 0.0 or not np.isfinite(denom):
         return float(x1)
-    # uniform-spacing vertex formula; grids here are uniform per window
-    shift = 0.5 * (y0 - y2) / denom
-    step = 0.5 * (x2 - x0)
-    return float(x1 + np.clip(shift, -1.0, 1.0) * step)
+    shift = 0.5 * (a * a * (y1 - y2) - b * b * (y1 - y0)) / denom
+    return float(np.clip(x1 - shift, x0, x2))
 
 
 def _prominent_peaks(x: np.ndarray, min_prominence: float):

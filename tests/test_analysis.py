@@ -7,6 +7,7 @@ import scipy.signal
 from resolvent_kit.analysis import (
     ScanTable,
     _prominent_peaks,
+    _quadratic_refine,
     _refine_candidates,
     bound_states,
     default_smoothing_width,
@@ -163,6 +164,51 @@ class TestFindResonances:
         assert find_resonances(table).scan is table
         flat = ScanTable(energies=np.linspace(1.0, 2.0, 50), columns={"delta": np.zeros(50)})
         assert find_resonances(flat).scan is flat
+
+
+class TestQuadraticRefine:
+    @staticmethod
+    def peaked_triples(spacing):
+        """Seeded (x, y) triples whose middle point is the highest, so
+        the vertex lies inside the triple."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            x1 = rng.uniform(0.5, 8.0)
+            h0, h2 = spacing(rng)
+            x = np.array([x1 - h0, x1, x1 + h2])
+            y = -rng.uniform(0.1, 10.0) * (x - rng.uniform(x[0], x[2])) ** 2 + rng.normal()
+            if y[1] >= y[0] and y[1] >= y[2]:
+                yield x, y
+
+    def test_uneven_spacing_matches_polyfit_vertex(self):
+        count = 0
+        for x, y in self.peaked_triples(lambda rng: rng.uniform(1e-3, 0.5, 2)):
+            a, b, _ = np.polyfit(x - x[1], y, 2)
+            want = x[1] - 0.5 * b / a
+            assert abs(_quadratic_refine(x, y, 1) - want) <= 1e-12 * (x[2] - x[0])
+            count += 1
+        assert count > 50
+
+    def test_uniform_spacing_matches_midpoint_formula(self):
+        def uniform_vertex(x, y):
+            shift = 0.5 * (y[0] - y[2]) / (y[0] - 2.0 * y[1] + y[2])
+            return x[1] + np.clip(shift, -1.0, 1.0) * 0.5 * (x[2] - x[0])
+
+        for x, y in self.peaked_triples(lambda rng: (0.01, 0.01)):
+            assert _quadratic_refine(x, y, 1) == pytest.approx(uniform_vertex(x, y), abs=4e-16 * x[2])
+
+    def test_clipped_to_the_triple(self):
+        # parabolas with their vertex at 0 and at 5, outside [1, 3]
+        x = np.array([1.0, 1.1, 3.0])
+        assert _quadratic_refine(x, -x**2, 1) == 1.0
+        assert _quadratic_refine(x, -(x - 5.0) ** 2, 1) == 3.0
+
+    def test_fallbacks(self):
+        x = np.array([1.0, 1.5, 3.0])
+        assert _quadratic_refine(x, np.array([1.0, 2.0, 1.5]), 0) == 1.0
+        assert _quadratic_refine(x, np.array([1.0, 2.0, 1.5]), 2) == 3.0
+        assert _quadratic_refine(x, np.full(3, 2.0), 1) == 1.5
+        assert _quadratic_refine(x, np.array([1.0, np.nan, 1.5]), 1) == 1.5
 
 
 def oracle_quality(table, prominence=0.15):
