@@ -124,29 +124,66 @@ def _system_snapshot(spec: SystemSpec) -> dict:
 
 
 def _time_delay(energies: np.ndarray, deltas: np.ndarray, min_points: int):
-    """(energies, unwrapped phases, tau = d(delta)/dE) at the finite
-    phases, which are known only mod pi; None if fewer than
-    ``min_points`` are finite."""
+    """Wigner time delay tau = d(delta)/dE along each row of (rows, M)
+    energies and phases; the phases are known only mod pi.
+
+    Returns (x, d, tau, n). Each row's finite phases are moved to its
+    front, in order: x holds their energies, d the unwrapped phases and
+    tau the time delay, and n[r] counts them, or is 0 if row r has fewer
+    than ``min_points``. Entries past n[r] are padding, with tau = -inf.
+    The first n[r] entries equal ``np.unwrap(period=pi)`` and
+    ``np.gradient`` of the row's finite points, bit for bit.
+    """
     good = np.isfinite(deltas)
-    if good.sum() < min_points:
-        return None
-    d = np.unwrap(deltas[good], period=math.pi)
-    return energies[good], d, np.gradient(d, energies[good])
+    n = good.sum(axis=1)
+    rows = np.arange(n.size)
+    order = rows[:, None], np.argsort(~good, axis=1, kind="stable")
+    x = energies[order]
+    # unwrap is a forward cumsum, so the padding cannot change the finite prefix
+    d = np.unwrap(np.where(good, deltas, 0.0)[order], period=math.pi, axis=1)
+
+    # np.gradient: its uniform-spacing branch where a row's finite spacings
+    # are all equal, and first-order edges at each row's own last point
+    dx = np.diff(x, axis=1)
+    uniform = ((dx == dx[:, :1]) | (np.arange(dx.shape[1]) >= n[:, None] - 1)).all(axis=1)
+    dx1, dx2 = dx[:, :-1], dx[:, 1:]
+    a = -dx2 / (dx1 * (dx1 + dx2))
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * (dx1 + dx2))
+    uneven = a * d[:, :-2] + b * d[:, 1:-1] + c * d[:, 2:]
+    even = (d[:, 2:] - d[:, :-2]) / (2.0 * dx[:, :1])
+    slope = np.diff(d, axis=1) / dx
+    tau = np.empty_like(d)
+    tau[:, 1:-1] = np.where(uniform[:, None], even, uneven)
+    tau[:, 0] = slope[:, 0]
+    tau[rows, np.maximum(n - 1, 1)] = slope[rows, np.maximum(n - 2, 0)]
+    n = np.where(n >= min_points, n, 0)
+    tau[np.arange(tau.shape[1]) >= n[:, None]] = -math.inf
+    return x, d, tau, n
 
 
-def _quadratic_refine(x: np.ndarray, y: np.ndarray, i: int) -> float:
+def _quadratic_refine(x: np.ndarray, y: np.ndarray, i, n=None):
     """Vertex of the parabola through points i-1, i, i+1, which may be
-    unevenly spaced, clipped to [x[i-1], x[i+1]]."""
-    if i == 0 or i == len(x) - 1:
-        return float(x[i])
-    x0, x1, x2 = x[i - 1], x[i], x[i + 1]
-    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
+    unevenly spaced, clipped to [x[i-1], x[i+1]]; x[i] at an endpoint
+    (i = 0 or n - 1, n defaulting to the length of x) or where the
+    parabola is degenerate or not finite.
+
+    Broadcasts over rows: x and y of shape (rows, M) with i and n of
+    shape (rows,) give one vertex per row.
+    """
+    xs, ys, i = np.atleast_2d(x), np.atleast_2d(y), np.atleast_1d(i)
+    size = xs.shape[1]
+    n = size if n is None else n
+    rows = np.arange(i.size)
+    j = rows[:, None], np.clip(i, 1, size - 2)[:, None] + np.arange(-1, 2)
+    (x0, x1, x2), (y0, y1, y2) = xs[j].T, ys[j].T
     a, b = x1 - x0, x1 - x2
-    denom = a * (y1 - y2) - b * (y1 - y0)
-    if denom == 0.0 or not np.isfinite(denom):
-        return float(x1)
-    shift = 0.5 * (a * a * (y1 - y2) - b * b * (y1 - y0)) / denom
-    return float(np.clip(x1 - shift, x0, x2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows that take x[i]
+        denom = a * (y1 - y2) - b * (y1 - y0)
+        shift = 0.5 * (a * a * (y1 - y2) - b * b * (y1 - y0)) / denom
+    inner = (i > 0) & (i < n - 1) & (denom != 0.0) & np.isfinite(denom)
+    vertex = np.where(inner, np.clip(x1 - shift, x0, x2), xs[rows, i])
+    return float(vertex[0]) if np.ndim(x) == 1 else vertex
 
 
 def _prominent_peaks(x: np.ndarray, min_prominence: float):
@@ -187,10 +224,10 @@ def find_resonances(table: ScanTable, prominence: float = 0.15) -> ResonanceRepo
     """
     if "delta" not in table.columns:
         raise InputError("table has no phase-shift column")
-    profile = _time_delay(table.energies, np.asarray(table.columns["delta"], dtype=float), 3)
-    if profile is None:
+    x, _, tau, [n] = _time_delay(table.energies[None], np.asarray(table.columns["delta"], dtype=float)[None], 3)
+    if n == 0:
         return ResonanceReport(peaks=(), scan=table)
-    es, _, tau = profile
+    es, tau = x[0, :n], tau[0, :n]
     span = float(np.max(tau) - np.min(tau))
     # featureless data: variation at the round-off level of the phases
     if span <= 1e-9 * max(1.0, float(np.max(np.abs(tau)))):
@@ -217,83 +254,64 @@ _REFINE_POINTS = 33
 _FINAL_WIDTH_RTOL = 1e-7
 
 
-def _window(center, width, e_min):
-    """The energies of a window about ``center``; a window that would
-    reach E <= 0 starts at ``e_min`` instead."""
-    lo = center - 0.5 * width
-    return np.linspace(lo if lo > 0.0 else e_min, center + 0.5 * width, _REFINE_POINTS)
-
-
 def _refine_candidates(calc, candidates, min_gain, e_min, final_width):
     """Shrinking phase scans around each (center, width) candidate;
     returns a peak or None per candidate, in order.
 
-    The candidates advance in lockstep: each step scans the windows of
-    all candidates still refining with one S(E) batch, so a search makes
-    at most one ``s_values`` call per step, however many candidates it
-    has. S(E) at an energy does not depend on the rest of its batch, so
-    each candidate gets the result it would get alone.
-    """
-    runs = [_refinement(center, width, min_gain, e_min, final_width) for center, width in candidates]
-    results = [None] * len(runs)
-    windows = {k: next(run) for k, run in enumerate(runs)}
-    while windows:
-        s, _ = calc.s_values(np.concatenate(list(windows.values())))
-        phases = 0.5 * np.angle(s).reshape(len(windows), _REFINE_POINTS)
-        stepped = {}
-        for k, ds in zip(windows, phases):
-            try:
-                stepped[k] = runs[k].send(ds)
-            except StopIteration as done:
-                results[k] = done.value
-        windows = stepped
-    return results
-
-
-def _refinement(center, width, min_gain, e_min, final_width):
-    """One candidate's shrinking phase scans, as a generator: it yields
-    each window's energies, is sent back their phases, and returns a
-    peak or None.
-
     Detection requires the window's scan step to resolve the structure,
     so the window descends geometrically until the phase gain appears;
     after detection it keeps shrinking while re-centering on the time
-    delay peak.
+    delay peak. A window that would reach E <= 0 starts at ``e_min``.
+
+    The candidates advance in lockstep, as arrays: each step scans the
+    windows of all candidates still refining with one S(E) batch and
+    one time-delay profile, so a search makes at most one ``s_values``
+    call per step, however many candidates it has. S(E) at an energy
+    does not depend on the rest of its batch, so each candidate gets the
+    result it would get alone.
     """
-    detected = False
-    best = center
-    tau_peak = math.inf
-    gain_seen = 0.0
-    floor = max(abs(center), 1.0) * 1e-12
-    for _ in range(40):
-        es = _window(best, width, e_min)
-        ds = yield es
-        profile = _time_delay(es, ds, 5)
-        if profile is None:
-            gain = 0.0
-        else:
-            esg, d, tau = profile
-            gain = float(d[-1] - d[0])
-        if not detected:
-            if abs(gain) >= min_gain:
-                detected = True
-            elif width / 8.0 < floor:
-                return None
-            else:
-                width /= 8.0
-                continue
-        gain_seen = max(gain_seen, abs(gain))
-        if profile is not None:
-            i = int(np.argmax(tau))
-            best = _quadratic_refine(esg, tau, i)
-            tau_peak = float(tau[i])
-        if width <= final_width:
+    results = [None] * len(candidates)
+    k = np.arange(len(candidates))  # the candidate of each row still refining
+    best = np.array([c for c, _ in candidates], dtype=float)
+    width = np.array([w for _, w in candidates], dtype=float)
+    floor = np.maximum(np.abs(best), 1.0) * 1e-12
+    detected = np.zeros(k.size, dtype=bool)
+    tau_peak = np.full(k.size, math.inf)
+    gain_seen = np.zeros(k.size)
+    for step in range(40):
+        if k.size == 0:
             break
-        width = max(width / 8.0, final_width)
-    if not detected:
-        return None
-    width_est = 2.0 / tau_peak if tau_peak > 0 else math.inf
-    return ResonancePeak(e_peak=best, width_estimate=width_est, quality=min(1.0, gain_seen / math.pi))
+        lo = best - 0.5 * width
+        es = np.linspace(np.where(lo > 0.0, lo, e_min), best + 0.5 * width, _REFINE_POINTS, axis=1)
+        s, _ = calc.s_values(es.ravel())
+        x, d, tau, n = _time_delay(es, 0.5 * np.angle(s).reshape(es.shape), 5)
+        rows = np.arange(k.size)
+        gain = np.abs(np.where(n > 0, d[rows, n - 1] - d[:, 0], 0.0))
+
+        detected |= gain >= min_gain
+        lost = ~detected & (width / 8.0 < floor)
+        width = np.where(detected | lost, width, width / 8.0)
+
+        gain_seen = np.where(detected, np.maximum(gain_seen, gain), gain_seen)
+        fit = detected & (n > 0)
+        i = np.argmax(tau, axis=1)
+        best = np.where(fit, _quadratic_refine(x, tau, i, n), best)
+        tau_peak = np.where(fit, tau[rows, i], tau_peak)
+        done = detected & ((width <= final_width) | (step == 39))  # or at the 40-step cap
+        width = np.where(detected & ~done, np.maximum(width / 8.0, final_width), width)
+
+        for r in np.flatnonzero(done):
+            t = float(tau_peak[r])
+            results[k[r]] = ResonancePeak(
+                e_peak=float(best[r]),
+                width_estimate=2.0 / t if t > 0 else math.inf,
+                quality=min(1.0, float(gain_seen[r]) / math.pi),
+            )
+        keep = ~(lost | done)
+        k, best, width, floor, detected, tau_peak, gain_seen = (
+            v[keep] for v in (k, best, width, floor, detected, tau_peak, gain_seen)
+        )
+    return results
 
 
 def locate_resonances(
@@ -310,12 +328,17 @@ def locate_resonances(
     (H, Overlap) inside the range (narrow resonances invisible to any
     uniform grid). Every candidate must show a phase gain of at least
     ``min_phase_gain`` radians across some window before it is reported.
-    Needs 0 < e_min < e_max; a refinement window that would reach E <= 0
-    starts at e_min instead. The report's ``scan`` is the coarse scan of
+    Needs 0 < e_min < e_max, coarse_steps >= 1 and a finite positive
+    min_phase_gain; a refinement window that would reach E <= 0 starts at
+    e_min instead. The report's ``scan`` is the coarse scan of
     ``coarse_steps + 1`` points from e_min to e_max.
     """
     if not (0.0 < e_min < e_max):
         raise InputError(f"need 0 < e_min < e_max, got e_min={e_min}, e_max={e_max}")
+    if coarse_steps < 1:
+        raise InputError(f"coarse_steps must be >= 1, got {coarse_steps}")
+    if not (math.isfinite(min_phase_gain) and min_phase_gain > 0.0):
+        raise InputError(f"min_phase_gain must be finite and positive, got {min_phase_gain}")
     calc = _calculator(system_or_calc)
     scale = max(1.0, e_max)
     step = (e_max - e_min) / coarse_steps

@@ -9,6 +9,7 @@ from resolvent_kit.analysis import (
     _prominent_peaks,
     _quadratic_refine,
     _refine_candidates,
+    _time_delay,
     bound_states,
     default_smoothing_width,
     density_of_states,
@@ -210,6 +211,74 @@ class TestQuadraticRefine:
         assert _quadratic_refine(x, np.full(3, 2.0), 1) == 1.5
         assert _quadratic_refine(x, np.array([1.0, np.nan, 1.5]), 1) == 1.5
 
+    def test_rows_match_scalar_form(self):
+        # each row has its own length n; points past it are padding
+        rng = np.random.default_rng(5)
+        rows, size = 200, 9
+        x = np.sort(rng.uniform(0.5, 8.0, (rows, size)), axis=1)
+        y = rng.normal(size=(rows, size))
+        n = rng.integers(3, size + 1, rows)
+        i = rng.integers(0, n)
+        i[:20], i[20:40] = 0, n[20:40] - 1  # endpoints
+        inner = np.flatnonzero((i > 0) & (i < n - 1))
+        flat, bad = inner[:30], inner[30:60]
+        y[flat, i[flat] + 1] = y[flat, i[flat] - 1] = y[flat, i[flat]]  # zero denominator
+        y[bad, i[bad] + rng.integers(-1, 2, bad.size)] = rng.choice([np.nan, np.inf, -np.inf], bad.size)
+        want = [_quadratic_refine(x[r, : n[r]], y[r, : n[r]], int(i[r])) for r in range(rows)]
+        got = _quadratic_refine(x, y, i, n)
+        assert got.tolist() == want
+        assert np.sum(got == x[np.arange(rows), i]) > 60
+
+
+class TestTimeDelay:
+    @staticmethod
+    def one_row(energies, deltas, min_points):
+        good = np.isfinite(deltas)
+        if good.sum() < min_points:
+            return None
+        d = np.unwrap(deltas[good], period=math.pi)
+        return energies[good], d, np.gradient(d, energies[good])
+
+    @staticmethod
+    def windows(rng, rows, size=33):
+        """Windows of wrapped phases, a third of them on exactly uniform
+        grids, with NaN at the first, middle, last and random points."""
+        start = rng.uniform(0.5, 5.0, (rows, 1))
+        energies = start + np.sort(rng.uniform(0.0, 0.5, (rows, size)), axis=1)
+        # multiples of 2^-8, exact in floating point; a spacing of 3 * 2^-8
+        # makes the two gradient formulas round differently
+        energies[::3] = np.round(start[::3] * 256.0) / 256.0 + 3.0 * 2.0**-8 * np.arange(size)
+        deltas = 0.5 * np.angle(np.exp(2j * np.cumsum(rng.normal(0.0, 1.0, (rows, size)), axis=1)))
+        for r in range(rows):
+            holes = rng.choice([0, size // 2, size - 1, *rng.integers(0, size, 4)], rng.integers(0, 4), replace=False)
+            deltas[r, holes] = np.nan
+        deltas[1, 4:] = np.nan  # 4 finite points
+        deltas[2, ::2] = np.nan
+        deltas[4] = np.nan
+        return energies, deltas
+
+    @pytest.mark.parametrize("rows,min_points", [(60, 5), (60, 3), (1, 5)])
+    def test_rows_match_unwrap_and_gradient(self, rows, min_points):
+        energies, deltas = self.windows(np.random.default_rng(rows + min_points), max(rows, 5))
+        energies, deltas = energies[:rows], deltas[:rows]
+        x, d, tau, n = _time_delay(energies, deltas, min_points)
+        for r in range(rows):
+            want = self.one_row(energies[r], deltas[r], min_points)
+            if want is None:
+                assert n[r] == 0
+            else:
+                assert n[r] == want[0].size
+                for got, expected in zip((x, d, tau), want):
+                    assert (got[r, : n[r]] == expected).all()
+            assert (tau[r, n[r] :] == -math.inf).all()
+
+    def test_windows_cover_both_gradient_branches(self):
+        energies, deltas = self.windows(np.random.default_rng(65), 60)
+        spacings = [np.diff(e[np.isfinite(d)]) for e, d in zip(energies, deltas)]
+        uniform = [(s == s[0]).all() for s in spacings if s.size]
+        assert 5 < sum(uniform) < len(uniform) - 5
+        assert np.isnan(deltas[:, [0, 16, 32]]).any(axis=0).all()
+
 
 def oracle_quality(table, prominence=0.15):
     """find_resonances' quality values computed with scipy.signal.find_peaks."""
@@ -333,6 +402,26 @@ class TestLocateResonances:
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=10))
         with pytest.raises(InputError, match="0 < e_min < e_max"):
             locate_resonances(spec, 0.0, 2.0, coarse_steps=20)
+
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            ({"coarse_steps": 0}, "coarse_steps"),
+            ({"coarse_steps": -3}, "coarse_steps"),
+            ({"min_phase_gain": 0.0}, "min_phase_gain"),
+            ({"min_phase_gain": -0.5}, "min_phase_gain"),
+            ({"min_phase_gain": math.nan}, "min_phase_gain"),
+            ({"min_phase_gain": math.inf}, "min_phase_gain"),
+        ],
+    )
+    def test_search_settings_checked_before_build(self, monkeypatch, settings, message):
+        def build(spec):
+            raise AssertionError("matrices built before the settings check")
+
+        monkeypatch.setattr("resolvent_kit.scattering.build_matrices", build)
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=10))
+        with pytest.raises(InputError, match=message):
+            locate_resonances(spec, 0.5, 2.0, **settings)
 
     def test_report_scan_is_the_coarse_scan(self, barrier_calc):
         report = locate_resonances(barrier_calc, 2.0, 5.0, coarse_steps=100)
