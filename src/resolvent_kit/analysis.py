@@ -1,26 +1,26 @@
 """Consumers of the resolvent: energy scans, resonance location, bound
 states, and the energy density of states.
 
-Resonances are detected on the Wigner time delay tau(E) = d(delta)/dE
-computed from the unwrapped phase of S(E). A genuine resonance gains ~pi
-of phase across its width, so tau spikes there; continuum-discretization
-eigenvalues of the finite basis gain none (their phase loops cancel
-against the reference problem) and are rejected. Narrow resonances that
-no uniform grid can land on are seeded from the generalized eigenvalues
-of (H, Overlap), which pin them to high accuracy, and then confirmed and
-refined by shrinking phase scans around each seed.
+A resonance is a pole E_r - i Gamma/2 of S(E) below the real axis, a
+zero of its denominator 1 + G J R_N(+) continued to complex energy.
+``locate_resonances`` solves for one beside each generalized eigenvalue
+of (H, Overlap) in range, by Newton's method on all of them at once,
+and reports the poles whose residue has the strength of an isolated
+Breit-Wigner pole; the poles that discretize the continuum have almost
+none. ``find_resonances`` instead reads peaks of the Wigner time delay
+tau(E) = d(delta)/dE off an existing real-axis scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .basis import OSCILLATOR, SystemSpec, build_matrices
-from .errors import FitResidualError, InputError
+from .errors import ConvergenceError, FitResidualError, InputError, NumericalError
 from .matrix_core import gen_sym_eig, sym_eig
 from .resolvent import PartialFractions, _pole_error
 from .scattering import ScatteringCalculator
@@ -67,12 +67,14 @@ class ResonancePeak:
 
 @dataclass(frozen=True)
 class ResonanceReport:
-    """Resonance peaks, plus ``scan``: the S(E) table the peaks were
-    detected on (the input table of ``find_resonances``, the coarse scan
-    of ``locate_resonances``)."""
+    """Resonance peaks, plus ``scan``: the S(E) table of the search (the
+    input table of ``find_resonances``, the coarse scan of
+    ``locate_resonances``), and ``candidates``: the PoleCandidate of every
+    pole-search solve of ``locate_resonances``."""
 
     peaks: tuple
     scan: Optional[ScanTable] = field(default=None, compare=False, repr=False)
+    candidates: tuple = field(default=(), compare=False, repr=False)
 
     def positions(self) -> np.ndarray:
         return np.array([p.e_peak for p in self.peaks])
@@ -128,37 +130,21 @@ def _time_delay(energies: np.ndarray, deltas: np.ndarray, min_points: int):
     energies and phases; the phases are known only mod pi.
 
     Returns (x, d, tau, n). Each row's finite phases are moved to its
-    front, in order: x holds their energies, d the unwrapped phases and
-    tau the time delay, and n[r] counts them, or is 0 if row r has fewer
-    than ``min_points``. Entries past n[r] are padding, with tau = -inf.
-    The first n[r] entries equal ``np.unwrap(period=pi)`` and
-    ``np.gradient`` of the row's finite points, bit for bit.
+    front, in order: x holds their energies, d the phases unwrapped by
+    ``np.unwrap(period=pi)`` and tau their ``np.gradient``, and n[r]
+    counts them, or is 0 if row r has fewer than ``min_points``. Entries
+    past n[r] are padding, with tau = -inf.
     """
-    good = np.isfinite(deltas)
-    n = good.sum(axis=1)
-    rows = np.arange(n.size)
-    order = rows[:, None], np.argsort(~good, axis=1, kind="stable")
-    x = energies[order]
-    # unwrap is a forward cumsum, so the padding cannot change the finite prefix
-    d = np.unwrap(np.where(good, deltas, 0.0)[order], period=math.pi, axis=1)
-
-    # np.gradient: its uniform-spacing branch where a row's finite spacings
-    # are all equal, and first-order edges at each row's own last point
-    dx = np.diff(x, axis=1)
-    uniform = ((dx == dx[:, :1]) | (np.arange(dx.shape[1]) >= n[:, None] - 1)).all(axis=1)
-    dx1, dx2 = dx[:, :-1], dx[:, 1:]
-    a = -dx2 / (dx1 * (dx1 + dx2))
-    b = (dx2 - dx1) / (dx1 * dx2)
-    c = dx1 / (dx2 * (dx1 + dx2))
-    uneven = a * d[:, :-2] + b * d[:, 1:-1] + c * d[:, 2:]
-    even = (d[:, 2:] - d[:, :-2]) / (2.0 * dx[:, :1])
-    slope = np.diff(d, axis=1) / dx
-    tau = np.empty_like(d)
-    tau[:, 1:-1] = np.where(uniform[:, None], even, uneven)
-    tau[:, 0] = slope[:, 0]
-    tau[rows, np.maximum(n - 1, 1)] = slope[rows, np.maximum(n - 2, 0)]
-    n = np.where(n >= min_points, n, 0)
-    tau[np.arange(tau.shape[1]) >= n[:, None]] = -math.inf
+    x, d = np.zeros(energies.shape), np.zeros(deltas.shape)
+    tau = np.full(deltas.shape, -math.inf)
+    n = np.zeros(deltas.shape[0], dtype=int)
+    for r, good in enumerate(np.isfinite(deltas)):
+        if good.sum() < min_points:
+            continue
+        n[r] = good.sum()
+        x[r, : n[r]] = energies[r, good]
+        d[r, : n[r]] = np.unwrap(deltas[r, good], period=math.pi)
+        tau[r, : n[r]] = np.gradient(d[r, : n[r]], x[r, : n[r]])
     return x, d, tau, n
 
 
@@ -248,129 +234,160 @@ def find_resonances(table: ScanTable, prominence: float = 0.15) -> ResonanceRepo
     return ResonanceReport(peaks=tuple(peaks), scan=table)
 
 
-# Each refinement window is scanned at _REFINE_POINTS energies and shrinks
-# by 8 per step down to _FINAL_WIDTH_RTOL * max(1, e_max).
-_REFINE_POINTS = 33
-_FINAL_WIDTH_RTOL = 1e-7
+# The pole search: Newton's step cap, its convergence tolerance and
+# derivative step (relative to max(1, |E|)), the seeds' continued-fraction
+# level cap, the least residue strength reported, and how close
+# (relative) two poles must be to be one.
+_NEWTON_STEPS = 30
+_NEWTON_RTOL = 1e-13
+_DERIVATIVE_RTOL = 1e-6
+_POLE_LEVELS = 1000
+_MIN_STRENGTH = 0.5
+_MERGE_RTOL = 1e-9
 
 
-def _refine_candidates(calc, candidates, min_gain, e_min, final_width):
-    """Shrinking phase scans around each (center, width) candidate;
-    returns a peak or None per candidate, in order.
+# How a pole-search candidate that did not converge ended.
+_FAILURES = ("step cap", "continued-fraction failure", "numerical failure")
 
-    Detection requires the window's scan step to resolve the structure,
-    so the window descends geometrically until the phase gain appears;
-    after detection it keeps shrinking while re-centering on the time
-    delay peak. A window that would reach E <= 0 starts at ``e_min``.
 
-    The candidates advance in lockstep, as arrays: each step scans the
-    windows of all candidates still refining with one S(E) batch and
-    one time-delay profile, so a search makes at most one ``s_values``
-    call per step, however many candidates it has. S(E) at an energy
-    does not depend on the rest of its batch, so each candidate gets the
-    result it would get alone.
+@dataclass(frozen=True)
+class PoleCandidate:
+    """One Newton solve started beside the eigenvalue ``seed``: the last
+    iterate ``pole`` after ``steps`` steps, |f| there, the residue
+    strength |Res_E S| / Gamma, and ``status``: "converged" or one of
+    ``_FAILURES`` (with the typed ``error``), which ``locate_resonances``
+    turns into "accepted", "merged", "out of range" or "rule". Values a
+    solve did not reach are NaN."""
+
+    seed: float
+    steps: int
+    residual: float
+    pole: complex
+    strength: float
+    status: str
+    error: Optional[NumericalError] = field(default=None, compare=False)
+
+    @property
+    def width(self) -> float:
+        return -2.0 * self.pole.imag
+
+
+def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
+    """Newton's method on f_j(E) = (eps_j - E)(1 + G J R_N(+)), one
+    candidate per eigenvalue eps_j, j in ``index``: a PoleCandidate each.
+
+    f_j is the denominator D of S with G's pole at eps_j divided out, so
+    it is smooth within a narrow resonance's width of eps_j. A candidate
+    starts at the one-pole estimate eps_j + w_j J R / (1 + G_rest J R) at
+    eps_j (w_j that pole's residue, G_rest the rest of G) and steps by
+    -f/f', f' a central difference, until a step is at most
+    ``_NEWTON_RTOL`` * max(1, |E|), or until a step no longer shrinks
+    after one of at most sqrt(``_NEWTON_RTOL``) * max(1, |E|): quadratic
+    convergence would have taken the next below the tolerance, so f's
+    own rounding sets the floor. All candidates advance in lockstep,
+    one ``continued_terms`` call per step, each element on its own, so a
+    candidate comes out as it would alone. At the pole S = T f(-) / f(+)
+    has residue T f(-) / f'.
     """
-    results = [None] * len(candidates)
-    k = np.arange(len(candidates))  # the candidate of each row still refining
-    best = np.array([c for c, _ in candidates], dtype=float)
-    width = np.array([w for _, w in candidates], dtype=float)
-    floor = np.maximum(np.abs(best), 1.0) * 1e-12
-    detected = np.zeros(k.size, dtype=bool)
-    tau_peak = np.full(k.size, math.inf)
-    gain_seen = np.zeros(k.size)
-    for step in range(40):
-        if k.size == 0:
+    eps = calc.eigenvalues[index]
+    results = [None] * index.size
+    failure = {}  # the first error of each candidate that failed
+
+    def evaluate(points, rows, per_row):
+        errors = {}
+        terms = calc.continued_terms(points, np.repeat(index[rows], per_row), _POLE_LEVELS, errors)
+        for i, exc in sorted(errors.items(), reverse=True):
+            failure[rows[i // per_row]] = exc
+        return terms
+
+    rows = np.arange(index.size)  # the candidate of each row still solving
+    last = np.full(index.size, math.inf)  # each row's last step
+    start = evaluate(eps.astype(complex), rows, 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        energy = eps + start.residue_j * start.r_plus / (1.0 + start.rest_j * start.r_plus)
+    for step in range(_NEWTON_STEPS + 1):
+        # a failed evaluation leaves a NaN iterate: retire it
+        failed = ~np.isfinite(energy)
+        for r in np.flatnonzero(failed):
+            exc = failure.get(rows[r])
+            status = "continued-fraction failure" if isinstance(exc, ConvergenceError) else "numerical failure"
+            results[rows[r]] = PoleCandidate(float(eps[r]), step, math.nan, complex(energy[r]), math.nan, status, exc)
+        rows, eps, energy, last = (v[~failed] for v in (rows, eps, energy, last))
+        if rows.size == 0 or step == _NEWTON_STEPS:
             break
-        lo = best - 0.5 * width
-        es = np.linspace(np.where(lo > 0.0, lo, e_min), best + 0.5 * width, _REFINE_POINTS, axis=1)
-        s, _ = calc.s_values(es.ravel())
-        x, d, tau, n = _time_delay(es, 0.5 * np.angle(s).reshape(es.shape), 5)
-        rows = np.arange(k.size)
-        gain = np.abs(np.where(n > 0, d[rows, n - 1] - d[:, 0], 0.0))
-
-        detected |= gain >= min_gain
-        lost = ~detected & (width / 8.0 < floor)
-        width = np.where(detected | lost, width, width / 8.0)
-
-        gain_seen = np.where(detected, np.maximum(gain_seen, gain), gain_seen)
-        fit = detected & (n > 0)
-        i = np.argmax(tau, axis=1)
-        best = np.where(fit, _quadratic_refine(x, tau, i, n), best)
-        tau_peak = np.where(fit, tau[rows, i], tau_peak)
-        done = detected & ((width <= final_width) | (step == 39))  # or at the 40-step cap
-        width = np.where(detected & ~done, np.maximum(width / 8.0, final_width), width)
-
-        for r in np.flatnonzero(done):
-            t = float(tau_peak[r])
-            results[k[r]] = ResonancePeak(
-                e_peak=float(best[r]),
-                width_estimate=2.0 / t if t > 0 else math.inf,
-                quality=min(1.0, float(gain_seen[r]) / math.pi),
+        h = _DERIVATIVE_RTOL * np.maximum(1.0, np.abs(energy))
+        points = (energy[:, None] + h[:, None] * np.array([0.0, -1.0, 1.0])).ravel()
+        terms = evaluate(points, rows, 3)
+        u = np.repeat(eps, 3) - points
+        centre = terms._make(v[::3] for v in terms)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            f = terms.divided(u, terms.r_plus).reshape(-1, 3)
+            slope = (f[:, 2] - f[:, 1]) / (2.0 * h)
+            new = energy - f[:, 0] / slope
+            residue = centre.t * centre.divided(u[::3], centre.r_minus) / slope
+        moved, scale = np.abs(new - energy), np.maximum(1.0, np.abs(energy))
+        converged = (moved <= _NEWTON_RTOL * scale) | ((moved >= last) & (last <= math.sqrt(_NEWTON_RTOL) * scale))
+        for r in np.flatnonzero(converged):
+            gamma = -2.0 * new[r].imag
+            strength = float(abs(residue[r]) / gamma) if gamma > 0.0 else math.nan
+            results[rows[r]] = PoleCandidate(
+                float(eps[r]), step + 1, float(abs(f[r, 0])), complex(new[r]), strength, "converged"
             )
-        keep = ~(lost | done)
-        k, best, width, floor, detected, tau_peak, gain_seen = (
-            v[keep] for v in (k, best, width, floor, detected, tau_peak, gain_seen)
-        )
+        rows, eps, energy, last = (v[~converged] for v in (rows, eps, new, moved))
+    for r in range(rows.size):
+        results[rows[r]] = PoleCandidate(float(eps[r]), _NEWTON_STEPS, math.nan, complex(energy[r]), math.nan, "step cap")
     return results
 
 
-def locate_resonances(
-    system_or_calc,
-    e_min: float,
-    e_max: float,
-    coarse_steps: int = 400,
-    min_phase_gain: float = 0.5,
-) -> ResonanceReport:
-    """Find and refine resonances in (e_min, e_max).
+def _verdict(c: PoleCandidate, earlier: list, e_min: float, e_max: float) -> str:
+    """What becomes of a converged candidate's pole (see
+    ``locate_resonances``): "accepted", "merged", "out of range" or "rule"."""
+    if any(d.status not in _FAILURES and abs(c.pole - d.pole) <= _MERGE_RTOL * max(1.0, abs(d.pole)) for d in earlier):
+        return "merged"
+    if not (e_min < c.pole.real < e_max and c.width > 0.0):
+        return "out of range"
+    return "accepted" if c.strength >= _MIN_STRENGTH else "rule"
 
-    Two candidate sources: time-delay peaks of a coarse scan (broad
-    resonances the grid resolves) and generalized eigenvalues of
-    (H, Overlap) inside the range (narrow resonances invisible to any
-    uniform grid). Every candidate must show a phase gain of at least
-    ``min_phase_gain`` radians across some window before it is reported.
-    Needs 0 < e_min < e_max, coarse_steps >= 1 and a finite positive
-    min_phase_gain; a refinement window that would reach E <= 0 starts at
-    e_min instead. The report's ``scan`` is the coarse scan of
-    ``coarse_steps + 1`` points from e_min to e_max.
+
+def locate_resonances(system_or_calc, e_min: float, e_max: float, coarse_steps: int = 400) -> ResonanceReport:
+    """Resonances in (e_min, e_max): poles E_p = E_r - i Gamma/2 of S(E),
+    zeros of D = 1 + G J R_N(+) continued below the real axis (Tolstikhin,
+    Ostrovsky & Nakamura, PRL 79, 2026 (1997)).
+
+    ``_solve_poles`` looks for one beside every positive generalized
+    eigenvalue from the last one <= e_min to the first one >= e_max. A
+    pole is reported when Re E_p is in (e_min, e_max), Gamma > 0 and its
+    residue strength |Res_E S| / Gamma is at least ``_MIN_STRENGTH``, once
+    however many candidates reach it. An isolated Breit-Wigner pole,
+    S = e^(2i delta_b) (E - conj(E_p)) / (E - E_p), has strength exactly
+    1; at a pole that discretizes the continuum S nearly has a zero too,
+    which takes up most of the residue; with V = 0, S = 1 has no pole.
+
+    A peak has e_peak = Re E_p, width_estimate = Gamma and quality = the
+    strength clipped to [0, 1]; ``candidates`` holds every solve. ``scan``
+    is an S(E) scan of ``coarse_steps + 1`` points from e_min to e_max,
+    which seeds nothing. Needs 0 < e_min < e_max and coarse_steps >= 1.
     """
     if not (0.0 < e_min < e_max):
         raise InputError(f"need 0 < e_min < e_max, got e_min={e_min}, e_max={e_max}")
     if coarse_steps < 1:
         raise InputError(f"coarse_steps must be >= 1, got {coarse_steps}")
-    if not (math.isfinite(min_phase_gain) and min_phase_gain > 0.0):
-        raise InputError(f"min_phase_gain must be finite and positive, got {min_phase_gain}")
     calc = _calculator(system_or_calc)
-    scale = max(1.0, e_max)
-    step = (e_max - e_min) / coarse_steps
+    table = scan_smatrix(calc, np.linspace(e_min, e_max, coarse_steps + 1))
 
-    candidates = []
-    grid = np.linspace(e_min, e_max, coarse_steps + 1)
-    table = scan_smatrix(calc, grid)
-    for p in find_resonances(table, prominence=0.25).peaks:
-        # a broad peak needs a window wide enough to accumulate its phase
-        width = 6.0 * step
-        if np.isfinite(p.width_estimate):
-            width = max(width, 4.0 * p.width_estimate)
-        candidates.append((p.e_peak, min(width, e_max - e_min)))
-    ev = calc.eigenvalues
-    for e in ev[(ev > e_min) & (ev < e_max)]:
-        candidates.append((float(e), 4.0 * step))
-
-    refined = _refine_candidates(calc, candidates, min_phase_gain, e_min, _FINAL_WIDTH_RTOL * scale)
-    peaks = [p for p in refined if p is not None]
-
-    # candidates found through both routes converge to the same energy;
-    # keep the sharpest report per location
+    positive = np.flatnonzero(calc.eigenvalues > 0.0)
+    ev = calc.eigenvalues[positive]
+    lo = max(int(np.searchsorted(ev, e_min, side="right")) - 1, 0)
+    hi = min(int(np.searchsorted(ev, e_max, side="left")), ev.size - 1)
+    candidates, peaks = [], []
+    for c in _solve_poles(calc, positive[lo : hi + 1]):
+        if c.status == "converged":
+            c = replace(c, status=_verdict(c, candidates, e_min, e_max))
+        if c.status == "accepted":
+            peaks.append(ResonancePeak(c.pole.real, c.width, min(1.0, c.strength)))
+        candidates.append(c)
     peaks.sort(key=lambda p: p.e_peak)
-    merged = []
-    tol = max(2.0 * step, 1e-6 * scale)
-    for p in peaks:
-        if merged and abs(p.e_peak - merged[-1].e_peak) < tol:
-            if p.quality > merged[-1].quality:
-                merged[-1] = p
-        else:
-            merged.append(p)
-    return ResonanceReport(peaks=tuple(merged), scan=table)
+    return ResonanceReport(peaks=tuple(peaks), scan=table, candidates=tuple(candidates))
 
 
 # ---------------------------------------------------------------------------

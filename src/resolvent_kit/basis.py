@@ -260,9 +260,10 @@ class MatrixSet:
     def j_tridiagonal(self, energy):
         """(diagonal, superdiagonal) of H0 - E*Overlap, the superdiagonal
         extended by j_boundary(E). For an array of energies the basis
-        index runs along the first axis and the energies along the rest."""
+        index runs along the first axis and the energies along the rest;
+        complex energies give complex bands."""
         self._require_pencil()
-        energy = np.asarray(energy, dtype=float)
+        energy = np.asarray(energy)
         index = (slice(None),) + (None,) * energy.ndim
         diag = self.h0_diag[index] - energy * self.omega_diag[index]
         return diag, self.h0_super[index] - energy * self.omega_super[index]

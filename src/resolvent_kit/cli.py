@@ -112,11 +112,19 @@ def cmd_smatrix(cfg: RunConfig) -> tuple:
     return table, results, {"flagged_points": list(table.flagged)}, (2, 3, 4, 5)
 
 
+def _candidate_record(c) -> dict:
+    """One pole-search candidate as JSON, null where it reached no value."""
+    values = {"residual": c.residual, "energy": c.pole.real, "width": c.width, "strength": c.strength}
+    record = {"seed": c.seed, "steps": c.steps, **{k: v if np.isfinite(v) else None for k, v in values.items()}}
+    record["status"] = c.status
+    if c.error is not None:
+        record["error"] = str(c.error)
+    return record
+
+
 def cmd_resonances(cfg: RunConfig) -> tuple:
     calc = ScatteringCalculator(_system_from_config(cfg))
-    report = locate_resonances(
-        calc, cfg.e_min, cfg.e_max, coarse_steps=cfg.steps, min_phase_gain=cfg.min_phase_gain
-    )
+    report = locate_resonances(calc, cfg.e_min, cfg.e_max, coarse_steps=cfg.steps)
     table = report.scan  # the coarse scan over _grid(cfg)
     results = _scan_results(table)
     results["resonances"] = _peak_records(report)
@@ -125,6 +133,7 @@ def cmd_resonances(cfg: RunConfig) -> tuple:
         "eigenvalues_in_range": [
             float(e) for e in calc.eigenvalues if cfg.e_min < e < cfg.e_max
         ],
+        "candidates": [_candidate_record(c) for c in report.candidates],
     }
     return table, results, diags, (2, 3, 4, 5)
 

@@ -43,7 +43,6 @@ class RunConfig:
     m_index: Optional[int] = None
     im_z: float = 0.0
     prominence: float = 0.15
-    min_phase_gain: float = 0.5
     range_r: float = 50.0
     csv: str = "out.csv"
     json: str = "out.json"

@@ -143,14 +143,16 @@ class PartialFractions:
         residues gamma[n,j] gamma[m,j] / sigma_j."""
         return cls(poles=pair.eps, coeffs=pair.gamma[n] * pair.gamma[m] / pair.sigma, n=n, m=m)
 
-    def evaluate(self, z):
+    def evaluate(self, z, drop=None):
         """(values, on_pole) at a scalar or an array of points z, both in
         the shape of z.
 
         Points the pole rule (``POLE_RTOL``) puts on a pole are True in
         ``on_pole`` and NaN in ``values``. Values keep the dtype of z, so
-        real energies stay in real arithmetic. The points run in batches
-        of at most ``_BATCH_SIZE``.
+        real energies stay in real arithmetic. ``drop``, pole indices in
+        the shape of z, leaves pole drop[i] out of the sum and out of the
+        pole rule at z[i]. The points run in batches of at most
+        ``_BATCH_SIZE``.
         """
         z = np.asarray(z)
         flat = z.ravel()
@@ -158,6 +160,8 @@ class PartialFractions:
         on_pole = np.empty(flat.size, dtype=bool)
         for part in _batches(flat.size):
             gaps = self.poles[None, :] - flat[part, None]
+            if drop is not None:
+                gaps[np.arange(gaps.shape[0]), np.ravel(drop)[part]] = math.inf
             on_pole[part] = _on_pole(gaps, flat[part])
             with np.errstate(divide="ignore", invalid="ignore"):
                 values[part] = np.sum(self.coeffs / gaps, axis=1)

@@ -23,7 +23,10 @@ boundary element of the reference pencil, the scattering matrix is
 
 which is exactly unimodular for real E and reduces to S = 1 when V = 0.
 At real E the pencil is real, so R_n(-) = conj(R_n(+)) and only the plus
-branch is computed.
+branch is computed. The same functions continue T, R_N(+) and S to
+complex E, where resonances are poles of S (``KinematicParams.continued``,
+``ScatteringCalculator.continued_terms``): theta becomes complex, and the
+minus branch is the conjugate of the plus branch at conj(E).
 
 Every stage is elementwise in E and works on an array of energies at
 once. A stage that fails at some energies either raises the first
@@ -36,7 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,17 +66,23 @@ def _record(errors: Optional[dict], index, exc: NumericalError):
 class KinematicParams:
     """Scattering kinematics at an array of energies (0-d for one).
 
-    theta is the Laguerre-basis angle with cos(theta) =
-    (8E - lam^2)/(8E + lam^2), in (0, pi) for E > 0; t = Z / sqrt(2E) is
-    the Coulomb strength parameter. Both have the shape of ``energy``.
-    theta is computed as 2 atan2(lam, sqrt(8E)), which is accurate to a
-    few ulps everywhere; arccos of the cosine loses digits as theta nears
-    pi (E << lam^2/8), and e^(2iN theta) multiplies that loss by 2N.
+    theta is the Laguerre-basis angle with e^(i theta) = (2k + i lam) /
+    (2k - i lam), k = sqrt(2E), in (0, pi) for E > 0; t = Z / k is the
+    Coulomb strength parameter. Both have the shape of ``energy``.
+    ``for_system`` computes theta as 2 atan2(lam, sqrt(8E)), accurate to a
+    few ulps everywhere; arccos of cos(theta) = (8E - lam^2)/(8E + lam^2)
+    loses digits as theta nears pi (E << lam^2/8), and e^(2iN theta)
+    multiplies that loss by 2N.
+
+    The minus branch of the reference coefficients at k is the conjugate
+    of the plus branch at conj(k): at real k the element itself (``mirror``
+    None), else element ``mirror[i]`` (``continued``).
     """
 
     energy: np.ndarray
     theta: np.ndarray
     t: np.ndarray
+    mirror: Optional[np.ndarray] = None
 
     @classmethod
     def for_system(cls, energy, lam: float, z_charge: float) -> "KinematicParams":
@@ -84,6 +93,26 @@ class KinematicParams:
         theta = 2.0 * np.arctan2(lam, np.sqrt(8.0 * energy))
         return cls(energy=energy, theta=theta, t=z_charge / np.sqrt(2.0 * energy))
 
+    @classmethod
+    def continued(cls, energy, lam: float, z_charge: float) -> "KinematicParams":
+        """The kinematics at a 1-D array of complex energies E and then at
+        conj(E), each the other's mirror. k = sqrt(2E) is on its principal
+        branch, so E below the real axis is the resonance sheet (Im k < 0),
+        and theta = -i (log(2k + i lam) - log(2k - i lam)), the logarithm of
+        the rational e^(i theta), is ``for_system``'s at real E up to the
+        rounding of atan2."""
+        energy = np.asarray(energy, dtype=complex)
+        energy = np.concatenate([energy, np.conj(energy)])
+        k = np.sqrt(2.0 * energy)
+        theta = -1j * (np.log(2.0 * k + 1j * lam) - np.log(2.0 * k - 1j * lam))
+        mirror = np.roll(np.arange(energy.size), energy.size // 2)
+        return cls(energy=energy, theta=theta, t=z_charge / k, mirror=mirror)
+
+
+def _minus(plus: np.ndarray, kin: KinematicParams) -> np.ndarray:
+    """The minus branch of a plus-branch quantity over ``kin``'s elements."""
+    return np.conj(plus if kin.mirror is None else plus[kin.mirror])
+
 
 @dataclass(frozen=True)
 class CSCoefficients:
@@ -92,6 +121,22 @@ class CSCoefficients:
 
     t: np.ndarray
     r_plus: np.ndarray
+
+
+class ContinuedTerms(NamedTuple):
+    """The factors of S = T (1 + G J R_N(-)) / (1 + G J R_N(+)), analytic in
+    complex E, with one pole eps_j of G split off: ``residue_j`` = w_j J
+    (w_j its residue) and ``rest_j`` = G_rest J (G_rest the other poles)."""
+
+    residue_j: np.ndarray
+    rest_j: np.ndarray
+    r_plus: np.ndarray
+    r_minus: np.ndarray
+    t: np.ndarray
+
+    def divided(self, u, r):
+        """(eps_j - E)(1 + G J r), given u = eps_j - E: smooth at eps_j."""
+        return u * (1.0 + self.rest_j * r) + self.residue_j * r
 
 
 @dataclass(frozen=True)
@@ -206,9 +251,10 @@ def seed_coefficients(kin: KinematicParams, ell: int, max_terms: int = 10**6, er
     With a = -ell + i t, c = ell + 2 + i t and x = e^(-2 i theta), T_0
     needs f = 2F1(a, 1; c; x) and R_1(+) the continued fraction
     2F1(a, 2; c+1; x) / f. At real energy the plus-branch value
-    2F1(conj a, 1; conj c; conj x) is conj(f), so |T_0| = 1 by construction.
-    A continued fraction that hits the level cap, or non-finite seeds,
-    fail the element (see the module docstring for ``errors``).
+    2F1(conj a, 1; conj c; conj x) is conj(f), so |T_0| = 1 by construction
+    (off the real axis, f at the mirror element). A continued fraction
+    that hits the level cap, or non-finite seeds, fail the element (see
+    the module docstring for ``errors``).
     """
     energy, theta, t = (np.ravel(v) for v in (kin.energy, kin.theta, kin.t))
     size = energy.size
@@ -224,11 +270,11 @@ def seed_coefficients(kin: KinematicParams, ell: int, max_terms: int = 10**6, er
     )
     f_minus, ratio = both[:size], both[size:]
     with np.errstate(invalid="ignore"):
-        t0 = np.exp(2j * theta) * (ell + 1.0 + it) * np.conj(f_minus) / ((ell + 1.0 - it) * f_minus)
+        t0 = np.exp(2j * theta) * (ell + 1.0 + it) * _minus(f_minus, kin) / ((ell + 1.0 - it) * f_minus)
         r1_plus = np.exp(-1j * theta) * math.sqrt(2.0 * ell + 2.0) * ratio / c
 
     def stage(i):
-        return f"seed at E={float(energy[i])}, ell={ell}, t={float(t[i])}"
+        return f"seed at E={energy[i]}, ell={ell}, t={t[i]}"
 
     # ``failed`` ascends, so at each energy f_minus's failure is filed first
     for index, last_delta in zip(failed, last):
@@ -245,17 +291,18 @@ def seed_coefficients(kin: KinematicParams, ell: int, max_terms: int = 10**6, er
 
 
 def cs_recursion(
-    mats: MatrixSet, kin: KinematicParams, up_to: int, errors: Optional[dict] = None
+    mats: MatrixSet, kin: KinematicParams, up_to: int, errors: Optional[dict] = None, max_levels: int = 10**6
 ) -> CSCoefficients:
     """T_(up_to-1) and R_up_to(+) at every energy of ``kin``.
 
     A neutral system (Z = 0) takes both from their closed forms at
     n = up_to (see ``_neutral_coefficients``), with neither seeds nor
-    recursion. Otherwise they are propagated from the seeds through rows
-    1 .. up_to-1 of the tridiagonal reference pencil:
+    recursion. Otherwise they are propagated from the seeds, whose
+    continued fractions stop at ``max_levels``, through rows 1 .. up_to-1
+    of the tridiagonal reference pencil:
 
         R_(n+1) = -(J_nn + J_(n,n-1) / R_n) / J_(n,n+1)
-        T_n     = T_(n-1) * conj(R_n) / R_n
+        T_n     = T_(n-1) * R_n(-) / R_n,   R_n(-) = conj(R_n) at real E
 
     A vanishing coupling, or a vanishing or non-finite ratio, is a
     breakdown that fails the element; elements whose seeds failed come
@@ -273,14 +320,14 @@ def cs_recursion(
     diag, off = mats.j_tridiagonal(np.ravel(kin.energy))
     neg_diag, off = (-diag).astype(complex), off.astype(complex)
 
-    t0, r1p = seed_coefficients(kin, mats.spec.basis.ell, errors=errors)
+    t0, r1p = seed_coefficients(kin, mats.spec.basis.ell, max_terms=max_levels, errors=errors)
     t = np.ravel(t0)
     failed = np.isnan(t)
     r1p = np.where(failed, 1.0, np.ravel(r1p))  # a finite stand-in for failed seeds
     r = r1p
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in range(1, up_to):
-            t = t * np.conj(r) / r
+            t = t * _minus(r, kin) / r
             r = (neg_diag[n] - off[n - 1] / r) / off[n]
     # A ratio that vanishes or is not finite leaves T non-finite for good,
     # so only the couplings need a check of their own.
@@ -306,9 +353,10 @@ def _neutral_coefficients(kin: KinematicParams, ell: int, n: int, errors: Option
         T_(n-1) = e^(2in theta) conj(F_n) / F_n
         R_n(+)  = e^(-i theta) sqrt(n (n+2ell+1)) / (ell+n+1) F_(n+1) / F_n
 
-    which at n = 1 are the seeds. F_n is a polynomial of degree ell in x,
-    but its sum in powers of x cancels to O(n^-ell) of its terms as x
-    nears 1, at both ends of the energy range. Re-expanded about x = 1
+    which at n = 1 are the seeds (conj(F_n) off the real axis: see
+    ``KinematicParams``). F_n is a polynomial of degree ell in x, but its
+    sum in powers of x cancels to O(n^-ell) of its terms as x nears 1, at
+    both ends of the energy range. Re-expanded about x = 1
     (DLMF 15.8.7) it is (ell+1)_ell / (ell+n+1)_ell times
 
         P_n(y) = sum_k (-ell)_k (n)_k / ((-2ell)_k k!) y^k,  y = 1 - x,
@@ -325,14 +373,14 @@ def _neutral_coefficients(kin: KinematicParams, ell: int, n: int, errors: Option
     y = 2j * np.sin(theta) * phase  # 1 - x without the cancellation near x = 1
     p_n, p_next = _neutral_polynomial(ell, n, y), _neutral_polynomial(ell, n + 1, y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.exp(2j * n * theta) * np.conj(p_n) / p_n
+        t = np.exp(2j * n * theta) * _minus(p_n, kin) / p_n
         r_plus = phase * math.sqrt(n / (n + 2.0 * ell + 1.0)) * p_next / p_n
     bad = ~(np.isfinite(t) & np.isfinite(r_plus))
     for i in np.flatnonzero(bad):
         _record(
             errors, i,
             NumericalError(
-                f"closed form at E={float(energy[i])}, ell={ell}: non-finite "
+                f"closed form at E={energy[i]}, ell={ell}: non-finite "
                 f"T_{n - 1} = {complex(t[i])}, R_{n}(+) = {complex(r_plus[i])}"
             ),
         )
@@ -400,18 +448,39 @@ class ScatteringCalculator:
         resolvent, and the stabilization candidates for narrow resonances."""
         return self.pair.eps
 
-    def green_last(self, energies: np.ndarray, errors: Optional[dict] = None) -> np.ndarray:
+    def green_last(self, energies: np.ndarray, errors: Optional[dict] = None, drop=None) -> np.ndarray:
         """G_(N-1,N-1)(E) of the full Hamiltonian at each energy of a 1-D
-        array, from its pole/residue form in real arithmetic.
+        array, from its pole/residue form (``drop``: see
+        ``PartialFractions.evaluate``), in real arithmetic at real E.
 
         An energy that the pole rule (``resolvent.POLE_RTOL``) puts on an
         eigenvalue is NaN and fails with a SpectrumEvaluationError naming
         that eigenvalue (see the module docstring for ``errors``).
         """
-        g, on_pole = self._g_last.evaluate(energies)
+        g, on_pole = self._g_last.evaluate(energies, drop=drop)
         for i in np.flatnonzero(on_pole):
             _record(errors, i, _pole_error(self.pair.eps, energies[i]))
         return g
+
+    def continued_terms(self, energies: np.ndarray, drop: np.ndarray, max_levels: int, errors: dict):
+        """``ContinuedTerms`` at a 1-D array of complex energies, splitting
+        off pole drop[i] of G at energy i; the seeds' continued fractions
+        stop at ``max_levels``. A failure at E or its mirror conj(E) goes
+        to ``errors`` under E's index, and its factors are NaN."""
+        size = energies.size
+        kin = KinematicParams.continued(energies, self.system.basis.lam, self.system.z_charge)
+        both = {}
+        cs = cs_recursion(self.mats, kin, up_to=self.mats.size, errors=both, max_levels=max_levels)
+        for i, exc in sorted(both.items()):
+            _record(errors, i % size, exc)
+        j = self.mats.j_boundary(energies)
+        g_rest = self.green_last(energies, errors, drop=drop)
+        terms = ContinuedTerms(
+            self._g_last.coeffs[drop] * j, g_rest * j, cs.r_plus[:size], np.conj(cs.r_plus[size:]), cs.t[:size]
+        )
+        for v in terms:
+            v[list(errors)] = complex("nan")
+        return terms
 
     def s_values(self, energies):
         """S(E) at each of a sequence of energies, and a map from index to

@@ -1,14 +1,16 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 import scipy.signal
+import mpmath as mp
 
 from resolvent_kit.analysis import (
     ScanTable,
     _prominent_peaks,
     _quadratic_refine,
-    _refine_candidates,
+    _solve_poles,
     _time_delay,
     bound_states,
     default_smoothing_width,
@@ -18,10 +20,10 @@ from resolvent_kit.analysis import (
     scan_smatrix,
 )
 from resolvent_kit.basis import BasisSpec, SystemSpec, build_matrices
-from resolvent_kit.errors import FitResidualError, InputError, SpectrumEvaluationError
+from resolvent_kit.errors import ConvergenceError, FitResidualError, InputError, SpectrumEvaluationError
 from resolvent_kit.matrix_core import gen_sym_eig, sym_eig
 from resolvent_kit.potential import parse_potential
-from resolvent_kit.resolvent import _BATCH_SIZE
+from resolvent_kit.resolvent import _BATCH_SIZE, PartialFractions
 from resolvent_kit.scattering import ScatteringCalculator
 
 
@@ -378,10 +380,10 @@ class TestLocateResonances:
         assert abs(a.peaks[0].e_peak - b.peaks[0].e_peak) < 1e-3
 
     def test_windows_reaching_threshold_start_at_e_min(self, barrier_calc):
-        # refinement windows about the lowest candidates reach E <= 0 on
-        # these ranges; each such window starts at e_min instead, and the
-        # barrier resonance is the one found on a range that needs no such
-        # window
+        # near threshold the lowest candidates start beside eigenvalues at
+        # or below e_min; every pole reported still lies inside the range,
+        # and the barrier resonance is the one found on a range away from
+        # threshold
         want = locate_resonances(barrier_calc, 2.0, 5.0, coarse_steps=100).positions()
         for e_min, e_max in ((0.02, 2.0), (0.01, 6.0)):
             found = locate_resonances(barrier_calc, e_min, e_max, coarse_steps=100).positions()
@@ -408,10 +410,6 @@ class TestLocateResonances:
         [
             ({"coarse_steps": 0}, "coarse_steps"),
             ({"coarse_steps": -3}, "coarse_steps"),
-            ({"min_phase_gain": 0.0}, "min_phase_gain"),
-            ({"min_phase_gain": -0.5}, "min_phase_gain"),
-            ({"min_phase_gain": math.nan}, "min_phase_gain"),
-            ({"min_phase_gain": math.inf}, "min_phase_gain"),
         ],
     )
     def test_search_settings_checked_before_build(self, monkeypatch, settings, message):
@@ -436,50 +434,6 @@ class TestLocateResonances:
         report = locate_resonances(spec, 0.5, 4.0, coarse_steps=100)
         assert report.peaks == ()
 
-    @pytest.mark.parametrize(
-        "calc_name,e_min,e_max,coarse_steps",
-        [
-            ("two_gaussian_calc", 1.8, 5.2, 400),
-            ("p_wave_calc", 1.45, 1.85, 120),
-            # six peaks, five of them near threshold
-            ("barrier_calc", 0.2, 6.0, 100),
-        ],
-    )
-    def test_lockstep_refinement_matches_one_candidate_at_a_time(
-        self, request, monkeypatch, calc_name, e_min, e_max, coarse_steps
-    ):
-        # S at an energy does not depend on the rest of its batch, so each
-        # candidate refined together with all others must come out exactly
-        # as it does alone
-        calc = request.getfixturevalue(calc_name)
-        searched = []
-
-        def spy(calc_, candidates, *rules):
-            searched.append((candidates, rules))
-            return _refine_candidates(calc_, candidates, *rules)
-
-        monkeypatch.setattr("resolvent_kit.analysis._refine_candidates", spy)
-        locate_resonances(calc, e_min, e_max, coarse_steps=coarse_steps)
-        [(candidates, rules)] = searched
-        pole_hits = []
-        real = calc.s_values
-
-        def s_values(energies):
-            s, errors = real(energies)
-            pole_hits.append(len(errors))
-            return s, errors
-
-        monkeypatch.setattr(calc, "s_values", s_values)
-        together = _refine_candidates(calc, candidates, *rules)
-        alone = [_refine_candidates(calc, [c], *rules)[0] for c in candidates]
-
-        def fields(p):
-            return None if p is None else (p.e_peak, p.width_estimate, p.quality)
-
-        assert [fields(p) for p in together] == [fields(p) for p in alone]
-        assert None in together and any(p is not None for p in together)
-        assert any(pole_hits)  # windows about eigenvalue seeds hit poles
-
     def test_one_s_batch_per_refinement_step(self, two_gaussian_calc, monkeypatch):
         calls = []
         real = two_gaussian_calc.s_values
@@ -491,8 +445,148 @@ class TestLocateResonances:
         monkeypatch.setattr(two_gaussian_calc, "s_values", s_values)
         report = locate_resonances(two_gaussian_calc, 1.8, 5.2, coarse_steps=400)
         assert len(report.peaks) == 2
-        # the coarse scan, then at most one batch per step of the 40-step cap
-        assert len(calls) <= 1 + 40
+        # the coarse scan is the only S(E) batch: the pole search evaluates
+        # the continued factors of S, not S on the real axis
+        assert calls == [401]
+
+
+def mp_pole(calc, start, dps=50):
+    """The zero of D(E) = 1 + G J R_N(+) nearest ``start``, by mp.findroot
+    at ``dps`` digits. Only G's poles and residues come from the code: J
+    is the closed-form boundary element sqrt(N (N+2l+1)) (E + lam^2/8) of
+    the Laguerre reference pencil, and R_N(+) is
+    e^(-i theta) sqrt(N (N+2l+1)) / (c+N-1) F_(N+1) / F_N with
+    F_n = 2F1(a, n; c+n-1; x) from mp.hyp2f1, a = -l + it, c = l + 2 + it,
+    x = e^(-2i theta), e^(i theta) = (2k + i lam) / (2k - i lam) and
+    t = Z / k."""
+    basis = calc.system.basis
+    ell, size = basis.ell, basis.size
+    with mp.workdps(dps):
+        lam, z_charge = mp.mpf(basis.lam), mp.mpf(calc.system.z_charge)
+        weights = calc.pair.gamma[-1] ** 2 / calc.pair.sigma
+        poles = [(mp.mpf(float(w)), mp.mpf(float(e))) for w, e in zip(weights, calc.pair.eps)]
+        root = mp.sqrt(size * (size + 2 * ell + 1))
+
+        def d(energy):
+            k = mp.sqrt(2 * energy)
+            phase = (2 * k - 1j * lam) / (2 * k + 1j * lam)  # e^(-i theta)
+            a, c = -ell + 1j * z_charge / k, ell + 2 + 1j * z_charge / k
+            ratio = mp.hyp2f1(a, size + 1, c + size, phase**2) / mp.hyp2f1(a, size, c + size - 1, phase**2)
+            r_plus = phase * root / (c + size - 1) * ratio
+            g = mp.fsum(w / (e - energy) for w, e in poles)
+            return 1 + g * root * (energy + lam**2 / 8) * r_plus
+
+        # the secant's two starts lie well within a width of each other
+        starts = (mp.mpc(start), mp.mpc(start) + 1e-6 * abs(start.imag))
+        return complex(mp.findroot(d, starts, tol=mp.mpf(10) ** -dps))
+
+
+@pytest.fixture(scope="module")
+def coulomb_calcs():
+    """The three criterion-7 systems, with their search ranges."""
+    pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+    cases = [(+1.0, 0, 0.15, 0.45), (-1.0, 0, 1.05, 1.45), (+1.0, 1, 1.45, 1.85)]
+    return [
+        (ScatteringCalculator(SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=ell, size=100),
+                                         potential=pot, z_charge=z)), lo, hi)
+        for z, ell, lo, hi in cases
+    ]
+
+
+def search_index(calc, e_min, e_max):
+    """The eigenvalue indices ``locate_resonances`` seeds candidates at."""
+    report = locate_resonances(calc, e_min, e_max, coarse_steps=1)
+    return np.searchsorted(calc.eigenvalues, [c.seed for c in report.candidates])
+
+
+def assert_same_pole(got, want, rtol):
+    assert abs(got.real - want.real) <= rtol * abs(want.real)
+    assert abs(got.imag - want.imag) <= rtol * abs(want.imag)
+
+
+class TestPoleSearch:
+    def test_poles_match_mpmath(self, two_gaussian_calc, coulomb_calcs):
+        searches = [(two_gaussian_calc, 1.8, 5.2)] + coulomb_calcs
+        checked = 0
+        for calc, e_min, e_max in searches:
+            report = locate_resonances(calc, e_min, e_max, coarse_steps=20)
+            for c in report.candidates:
+                if c.status == "accepted":
+                    assert_same_pole(c.pole, mp_pole(calc, c.pole), 1e-10)
+                    checked += 1
+        assert checked == 5
+
+    @pytest.mark.parametrize(
+        "calc_name,e_min,e_max",
+        [("two_gaussian_calc", 1.8, 5.2), ("p_wave_calc", 1.45, 1.85), ("barrier_calc", 0.2, 6.0)],
+    )
+    def test_candidates_solved_together_match_alone(self, request, calc_name, e_min, e_max):
+        # every step evaluates each candidate's points on their own, so a
+        # candidate solved with all others comes out exactly as alone
+        calc = request.getfixturevalue(calc_name)
+        index = search_index(calc, e_min, e_max)
+        together = _solve_poles(calc, index)
+        alone = [_solve_poles(calc, index[i : i + 1])[0] for i in range(index.size)]
+        assert list(map(repr, together)) == list(map(repr, alone))
+        assert index.size >= 4
+
+    def test_residue_noise_moves_no_pole(self, two_gaussian_calc, barrier_calc, coulomb_calcs):
+        # a resonance pole is a well-conditioned zero of D: relative noise of
+        # 1e-14 in G's residues moves it by far less than 1e-10 relative
+        rng = np.random.default_rng(5)
+        searches = [(two_gaussian_calc, 1.8, 5.2), (barrier_calc, 2.0, 5.0)] + coulomb_calcs
+        for calc, e_min, e_max in searches:
+            want = locate_resonances(calc, e_min, e_max, coarse_steps=20).peaks
+            noisy = copy.copy(calc)
+            g = calc._g_last
+            noise = 1.0 + 1e-14 * rng.uniform(-1.0, 1.0, g.coeffs.size)
+            noisy._g_last = PartialFractions(poles=g.poles, coeffs=g.coeffs * noise, n=g.n, m=g.m)
+            got = locate_resonances(noisy, e_min, e_max, coarse_steps=20).peaks
+            assert len(got) == len(want) >= 1
+            for p, q in zip(got, want):
+                assert_same_pole(complex(p.e_peak, p.width_estimate), complex(q.e_peak, q.width_estimate), 1e-10)
+
+    def test_level_cap_fails_only_its_candidate(self, coulomb_calcs, monkeypatch):
+        calc, e_min, e_max = coulomb_calcs[0]
+        want = locate_resonances(calc, e_min, e_max, coarse_steps=20)
+        # the candidates nearest threshold need more continued-fraction
+        # levels than this; the resonance's own need fewer
+        monkeypatch.setattr("resolvent_kit.analysis._POLE_LEVELS", 50)
+        got = locate_resonances(calc, e_min, e_max, coarse_steps=20)
+        failed = [c for c in got.candidates if c.status == "continued-fraction failure"]
+        assert failed and all(isinstance(c.error, ConvergenceError) for c in failed)
+        assert "50 levels" in str(failed[0].error)
+        assert got.peaks == want.peaks and len(got.peaks) == 1
+
+    def test_continuum_poles_fail_the_rule(self, barrier_calc):
+        # the barrier search that reported five continuum eigenvalues near
+        # 0.3 - 1.0 as resonances: each has a pole there, of strength < 0.1
+        report = locate_resonances(barrier_calc, 0.2, 6.0, coarse_steps=100)
+        assert not np.any((report.positions() > 0.3) & (report.positions() < 0.99))
+        low = [c for c in report.candidates if 0.3 < c.pole.real < 0.99]
+        assert len(low) >= 5 and all(c.status == "rule" and c.strength < 0.1 for c in low)
+        assert np.min(np.abs(report.positions() - 3.4276685800)) < 1e-9
+
+    def test_candidates_span_the_range(self, barrier_calc):
+        # one candidate per positive eigenvalue from the last <= e_min to
+        # the first >= e_max
+        ev = barrier_calc.eigenvalues
+        report = locate_resonances(barrier_calc, 2.0, 5.0, coarse_steps=20)
+        seeds = np.array([c.seed for c in report.candidates])
+        assert seeds[0] == ev[ev <= 2.0].max() and seeds[-1] == ev[ev >= 5.0].min()
+        assert np.array_equal(seeds, ev[(ev >= seeds[0]) & (ev <= seeds[-1])])
+
+    def test_merged_candidates_count_once(self, barrier_calc, monkeypatch):
+        want = locate_resonances(barrier_calc, 3.0, 4.0, coarse_steps=20)
+        real = _solve_poles
+        monkeypatch.setattr(
+            "resolvent_kit.analysis._solve_poles", lambda calc, index: real(calc, np.concatenate([index, index]))
+        )
+        got = locate_resonances(barrier_calc, 3.0, 4.0, coarse_steps=20)
+        half = len(want.candidates)
+        assert list(map(repr, got.candidates[:half])) == list(map(repr, want.candidates))
+        assert [c.status for c in got.candidates[half:]] == ["merged"] * half
+        assert got.peaks == want.peaks and len(want.peaks) == 1
 
 
 class TestBoundStates:

@@ -245,6 +245,33 @@ class TestArtifacts:
         assert any(abs(p - 3.426) < 0.02 for p in peaks)
         assert "eigenvalues_in_range" in payload["diagnostics"]
 
+    def test_resonances_diagnostics_record_every_candidate(self, tmp_path):
+        argv = [
+            "resonances", "--potential", "7.5*r^2*exp(-r)", "--N", "40",
+            "--e-min", "2.5", "--e-max", "4.5", "--steps", "120",
+            "--csv", str(tmp_path / "r.csv"), "--json", str(tmp_path / "r.json"),
+        ]
+        assert run_cli(argv) == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        records = payload["diagnostics"]["candidates"]
+        keys = {"seed", "steps", "residual", "energy", "width", "strength", "status"}
+        assert records and all(set(r) == keys for r in records)
+        accepted = [r for r in records if r["status"] == "accepted"]
+        assert [r["energy"] for r in accepted] == [p["energy"] for p in payload["results"]["resonances"]]
+        assert all(r["width"] > 0 and r["strength"] >= 0.5 for r in accepted)
+        in_range = payload["diagnostics"]["eigenvalues_in_range"]
+        assert set(in_range) <= {r["seed"] for r in records}
+
+    def test_min_phase_gain_is_an_unknown_key(self, tmp_path, capsys):
+        # the time-delay windows and their phase-gain threshold are gone
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text(
+            f"command = resonances\nmin_phase_gain = 0.5\ncsv = {tmp_path / 'a.csv'}\njson = {tmp_path / 'a.json'}\n"
+        )
+        assert run_cli(["run", str(cfg_file)]) == 1
+        assert "unknown key 'min_phase_gain'" in capsys.readouterr().err
+        assert run_cli(["resonances", "--min-phase-gain", "0.5"]) == 1
+
     def test_resonances_scans_the_grid_once(self, tmp_path, monkeypatch):
         # the CSV is locate_resonances' own coarse scan, not a second one
         from resolvent_kit.analysis import scan_smatrix
@@ -268,7 +295,7 @@ class TestArtifacts:
             ]
         )
         assert code == 0
-        assert sizes.count(121) == 1  # refinement batches hold multiples of 33
+        assert sizes == [121]  # the pole search evaluates S off the real axis only
         spec = SystemSpec(
             basis=BasisSpec("laguerre", lam=1.0, ell=0, size=40), potential=parse_potential("7.5*r^2*exp(-r)")
         )

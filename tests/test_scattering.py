@@ -496,3 +496,70 @@ class TestSMatrix:
             min(abs(a - b), math.pi - abs(a - b)) for a in phases for b in phases
         )
         assert spread < 1e-2
+
+
+def continued_s(calc, energies, max_levels=10**6):
+    """S = T (1 + G J R_N(-)) / (1 + G J R_N(+)) from the continued factors,
+    with the pole of G nearest each energy divided out; and the errors."""
+    eps = calc.eigenvalues
+    drop = np.argmin(np.abs(eps[None, :] - energies.real[:, None]), axis=1)
+    errors = {}
+    terms = calc.continued_terms(energies.astype(complex), drop, max_levels, errors)
+    u = eps[drop] - energies
+    with np.errstate(invalid="ignore"):  # NaN where the continued factors failed
+        s = terms.t * terms.divided(u, terms.r_minus) / terms.divided(u, terms.r_plus)
+    return s, errors
+
+
+class TestContinuedKinematics:
+    SYSTEMS = [(0.0, 0, 1.0), (0.0, 2, 1.3), (1.0, 1, 20.0), (-1.0, 0, 20.0)]
+
+    def test_real_axis_matches_for_system(self):
+        energies = np.geomspace(1e-3, 50.0, 400)
+        for z_charge, _, lam in self.SYSTEMS:
+            real = KinematicParams.for_system(energies, lam, z_charge)
+            kin = KinematicParams.continued(energies, lam, z_charge)
+            assert np.array_equal(kin.mirror, np.roll(np.arange(800), 400))
+            for half in (slice(0, 400), slice(400, 800)):
+                # theta from the logarithms of 2k +/- i lam, against atan2
+                assert np.max(np.abs(kin.theta[half] - real.theta)) <= 4.5e-16
+                assert np.array_equal(kin.energy[half].real, energies)
+                np.testing.assert_allclose(kin.t[half], real.t, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("z_charge,ell,lam", SYSTEMS)
+    def test_real_axis_reproduces_s(self, z_charge, ell, lam):
+        # the continued path at real E (complex kinematics, the minus branch
+        # from the mirror element, G's nearest pole divided out) against
+        # s_values
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=60), potential=pot, z_charge=z_charge)
+        calc = ScatteringCalculator(spec)
+        energies = np.linspace(0.3, 6.0, 58)
+        want, errors = calc.s_values(energies)
+        got, continued_errors = continued_s(calc, energies)
+        assert not errors and not continued_errors
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("z_charge,ell,lam", SYSTEMS)
+    def test_free_s_is_one_off_the_axis(self, z_charge, ell, lam):
+        # with V = 0, S = 1 for real E and so, by analytic continuation, for
+        # complex E too: T, R_N(-) and R_N(+) must continue together. T and
+        # (1 + G J R(-)) / (1 + G J R(+)) grow as e^(-/+ 2N Im theta) off the
+        # axis, so their rounding does too; these points stay close enough
+        # that it does not show
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=40), z_charge=z_charge)
+        calc = ScatteringCalculator(spec)
+        re, im = np.meshgrid(np.linspace(0.4, 5.0, 7), [-0.05, -1e-6, 1e-3])
+        s, errors = continued_s(calc, (re + 1j * im).ravel())
+        assert not errors
+        assert np.max(np.abs(s - 1.0)) <= 1e-10
+
+    def test_level_cap_fails_only_its_energy(self):
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=30), potential=pot, z_charge=1.0)
+        calc = ScatteringCalculator(spec)
+        energies = np.array([1.0 - 0.01j, 0.02 - 0.01j, 2.0 - 0.1j])
+        want, _ = continued_s(calc, energies)
+        got, errors = continued_s(calc, energies, max_levels=60)
+        assert list(errors) == [1] and isinstance(errors[1], ConvergenceError)
+        assert np.isnan(got[1]) and got[0] == want[0] and got[2] == want[2]
