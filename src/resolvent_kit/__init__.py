@@ -17,7 +17,6 @@ from .analysis import (
     ScanTable,
     bound_states,
     density_of_states,
-    find_resonances,
     locate_resonances,
     scan_smatrix,
 )

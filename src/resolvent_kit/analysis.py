@@ -7,8 +7,8 @@ zero of its denominator 1 + G J R_N(+) continued to complex energy.
 of (H, Overlap) in range, by Newton's method on all of them at once,
 and reports the poles whose residue has the strength of an isolated
 Breit-Wigner pole; the poles that discretize the continuum have almost
-none. ``find_resonances`` instead reads peaks of the Wigner time delay
-tau(E) = d(delta)/dE off an existing real-axis scan.
+none. It is the one resonance finder: the ``smatrix`` and
+``resonances`` commands both report its poles.
 """
 
 from __future__ import annotations
@@ -67,10 +67,9 @@ class ResonancePeak:
 
 @dataclass(frozen=True)
 class ResonanceReport:
-    """Resonance peaks, plus ``scan``: the S(E) table of the search (the
-    input table of ``find_resonances``, the coarse scan of
-    ``locate_resonances``), and ``candidates``: the PoleCandidate of every
-    pole-search solve of ``locate_resonances``."""
+    """The resonances ``locate_resonances`` reports, one peak per pole,
+    plus ``scan``: its S(E) scan of the search range, and ``candidates``:
+    the PoleCandidate of every pole-search solve."""
 
     peaks: tuple
     scan: Optional[ScanTable] = field(default=None, compare=False, repr=False)
@@ -123,115 +122,6 @@ def _system_snapshot(spec: SystemSpec) -> dict:
         "Z": spec.z_charge,
         "potential": spec.potential.to_text() if spec.potential is not None else "0",
     }
-
-
-def _time_delay(energies: np.ndarray, deltas: np.ndarray, min_points: int):
-    """Wigner time delay tau = d(delta)/dE along each row of (rows, M)
-    energies and phases; the phases are known only mod pi.
-
-    Returns (x, d, tau, n). Each row's finite phases are moved to its
-    front, in order: x holds their energies, d the phases unwrapped by
-    ``np.unwrap(period=pi)`` and tau their ``np.gradient``, and n[r]
-    counts them, or is 0 if row r has fewer than ``min_points``. Entries
-    past n[r] are padding, with tau = -inf.
-    """
-    x, d = np.zeros(energies.shape), np.zeros(deltas.shape)
-    tau = np.full(deltas.shape, -math.inf)
-    n = np.zeros(deltas.shape[0], dtype=int)
-    for r, good in enumerate(np.isfinite(deltas)):
-        if good.sum() < min_points:
-            continue
-        n[r] = good.sum()
-        x[r, : n[r]] = energies[r, good]
-        d[r, : n[r]] = np.unwrap(deltas[r, good], period=math.pi)
-        tau[r, : n[r]] = np.gradient(d[r, : n[r]], x[r, : n[r]])
-    return x, d, tau, n
-
-
-def _quadratic_refine(x: np.ndarray, y: np.ndarray, i, n=None):
-    """Vertex of the parabola through points i-1, i, i+1, which may be
-    unevenly spaced, clipped to [x[i-1], x[i+1]]; x[i] at an endpoint
-    (i = 0 or n - 1, n defaulting to the length of x) or where the
-    parabola is degenerate or not finite.
-
-    Broadcasts over rows: x and y of shape (rows, M) with i and n of
-    shape (rows,) give one vertex per row.
-    """
-    xs, ys, i = np.atleast_2d(x), np.atleast_2d(y), np.atleast_1d(i)
-    size = xs.shape[1]
-    n = size if n is None else n
-    rows = np.arange(i.size)
-    j = rows[:, None], np.clip(i, 1, size - 2)[:, None] + np.arange(-1, 2)
-    (x0, x1, x2), (y0, y1, y2) = xs[j].T, ys[j].T
-    a, b = x1 - x0, x1 - x2
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows that take x[i]
-        denom = a * (y1 - y2) - b * (y1 - y0)
-        shift = 0.5 * (a * a * (y1 - y2) - b * b * (y1 - y0)) / denom
-    inner = (i > 0) & (i < n - 1) & (denom != 0.0) & np.isfinite(denom)
-    vertex = np.where(inner, np.clip(x1 - shift, x0, x2), xs[rows, i])
-    return float(vertex[0]) if np.ndim(x) == 1 else vertex
-
-
-def _prominent_peaks(x: np.ndarray, min_prominence: float):
-    """(indices, prominences) of the local maxima of ``x`` whose
-    prominence is at least ``min_prominence``.
-
-    A run of equal samples is a peak when both neighbours are lower; it
-    counts once, at its middle rounded down, so the endpoints are never
-    peaks. A peak's prominence is its height minus the higher of the two
-    minima reached on each side before the signal rises above the peak
-    (or is NaN) or ends. These are the peaks and the prominences that
-    SciPy's ``find_peaks(x, prominence=min_prominence)`` returns; the
-    tests use it as the oracle.
-    """
-    n = x.size
-    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    ends = np.append(starts[1:], n) - 1
-    inner = (starts > 0) & (ends < n - 1)
-    starts, ends = starts[inner], ends[inner]
-    top = (x[starts - 1] < x[starts]) & (x[ends + 1] < x[starts])
-    peaks = (starts[top] + ends[top]) // 2
-
-    def base(side):  # side[0] is the peak; walk until the signal rises above it
-        stop = int(np.argmax(~(side <= side[0])))
-        return side[: stop or side.size].min()
-
-    prominences = np.array([x[p] - max(base(x[p::-1]), base(x[p:])) for p in peaks], dtype=float)
-    keep = prominences >= min_prominence
-    return peaks[keep], prominences[keep]
-
-
-def find_resonances(table: ScanTable, prominence: float = 0.15) -> ResonanceReport:
-    """Peaks of the time delay in an existing scan.
-
-    ``prominence`` is the required peak prominence as a fraction of the
-    table's full time-delay range; peaks at grid endpoints are never
-    reported. Monotone or featureless data yields an empty report.
-    """
-    if "delta" not in table.columns:
-        raise InputError("table has no phase-shift column")
-    x, _, tau, [n] = _time_delay(table.energies[None], np.asarray(table.columns["delta"], dtype=float)[None], 3)
-    if n == 0:
-        return ResonanceReport(peaks=(), scan=table)
-    es, tau = x[0, :n], tau[0, :n]
-    span = float(np.max(tau) - np.min(tau))
-    # featureless data: variation at the round-off level of the phases
-    if span <= 1e-9 * max(1.0, float(np.max(np.abs(tau)))):
-        return ResonanceReport(peaks=(), scan=table)
-    idx, prominences = _prominent_peaks(tau, prominence * span)
-    peaks = []
-    for i, prom in zip(idx, prominences):
-        e_peak = _quadratic_refine(es, tau, int(i))
-        width = 2.0 / tau[i] if tau[i] > 0 else math.inf
-        peaks.append(
-            ResonancePeak(
-                e_peak=e_peak,
-                width_estimate=float(width),
-                quality=float(prom / span),
-            )
-        )
-    peaks.sort(key=lambda p: p.e_peak)
-    return ResonanceReport(peaks=tuple(peaks), scan=table)
 
 
 # The pole search: Newton's step cap, its convergence tolerance and
@@ -470,7 +360,8 @@ def density_of_states(
                    Fails loudly if the fit residual exceeds fit_threshold
                    (relative).
 
-    A delta or fit_height that is not positive raises InputError. Either
+    A delta or fit_height that is not positive, or a fit_order below 1,
+    raises InputError. Either
     method raises SpectrumEvaluationError if a point it evaluates G_00 at
     (E + i*delta, or the fit contour) sits on a pole by the pole rule
     (``resolvent.POLE_RTOL``).
@@ -478,6 +369,8 @@ def density_of_states(
     for name, value in (("delta", delta), ("fit_height", fit_height)):
         if value is not None and not value > 0.0:
             raise InputError(f"{name} must be positive, got {value}")
+    if not fit_order >= 1:
+        raise InputError(f"fit_order must be >= 1, got {fit_order}")
     if method not in ("smoothing", "continuation"):
         raise InputError(f"unknown DOS method {method!r}")
     grid = np.asarray(grid, dtype=float)

@@ -193,7 +193,7 @@ class SystemSpec:
 
     ``potential=None`` means V = 0. The potential is sampled at
     construction: it must be finite on (0, range_r] and negligible beyond
-    ``range_r``.
+    ``range_r``, which must be finite and positive.
     """
 
     basis: BasisSpec
@@ -203,6 +203,8 @@ class SystemSpec:
     check_potential: bool = True  # escape hatch for non-decaying test potentials
 
     def __post_init__(self):
+        if not 0.0 < self.range_r < math.inf:
+            raise InputError(f"range_r must be finite and positive, got {self.range_r}")
         if self.potential is None or not self.check_potential:
             return
         r_in = np.geomspace(1e-4, self.range_r, 256)

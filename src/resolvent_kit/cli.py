@@ -5,10 +5,12 @@ Usage:
     resolvent-kit <command> [--config FILE] [overrides...]
     resolvent-kit run CONFIG [overrides...]      # command taken from the file
 
-Commands: smatrix, resonances, bound-states, dos, resolvent, selftest.
-Each run writes a CSV table (one row per grid point) and a JSON summary
-with top-level keys config, results, diagnostics, version. Exit codes:
-0 success, 1 configuration or expression error, 2 numerical failure.
+Commands: smatrix, resonances, bound-states, dos, resolvent, selftest;
+smatrix and resonances are one run (the S(E) scan and its resonance
+poles). Each run writes a CSV table (one row per grid point) and a JSON
+summary with top-level keys config, results, diagnostics, version. Exit
+codes: 0 success, 1 configuration or expression error, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -21,14 +23,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    ScanTable,
-    bound_states,
-    density_of_states,
-    find_resonances,
-    locate_resonances,
-    scan_smatrix,
-)
+from .analysis import ScanTable, bound_states, density_of_states, locate_resonances
+from .analysis import scan_smatrix  # noqa: F401 (benchmarks/tracer.py patches this name)
 from .basis import BasisSpec, SystemSpec, build_matrices
 from .config import CHOICES, COMMANDS, FIELD_TYPES, RunConfig, build_config, file_key, parse_config_file
 from .errors import ConfigError, InputError, NumericalError, ResolventKitError
@@ -88,30 +84,6 @@ def _grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.e_min, cfg.e_max, cfg.steps + 1)
 
 
-def _peak_records(report):
-    return [
-        {"energy": p.e_peak, "width_estimate": p.width_estimate, "quality": p.quality}
-        for p in report.peaks
-    ]
-
-
-def _scan_results(table: ScanTable) -> dict:
-    finite = np.isfinite(table.columns["abs_one_minus_s"])
-    s_mag = np.hypot(table.columns["re_s"][finite], table.columns["im_s"][finite])
-    return {
-        "points": int(table.size),
-        "max_unitarity_deviation": float(np.max(np.abs(s_mag - 1.0))) if finite.any() else None,
-    }
-
-
-def cmd_smatrix(cfg: RunConfig) -> tuple:
-    table = scan_smatrix(_system_from_config(cfg), _grid(cfg))
-    results = _scan_results(table)
-    report = find_resonances(table, prominence=cfg.prominence)
-    results["resonances"] = _peak_records(report)
-    return table, results, {"flagged_points": list(table.flagged)}, (2, 3, 4, 5)
-
-
 def _candidate_record(c) -> dict:
     """One pole-search candidate as JSON, null where it reached no value."""
     values = {"residual": c.residual, "energy": c.pole.real, "width": c.width, "strength": c.strength}
@@ -125,9 +97,16 @@ def _candidate_record(c) -> dict:
 def cmd_resonances(cfg: RunConfig) -> tuple:
     calc = ScatteringCalculator(_system_from_config(cfg))
     report = locate_resonances(calc, cfg.e_min, cfg.e_max, coarse_steps=cfg.steps)
-    table = report.scan  # the coarse scan over _grid(cfg)
-    results = _scan_results(table)
-    results["resonances"] = _peak_records(report)
+    table = report.scan  # the S(E) scan over _grid(cfg)
+    finite = np.isfinite(table.columns["abs_one_minus_s"])
+    s_mag = np.hypot(table.columns["re_s"][finite], table.columns["im_s"][finite])
+    results = {
+        "points": int(table.size),
+        "max_unitarity_deviation": float(np.max(np.abs(s_mag - 1.0))) if finite.any() else None,
+        "resonances": [
+            {"energy": p.e_peak, "width_estimate": p.width_estimate, "quality": p.quality} for p in report.peaks
+        ],
+    }
     diags = {
         "flagged_points": list(table.flagged),
         "eigenvalues_in_range": [
@@ -285,7 +264,7 @@ _GNUPLOT_TITLES = {
 }
 
 _COMMAND_IMPL = {
-    "smatrix": cmd_smatrix,
+    "smatrix": cmd_resonances,  # the same run: the S(E) scan and the resonance poles
     "resonances": cmd_resonances,
     "bound-states": cmd_bound_states,
     "dos": cmd_dos,

@@ -42,7 +42,6 @@ class RunConfig:
     n_index: Optional[int] = None
     m_index: Optional[int] = None
     im_z: float = 0.0
-    prominence: float = 0.15
     range_r: float = 50.0
     csv: str = "out.csv"
     json: str = "out.json"

@@ -3,19 +3,14 @@ import math
 
 import numpy as np
 import pytest
-import scipy.signal
 import mpmath as mp
 
 from resolvent_kit.analysis import (
     ScanTable,
-    _prominent_peaks,
-    _quadratic_refine,
     _solve_poles,
-    _time_delay,
     bound_states,
     default_smoothing_width,
     density_of_states,
-    find_resonances,
     locate_resonances,
     scan_smatrix,
 )
@@ -25,23 +20,6 @@ from resolvent_kit.matrix_core import gen_sym_eig, sym_eig
 from resolvent_kit.potential import parse_potential
 from resolvent_kit.resolvent import _BATCH_SIZE, PartialFractions
 from resolvent_kit.scattering import ScatteringCalculator
-
-
-def breit_wigner_table(e0=3.0, gamma=0.12, background=0.4, step=0.01):
-    """Synthetic S-matrix table: a single Breit-Wigner resonance on a
-    constant background phase. The independent oracle for peak finding."""
-    energies = np.arange(1.0, 5.0 + step / 2, step)
-    delta = background + np.arctan(0.5 * gamma / (e0 - energies))
-    delta = np.where(energies > e0, delta + math.pi, delta)  # resonant pi gain
-    s = np.exp(2j * delta)
-    cols = {
-        "re_s": s.real,
-        "im_s": s.imag,
-        "abs_one_minus_s": np.abs(1.0 - s),
-        "delta": np.mod(0.5 * np.angle(s**1), math.pi),
-    }
-    cols["delta"] = 0.5 * np.angle(s)
-    return ScanTable(energies=energies, columns=cols, metadata={"kind": "synthetic"})
 
 
 class TestScanTable:
@@ -136,216 +114,6 @@ class TestScanSMatrix:
         assert snap["potential"] == "7.5*r^2*exp(-r)"
 
 
-class TestFindResonances:
-    def test_synthetic_lorentzian_peak(self):
-        table = breit_wigner_table(e0=3.0, gamma=0.12, step=0.01)
-        report = find_resonances(table)
-        assert len(report.peaks) == 1
-        assert abs(report.peaks[0].e_peak - 3.0) < 1e-3
-        assert report.peaks[0].width_estimate == pytest.approx(0.12, rel=0.2)
-
-    def test_monotone_data_empty(self):
-        energies = np.linspace(1.0, 2.0, 50)
-        delta = 0.3 * energies  # constant time delay, no peak
-        table = ScanTable(energies=energies, columns={"delta": delta})
-        assert find_resonances(table).peaks == ()
-
-    def test_grid_refinement_stability(self):
-        coarse = breit_wigner_table(step=0.02)
-        fine = breit_wigner_table(step=0.01)
-        pc = find_resonances(coarse).peaks[0].e_peak
-        pf = find_resonances(fine).peaks[0].e_peak
-        assert abs(pc - pf) < 0.02
-
-    def test_peaks_sorted_and_interior(self):
-        table = breit_wigner_table()
-        for p in find_resonances(table).peaks:
-            assert table.energies[0] < p.e_peak < table.energies[-1]
-
-    def test_report_keeps_its_scan(self):
-        table = breit_wigner_table()
-        assert find_resonances(table).scan is table
-        flat = ScanTable(energies=np.linspace(1.0, 2.0, 50), columns={"delta": np.zeros(50)})
-        assert find_resonances(flat).scan is flat
-
-
-class TestQuadraticRefine:
-    @staticmethod
-    def peaked_triples(spacing):
-        """Seeded (x, y) triples whose middle point is the highest, so
-        the vertex lies inside the triple."""
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            x1 = rng.uniform(0.5, 8.0)
-            h0, h2 = spacing(rng)
-            x = np.array([x1 - h0, x1, x1 + h2])
-            y = -rng.uniform(0.1, 10.0) * (x - rng.uniform(x[0], x[2])) ** 2 + rng.normal()
-            if y[1] >= y[0] and y[1] >= y[2]:
-                yield x, y
-
-    def test_uneven_spacing_matches_polyfit_vertex(self):
-        count = 0
-        for x, y in self.peaked_triples(lambda rng: rng.uniform(1e-3, 0.5, 2)):
-            a, b, _ = np.polyfit(x - x[1], y, 2)
-            want = x[1] - 0.5 * b / a
-            assert abs(_quadratic_refine(x, y, 1) - want) <= 1e-12 * (x[2] - x[0])
-            count += 1
-        assert count > 50
-
-    def test_uniform_spacing_matches_midpoint_formula(self):
-        def uniform_vertex(x, y):
-            shift = 0.5 * (y[0] - y[2]) / (y[0] - 2.0 * y[1] + y[2])
-            return x[1] + np.clip(shift, -1.0, 1.0) * 0.5 * (x[2] - x[0])
-
-        for x, y in self.peaked_triples(lambda rng: (0.01, 0.01)):
-            assert _quadratic_refine(x, y, 1) == pytest.approx(uniform_vertex(x, y), abs=4e-16 * x[2])
-
-    def test_clipped_to_the_triple(self):
-        # parabolas with their vertex at 0 and at 5, outside [1, 3]
-        x = np.array([1.0, 1.1, 3.0])
-        assert _quadratic_refine(x, -x**2, 1) == 1.0
-        assert _quadratic_refine(x, -(x - 5.0) ** 2, 1) == 3.0
-
-    def test_fallbacks(self):
-        x = np.array([1.0, 1.5, 3.0])
-        assert _quadratic_refine(x, np.array([1.0, 2.0, 1.5]), 0) == 1.0
-        assert _quadratic_refine(x, np.array([1.0, 2.0, 1.5]), 2) == 3.0
-        assert _quadratic_refine(x, np.full(3, 2.0), 1) == 1.5
-        assert _quadratic_refine(x, np.array([1.0, np.nan, 1.5]), 1) == 1.5
-
-    def test_rows_match_scalar_form(self):
-        # each row has its own length n; points past it are padding
-        rng = np.random.default_rng(5)
-        rows, size = 200, 9
-        x = np.sort(rng.uniform(0.5, 8.0, (rows, size)), axis=1)
-        y = rng.normal(size=(rows, size))
-        n = rng.integers(3, size + 1, rows)
-        i = rng.integers(0, n)
-        i[:20], i[20:40] = 0, n[20:40] - 1  # endpoints
-        inner = np.flatnonzero((i > 0) & (i < n - 1))
-        flat, bad = inner[:30], inner[30:60]
-        y[flat, i[flat] + 1] = y[flat, i[flat] - 1] = y[flat, i[flat]]  # zero denominator
-        y[bad, i[bad] + rng.integers(-1, 2, bad.size)] = rng.choice([np.nan, np.inf, -np.inf], bad.size)
-        want = [_quadratic_refine(x[r, : n[r]], y[r, : n[r]], int(i[r])) for r in range(rows)]
-        got = _quadratic_refine(x, y, i, n)
-        assert got.tolist() == want
-        assert np.sum(got == x[np.arange(rows), i]) > 60
-
-
-class TestTimeDelay:
-    @staticmethod
-    def one_row(energies, deltas, min_points):
-        good = np.isfinite(deltas)
-        if good.sum() < min_points:
-            return None
-        d = np.unwrap(deltas[good], period=math.pi)
-        return energies[good], d, np.gradient(d, energies[good])
-
-    @staticmethod
-    def windows(rng, rows, size=33):
-        """Windows of wrapped phases, a third of them on exactly uniform
-        grids, with NaN at the first, middle, last and random points."""
-        start = rng.uniform(0.5, 5.0, (rows, 1))
-        energies = start + np.sort(rng.uniform(0.0, 0.5, (rows, size)), axis=1)
-        # multiples of 2^-8, exact in floating point; a spacing of 3 * 2^-8
-        # makes the two gradient formulas round differently
-        energies[::3] = np.round(start[::3] * 256.0) / 256.0 + 3.0 * 2.0**-8 * np.arange(size)
-        deltas = 0.5 * np.angle(np.exp(2j * np.cumsum(rng.normal(0.0, 1.0, (rows, size)), axis=1)))
-        for r in range(rows):
-            holes = rng.choice([0, size // 2, size - 1, *rng.integers(0, size, 4)], rng.integers(0, 4), replace=False)
-            deltas[r, holes] = np.nan
-        deltas[1, 4:] = np.nan  # 4 finite points
-        deltas[2, ::2] = np.nan
-        deltas[4] = np.nan
-        return energies, deltas
-
-    @pytest.mark.parametrize("rows,min_points", [(60, 5), (60, 3), (1, 5)])
-    def test_rows_match_unwrap_and_gradient(self, rows, min_points):
-        energies, deltas = self.windows(np.random.default_rng(rows + min_points), max(rows, 5))
-        energies, deltas = energies[:rows], deltas[:rows]
-        x, d, tau, n = _time_delay(energies, deltas, min_points)
-        for r in range(rows):
-            want = self.one_row(energies[r], deltas[r], min_points)
-            if want is None:
-                assert n[r] == 0
-            else:
-                assert n[r] == want[0].size
-                for got, expected in zip((x, d, tau), want):
-                    assert (got[r, : n[r]] == expected).all()
-            assert (tau[r, n[r] :] == -math.inf).all()
-
-    def test_windows_cover_both_gradient_branches(self):
-        energies, deltas = self.windows(np.random.default_rng(65), 60)
-        spacings = [np.diff(e[np.isfinite(d)]) for e, d in zip(energies, deltas)]
-        uniform = [(s == s[0]).all() for s in spacings if s.size]
-        assert 5 < sum(uniform) < len(uniform) - 5
-        assert np.isnan(deltas[:, [0, 16, 32]]).any(axis=0).all()
-
-
-def oracle_quality(table, prominence=0.15):
-    """find_resonances' quality values computed with scipy.signal.find_peaks."""
-    tau = np.gradient(np.unwrap(table.columns["delta"], period=math.pi), table.energies)
-    span = np.max(tau) - np.min(tau)
-    _, props = scipy.signal.find_peaks(tau, prominence=prominence * span)
-    return [float(p / span) for p in props["prominences"]]
-
-
-class TestProminentPeaks:
-    """The peak helper against scipy.signal.find_peaks as the oracle."""
-
-    @staticmethod
-    def signals():
-        rng = np.random.default_rng(20240711)
-        for _ in range(400):
-            n = int(rng.integers(3, 80))
-            yield rng.normal(size=n)
-            yield rng.integers(0, 4, size=n).astype(float)  # plateaus everywhere
-            yield np.repeat(rng.integers(-3, 4, size=n), rng.integers(1, 5, size=n)).astype(float)
-            yield np.cumsum(rng.normal(size=n))
-            with_nan = rng.normal(size=n)
-            with_nan[rng.integers(0, n)] = math.nan  # the walk to a base stops at NaN
-            yield with_nan
-        yield np.array([5.0, 1.0, 2.0, 1.0, 5.0])  # maxima at both endpoints
-        yield np.array([1.0, 3.0, 3.0, 3.0])  # a flat top that runs into the end
-        yield np.array([0.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 2.0, 0.0])  # even and odd flat tops
-        yield np.full(7, 2.5)
-        yield np.linspace(0.0, 1.0, 9)
-        yield np.linspace(1.0, 0.0, 9)
-        yield np.array([1.0])
-        yield np.array([1.0, 2.0])
-
-    @staticmethod
-    def assert_same(x, min_prominence):
-        want, props = scipy.signal.find_peaks(x, prominence=min_prominence)
-        got, prominences = _prominent_peaks(x, min_prominence)
-        np.testing.assert_array_equal(got, want)
-        assert prominences.tobytes() == props["prominences"].tobytes()
-
-    def test_matches_find_peaks(self):
-        for x in self.signals():
-            for min_prominence in (0.0, 0.5, 1.0, 2.5):
-                self.assert_same(x, min_prominence)
-
-    def test_threshold_is_inclusive(self):
-        x = np.array([0.0, 3.0, 1.0, 2.0, 0.5, 2.5, 0.0])
-        _, prominences = _prominent_peaks(x, 0.0)
-        for p in prominences:
-            _, kept = _prominent_peaks(x, float(p))
-            assert p in kept
-            self.assert_same(x, float(p))
-
-    def test_quality_is_prominence_over_span(self, barrier_calc):
-        tables = [
-            breit_wigner_table(),
-            scan_smatrix(barrier_calc, np.linspace(0.5, 8.0, 301)),
-        ]
-        for table in tables:
-            for prominence in (0.15, 0.01):
-                got = [p.quality for p in find_resonances(table, prominence=prominence).peaks]
-                assert got == oracle_quality(table, prominence)
-                assert got
-
-
 @pytest.fixture(scope="module")
 def two_gaussian_calc():
     pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
@@ -375,11 +143,14 @@ class TestLocateResonances:
         assert report.peaks[0].quality > 0.5
 
     def test_refinement_consistency(self, barrier_calc):
-        a = locate_resonances(barrier_calc, 2.0, 5.0, coarse_steps=100)
-        b = locate_resonances(barrier_calc, 2.0, 5.0, coarse_steps=200)
-        assert abs(a.peaks[0].e_peak - b.peaks[0].e_peak) < 1e-3
+        # the coarse scan seeds nothing: every grid gives the same poles
+        reports = [locate_resonances(barrier_calc, 2.0, 5.0, coarse_steps=n) for n in (1, 100, 200)]
+        for report in reports[1:]:
+            assert repr(report.peaks) == repr(reports[0].peaks)
+            assert list(map(repr, report.candidates)) == list(map(repr, reports[0].candidates))
+        assert len(reports[0].peaks) == 1
 
-    def test_windows_reaching_threshold_start_at_e_min(self, barrier_calc):
+    def test_ranges_reaching_threshold_report_poles_in_range(self, barrier_calc):
         # near threshold the lowest candidates start beside eigenvalues at
         # or below e_min; every pole reported still lies inside the range,
         # and the barrier resonance is the one found on a range away from
@@ -434,7 +205,7 @@ class TestLocateResonances:
         report = locate_resonances(spec, 0.5, 4.0, coarse_steps=100)
         assert report.peaks == ()
 
-    def test_one_s_batch_per_refinement_step(self, two_gaussian_calc, monkeypatch):
+    def test_coarse_scan_is_the_only_real_axis_batch(self, two_gaussian_calc, monkeypatch):
         calls = []
         real = two_gaussian_calc.s_values
 
@@ -779,3 +550,7 @@ class TestDensityOfStates:
             for value in (-0.1, 0.0, math.nan):
                 with pytest.raises(InputError, match=name):
                     density_of_states(self.osc_spec(), grid, method=method, **{name: value})
+        # a fit of order below 1 has no terms to fit
+        for value in (-2, 0):
+            with pytest.raises(InputError, match=r"fit_order must be >= 1"):
+                density_of_states(self.osc_spec(), grid, method="continuation", fit_order=value)

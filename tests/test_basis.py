@@ -358,6 +358,11 @@ class TestSystemSpec:
             BasisSpec("laguerre", lam=1.0, ell=0, size=1)
         with pytest.raises(InputError):
             BasisSpec("fourier", lam=1.0, ell=0, size=4)
+        basis, barrier = BasisSpec("laguerre", lam=1.0, ell=0, size=4), parse_potential("7.5*r^2*exp(-r)")
+        for range_r in (0.0, -5.0, math.inf, math.nan):
+            for potential in (None, barrier):
+                with pytest.raises(InputError, match="range_r must be finite and positive"):
+                    SystemSpec(basis=basis, potential=potential, range_r=range_r)
 
     def test_build_dispatch(self):
         lag = build_matrices(SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=4)))

@@ -74,6 +74,17 @@ class TestExitCodes:
     def test_unknown_flag_exits_one(self, capsys):
         assert run_cli(["smatrix", "--explode"]) == 1
 
+    def test_bad_range_r_or_fit_order_exits_one(self, tmp_path, capsys):
+        out = ["--csv", str(tmp_path / "a.csv"), "--json", str(tmp_path / "a.json")]
+        cases = [
+            (["smatrix", "--potential", "7.5*r^2*exp(-r)", "--range-r", "0"], "range_r must be finite and positive"),
+            (["dos", "--family", "oscillator", "--method", "continuation", "--fit-order", "-2"], "fit_order must be >= 1"),
+        ]
+        for argv, message in cases:
+            assert run_cli(argv + out) == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         # impossible continuation fit threshold forces a numerical error
         code = run_cli(
@@ -263,14 +274,46 @@ class TestArtifacts:
         assert set(in_range) <= {r["seed"] for r in records}
 
     def test_min_phase_gain_is_an_unknown_key(self, tmp_path, capsys):
-        # the time-delay windows and their phase-gain threshold are gone
-        cfg_file = tmp_path / "old.cfg"
-        cfg_file.write_text(
-            f"command = resonances\nmin_phase_gain = 0.5\ncsv = {tmp_path / 'a.csv'}\njson = {tmp_path / 'a.json'}\n"
-        )
-        assert run_cli(["run", str(cfg_file)]) == 1
-        assert "unknown key 'min_phase_gain'" in capsys.readouterr().err
-        assert run_cli(["resonances", "--min-phase-gain", "0.5"]) == 1
+        # the time-delay windows and their phase-gain threshold are gone, and
+        # so are the time-delay peaks and their prominence cut
+        for key, command in (("min_phase_gain", "resonances"), ("prominence", "smatrix")):
+            cfg_file = tmp_path / "old.cfg"
+            cfg_file.write_text(
+                f"command = {command}\n{key} = 0.5\ncsv = {tmp_path / 'a.csv'}\njson = {tmp_path / 'a.json'}\n"
+            )
+            assert run_cli(["run", str(cfg_file)]) == 1
+            assert f"unknown key '{key}'" in capsys.readouterr().err
+            assert run_cli([command, "--" + key.replace("_", "-"), "0.5"]) == 1
+            assert not (tmp_path / "a.json").exists()
+
+    @staticmethod
+    def strict_json(path):
+        """The JSON document at ``path``; Infinity and NaN, which are not
+        JSON, raise."""
+
+        def reject(name):
+            raise ValueError(f"{path.name} holds {name}")
+
+        return json.loads(path.read_text(), parse_constant=reject)
+
+    def test_smatrix_and_resonances_are_one_run(self, tmp_path):
+        # criterion 5's two-Gaussian system: the narrow resonance at 2.2524
+        # and the broad one at 4.502, reported by both commands
+        settings = [
+            "--lambda", "20", "--N", "100", "--potential", "5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)",
+            "--e-min", "1.8", "--e-max", "5.2", "--steps", "400",
+        ]
+        tables, payloads = {}, {}
+        for command in ("smatrix", "resonances"):
+            csv, out = tmp_path / f"{command}.csv", tmp_path / f"{command}.json"
+            assert run_cli([command, *settings, "--csv", str(csv), "--json", str(out)]) == 0
+            tables[command], payloads[command] = csv.read_bytes(), self.strict_json(out)
+        assert tables["smatrix"] == tables["resonances"]
+        for key in ("results", "diagnostics"):
+            assert payloads["smatrix"][key] == payloads["resonances"][key]
+        for payload in payloads.values():
+            found = payload["results"]["resonances"]
+            assert any(abs(r["energy"] - 2.2524) < 1e-4 and 0.0 < r["width_estimate"] < 1e-3 for r in found)
 
     def test_resonances_scans_the_grid_once(self, tmp_path, monkeypatch):
         # the CSV is locate_resonances' own coarse scan, not a second one
