@@ -296,7 +296,7 @@ def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None) -> 
     eigenvalue are flagged, with NaN in ``abs_g``.
     """
     mats = build_matrices(system)
-    pair = gen_sym_eig(mats.h.data, mats.omega.data)
+    pair = gen_sym_eig(mats.h, mats.omega)
     energies = pair.eps[pair.eps < 0.0].copy()
 
     if grid is None:
@@ -321,7 +321,7 @@ def _g00(system: SystemSpec) -> PartialFractions:
     if system.basis.family != OSCILLATOR:
         raise InputError("density of states uses the orthonormal oscillator basis")
     mats = build_matrices(system)
-    return PartialFractions.from_pair(sym_eig(mats.h.data), 0, 0)
+    return PartialFractions.from_pair(sym_eig(mats.h), 0, 0)
 
 
 def _g00_off_poles(g00: PartialFractions, z: np.ndarray) -> np.ndarray:
@@ -360,8 +360,9 @@ def density_of_states(
                    Fails loudly if the fit residual exceeds fit_threshold
                    (relative).
 
-    A delta or fit_height that is not positive, or a fit_order below 1,
-    raises InputError. Either
+    A delta or fit_height that is not positive, a fit_threshold that is
+    not finite and positive, or a fit_order below 1, raises InputError,
+    before the system is built. Either
     method raises SpectrumEvaluationError if a point it evaluates G_00 at
     (E + i*delta, or the fit contour) sits on a pole by the pole rule
     (``resolvent.POLE_RTOL``).
@@ -369,6 +370,8 @@ def density_of_states(
     for name, value in (("delta", delta), ("fit_height", fit_height)):
         if value is not None and not value > 0.0:
             raise InputError(f"{name} must be positive, got {value}")
+    if not 0.0 < fit_threshold < math.inf:
+        raise InputError(f"fit_threshold must be finite and positive, got {fit_threshold}")
     if not fit_order >= 1:
         raise InputError(f"fit_order must be >= 1, got {fit_order}")
     if method not in ("smoothing", "continuation"):

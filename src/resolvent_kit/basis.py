@@ -24,6 +24,17 @@ energy enters through integration by parts, so only first derivatives of
 the basis appear). Any disagreement beyond ``CHECK_TOL`` aborts the
 build. The short-range potential matrix is always computed by
 quadrature, with an order-doubling convergence check.
+
+The first doubling compares the rules of max(4N, 40) and twice as many
+points, and builds both in one pass: V is evaluated and the table of
+the N orthonormal polynomials built once, over the nodes of the two
+rules together, and each matrix is formed from its rule's columns. For
+N >= 10 the table is N x 12N doubles at most (1.4 MB at N = 120), and
+the V-weighted copy of one rule's columns N x 8N; an escalation past
+the first doubling builds its new rule alone. Nodes where V is
+exactly 0.0 (a Gaussian tail that underflows, say) add nothing to any
+sum, so they are left out of the table; a NaN or inf V is kept, and
+fails the convergence check. With V = 0 no table is built.
 """
 
 from __future__ import annotations
@@ -58,29 +69,52 @@ def _orthonormal_recurrence(alpha: float, degree: int, x: np.ndarray, cur, logsc
     stays finite where a plain evaluation would overflow.
 
     Returns (cur, prev, logscale) at the last degree; the ratio of cur and
-    prev is scale-free. Given ``rows``, row n receives the value at degree
-    n for n = 0 .. degree, zero where it underflows.
+    prev is scale-free. Given ``rows`` instead, row n receives the value
+    at degree n for n = 0 .. degree, zero where it underflows, and nothing
+    is returned.
+
+    Each node runs its own recurrence: a renormalization divides the other
+    nodes by exactly 1, so a node's values do not depend on which other
+    nodes share the call. The unscaled values are written straight into
+    the rows, and the per-node scale multiplies each block of rows that
+    shares one logscale when the block ends.
     """
+    keep = rows is not None
+    if not keep:
+        rows = np.empty((3, x.size))  # ring of the last three degrees
+    width = rows.shape[0]
+    diag = [2.0 * n + alpha + 1.0 for n in range(degree)]
+    norm = [math.sqrt((n + 1.0) * (n + alpha + 1.0)) for n in range(degree)]
+    coupling = [0.0] + [math.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0))) for n in range(1, degree)]
+    a = np.empty_like(x)
+    bprev = np.empty_like(x)
+    mag = np.empty_like(x)
     prev = np.zeros_like(x)
+    rows[0] = cur
+    cur = rows[0]
+    start = 0  # first row not yet multiplied by its scale
     with np.errstate(under="ignore"):
-        if rows is not None:
-            scale = np.exp(logscale)  # recomputed only when logscale changes
-            rows[0] = cur * scale
         for n in range(degree):
-            a = (2.0 * n + alpha + 1.0 - x) / np.sqrt((n + 1.0) * (n + alpha + 1.0))
-            b = np.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0))) if n >= 1 else 0.0
-            cur, prev = a * cur - b * prev, cur
-            big = np.abs(cur) > 1e120
-            if big.any():
-                factor = np.where(big, np.abs(cur), 1.0)
-                logscale = logscale + np.log(factor)
-                cur = cur / factor
+            np.subtract(diag[n], x, out=a)
+            np.divide(a, norm[n], out=a)
+            np.multiply(prev, coupling[n], out=bprev)
+            new = rows[(n + 1) % width]
+            np.multiply(a, cur, out=new)
+            np.subtract(new, bprev, out=new)
+            cur, prev = new, cur
+            np.abs(cur, out=mag)
+            if np.fmax.reduce(mag, initial=0.0) > 1e120:  # skips NaN, as a mask would
+                big = mag > 1e120
+                factor = np.where(big, mag, 1.0)
                 prev = prev / factor
-                if rows is not None:
-                    scale = np.exp(logscale)
-            if rows is not None:
-                rows[n + 1] = cur * scale
-    return cur, prev, logscale
+                if keep:
+                    rows[start : n + 1] *= np.exp(logscale)
+                    start = n + 1
+                logscale = logscale + np.log(factor)
+                cur /= factor
+        if keep:
+            rows[start:] *= np.exp(logscale)
+    return None if keep else (cur, prev, logscale)
 
 
 def _lhat0(alpha: float, x: np.ndarray):
@@ -247,8 +281,9 @@ class MatrixSet:
     omega_diag: Optional[np.ndarray] = field(default=None, repr=False)
     omega_super: Optional[np.ndarray] = field(default=None, repr=False)
 
-    @property
+    @functools.cached_property
     def h(self) -> SymMatrix:
+        """H0 + V, built on first use and kept."""
         return SymMatrix(self.h0.data + self.v.data)
 
     @property
@@ -302,15 +337,30 @@ def _bands_to_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return m
 
 
-def _potential_by_quadrature(spec: SystemSpec, alpha_weight, alpha_poly, npts, arg_of_r):
-    """<psi_n|V|psi_m> on the weighted-polynomial representation: returns
-    the size x size matrix sum_k w_k lhat_n lhat_m V(r(x_k))."""
+def _potential_by_quadrature(spec: SystemSpec, alpha_weight, alpha_poly, rules, arg_of_r):
+    """<psi_n|V|psi_m> on the weighted-polynomial representation, one
+    size x size matrix sum_k w_k lhat_n lhat_m V(r(x_k)) per rule size in
+    ``rules``.
+
+    V is evaluated and the table built once, over the nodes of all the
+    rules together; each matrix is then formed from its rule's columns.
+    Nodes where V is exactly 0.0 add nothing to any sum, so they are left
+    out of the table (a NaN or inf V is kept and reaches the matrix)."""
     size = spec.basis.size
-    nodes, log_w = gauss_rule_log(alpha_weight, npts)
-    table = orthonormal_laguerre_table(alpha_poly, size - 1, nodes, log_scale=0.5 * log_w)
+    nodes, log_w = (np.concatenate(part) for part in zip(*(gauss_rule_log(alpha_weight, npts) for npts in rules)))
     vvals = spec.v_values(arg_of_r(nodes))
-    vm = (table * vvals) @ table.T
-    return 0.5 * (vm + vm.T)
+    live = vvals != 0.0
+    ends = np.cumsum(live)[np.cumsum(rules) - 1]  # live nodes up to the end of each rule
+    if not ends[-1]:
+        return [np.zeros((size, size)) for _ in rules]
+    table = orthonormal_laguerre_table(alpha_poly, size - 1, nodes[live], log_scale=0.5 * log_w[live])
+    vlive = vvals[live]
+    matrices = []
+    for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends):
+        block = table[:, lo:hi]
+        vm = (block * vlive[lo:hi]) @ block.T
+        matrices.append(0.5 * (vm + vm.T))
+    return matrices
 
 
 # The potential quadrature starts from max(4 * size, 40) points and
@@ -328,14 +378,15 @@ def _potential_with_convergence_check(spec: SystemSpec, alpha_weight, alpha_poly
     """Doubling test on the potential quadrature; escalates the rule until
     doubling changes nothing, errors out at the point cap.
 
-    The cap is checked after the doubled rule is built, so from a start
-    below the cap the last doubling builds fewer than 2 * _QUAD_POINT_CAP
-    points before QuadratureError; that also bounds the largest cached
-    rule at about 128 KB."""
+    The first comparison builds both of its rules in one table pass; each
+    escalation builds only its new, doubled rule. The cap is checked
+    after the doubled rule is built, so from a start below the cap the
+    last doubling builds fewer than 2 * _QUAD_POINT_CAP points before
+    QuadratureError; that also bounds the largest cached rule at about
+    128 KB."""
     npts = max(4 * spec.basis.size, 40)
-    v1 = _potential_by_quadrature(spec, alpha_weight, alpha_poly, npts, arg_of_r)
+    v1, v2 = _potential_by_quadrature(spec, alpha_weight, alpha_poly, (npts, 2 * npts), arg_of_r)
     while True:
-        v2 = _potential_by_quadrature(spec, alpha_weight, alpha_poly, 2 * npts, arg_of_r)
         residual = float(np.max(np.abs(v1 - v2)) / (1.0 + np.max(np.abs(v2))))
         if np.isfinite(residual) and residual <= CONV_TOL:
             return v2
@@ -346,7 +397,7 @@ def _potential_with_convergence_check(spec: SystemSpec, alpha_weight, alpha_poly
                 residual=residual,
             )
         npts *= 2
-        v1 = v2
+        v1, (v2,) = v2, _potential_by_quadrature(spec, alpha_weight, alpha_poly, (2 * npts,), arg_of_r)
 
 
 def laguerre_matrices(spec: SystemSpec) -> MatrixSet:

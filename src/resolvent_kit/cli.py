@@ -157,7 +157,7 @@ def cmd_resolvent(cfg: RunConfig) -> tuple:
     if not (0 <= n < cfg.size and 0 <= m < cfg.size):
         raise ConfigError(f"matrix element indices ({n}, {m}) out of range for N={cfg.size}")
     mats = build_matrices(_system_from_config(cfg))
-    pair = gen_sym_eig(mats.h.data, mats.omega.data)
+    pair = gen_sym_eig(mats.h, mats.omega)
     grid = _grid(cfg)
     values, on_pole = PartialFractions.from_pair(pair, n, m).evaluate(grid + 1j * cfg.im_z)
     flagged = np.flatnonzero(on_pole).tolist()
@@ -215,7 +215,7 @@ def _selftest_checks():
     def hydrogen_ground_state():
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=2.0, ell=0, size=8), z_charge=-1.0)
         mats = build_matrices(spec)
-        pair = gen_sym_eig(mats.h.data, mats.omega.data)
+        pair = gen_sym_eig(mats.h, mats.omega)
         return abs(pair.eps[0] + 0.5)
 
     def eigvec_identity():

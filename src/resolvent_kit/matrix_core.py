@@ -129,9 +129,8 @@ def sym_eig(a) -> SpectralPair:
     return SpectralPair(eps=eps, gamma=gamma, sigma=ones, eta=eps.copy())
 
 
-def is_spd(b) -> bool:
-    """Positive definiteness via attempted Cholesky factorization."""
-    m = _as_sym_array(b)
+def _has_cholesky(m: np.ndarray) -> bool:
+    """Whether a matrix already checked symmetric has a Cholesky factor."""
     try:
         np.linalg.cholesky(m)
         return True
@@ -139,17 +138,24 @@ def is_spd(b) -> bool:
         return False
 
 
+def is_spd(b) -> bool:
+    """Positive definiteness via attempted Cholesky factorization."""
+    return _has_cholesky(_as_sym_array(b))
+
+
 def gen_sym_eig(a, b) -> SpectralPair:
     """Generalized eigendecomposition H gamma = eps Omega gamma.
 
     ``b`` must be symmetric positive definite. Columns are scaled so that
-    gamma^T b gamma = I (sigma = 1), hence eta = eps.
+    gamma^T b gamma = I (sigma = 1), hence eta = eps. Each of ``a`` and
+    ``b`` is checked for symmetry once, and not at all when it is a
+    SymMatrix, which was checked when it was built.
     """
     ma = _as_sym_array(a)
     mb = _as_sym_array(b)
     if ma.shape != mb.shape:
         raise InputError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    if not is_spd(mb):
+    if not _has_cholesky(mb):
         raise OverlapNotSPDError("overlap not SPD")
     try:
         eps, gamma = scipy.linalg.eigh(ma, mb)

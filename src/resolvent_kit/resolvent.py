@@ -43,9 +43,9 @@ from .errors import (
 from .matrix_core import (
     SpectralPair,
     _as_sym_array,
+    _has_cholesky,
     delete_row_col,
     gen_sym_eig,
-    is_spd,
     sym_eig,
 )
 
@@ -103,7 +103,7 @@ class ResolventInput:
             om = _as_sym_array(self.omega)
             if om.shape != h.shape:
                 raise InputError(f"H and Omega dimensions differ: {h.shape} vs {om.shape}")
-            if not is_spd(om):
+            if not _has_cholesky(om):
                 raise InputError("overlap not SPD")
             object.__setattr__(self, "omega", om)
         object.__setattr__(self, "z", complex(self.z))
@@ -415,7 +415,7 @@ def eigvec_from_eigs_general(h, omega, n: int, m: int, k: int) -> float:
     om = _as_sym_array(omega)
     if hm.shape != om.shape:
         raise InputError("H and Omega dimensions differ")
-    if not is_spd(om):
+    if not _has_cholesky(om):
         raise InputError("overlap not SPD")
     if hm.shape[0] == 1:
         return 1.0 / float(om[0, 0]) if n == m == 0 else 0.0

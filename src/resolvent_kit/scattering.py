@@ -438,7 +438,7 @@ class ScatteringCalculator:
             raise InputError("S-matrix evaluation requires the Laguerre basis")
         self.system = system
         self.mats = build_matrices(system)
-        self.pair: SpectralPair = gen_sym_eig(self.mats.h.data, self.mats.omega.data)
+        self.pair: SpectralPair = gen_sym_eig(self.mats.h, self.mats.omega)
         last = self.mats.size - 1
         self._g_last = PartialFractions.from_pair(self.pair, last, last)
 

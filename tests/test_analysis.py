@@ -514,6 +514,18 @@ class TestDensityOfStates:
             )
         assert err.value.residual > err.value.threshold
 
+    def test_fit_threshold_not_finite_and_positive_rejected_before_build(self, monkeypatch):
+        # a NaN threshold would switch the residual gate off, and a
+        # nonpositive one would fail every fit as a numerical error
+        def build(spec):
+            raise AssertionError("matrices built before the fit_threshold check")
+
+        monkeypatch.setattr("resolvent_kit.analysis.build_matrices", build)
+        grid = np.linspace(0.3, 6.0, 120)
+        for value in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(InputError, match="fit_threshold must be finite and positive"):
+                density_of_states(self.osc_spec(size=60), grid, method="continuation", fit_threshold=value)
+
     def test_requires_oscillator_basis(self):
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=10))
         with pytest.raises(InputError):

@@ -73,6 +73,18 @@ class TestGaussQuadrature:
         assert np.abs(want[-1, 1]) > 1e130
         np.testing.assert_allclose(orthonormal_laguerre_table(alpha, 75, x), want, rtol=1e-11)
 
+    def test_one_pass_over_joined_nodes_equals_separate_passes(self):
+        # each node runs its own recurrence, renormalizations included, so
+        # a table over the nodes of two rules is the two tables side by side
+        x1, lw1 = gauss_rule_log(4.0, 960)
+        x2, lw2 = gauss_rule_log(4.0, 1920)
+        assert np.max(np.abs(orthonormal_laguerre_table(3.0, 119, x2))) > 1e120  # renormalizes
+        joined = orthonormal_laguerre_table(
+            3.0, 119, np.concatenate([x1, x2]), log_scale=0.5 * np.concatenate([lw1, lw2])
+        )
+        apart = [orthonormal_laguerre_table(3.0, 119, x, log_scale=0.5 * lw) for x, lw in ((x1, lw1), (x2, lw2))]
+        assert np.array_equal(joined, np.hstack(apart))
+
     def test_bad_args(self):
         with pytest.raises(InputError):
             gauss_quadrature(0.0, 0)
@@ -188,8 +200,43 @@ class TestLaguerreMatrices:
         pot = parse_potential("7.5*r^2*exp(-r)")
         mats = laguerre_matrices(self.spec(size=12, pot=pot))
         # independent check against a fixed 400-point rule (lam = 1, ell = 0)
-        finer = _potential_by_quadrature(self.spec(size=12, pot=pot), 2, 1, 400, lambda x: x)
+        (finer,) = _potential_by_quadrature(self.spec(size=12, pot=pot), 2, 1, (400,), lambda x: x)
         assert np.max(np.abs(mats.v.data - finer)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "text, lam, ell, size, npts",
+        [("exp(-r^2)", 1.0, 0, 30, 240), ("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)", 10.0, 1, 120, 960)],
+    )
+    def test_zero_nodes_skipped_without_changing_v(self, text, lam, ell, size, npts):
+        # V underflows to exactly 0.0 over most nodes; leaving those nodes
+        # out of the table may only reorder the sum
+        spec = self.spec(lam=lam, ell=ell, size=size, pot=parse_potential(text))
+        x, lw = gauss_rule_log(2 * ell + 2, npts)
+        v = spec.v_values(x / lam)
+        assert np.mean(v == 0.0) > 0.5
+        t = orthonormal_laguerre_table(2 * ell + 1, size - 1, x, log_scale=0.5 * lw)
+        full = (t * v) @ t.T
+        (got,) = _potential_by_quadrature(spec, 2 * ell + 2, 2 * ell + 1, (npts,), lambda x: x / lam)
+        assert np.max(np.abs(got - 0.5 * (full + full.T))) <= 1e-15 * np.max(np.abs(full))
+
+    def test_zero_potential_builds_no_table(self, monkeypatch):
+        def table(*args, **kwargs):
+            raise AssertionError("table built for V = 0")
+
+        monkeypatch.setattr(basis_module, "orthonormal_laguerre_table", table)
+        for pot in (None, parse_potential("0*exp(-r)")):
+            got = _potential_by_quadrature(self.spec(size=12, pot=pot), 2, 1, (48, 96), lambda x: x)
+            assert len(got) == 2 and all(np.array_equal(v, np.zeros((12, 12))) for v in got)
+
+    def test_nonfinite_potential_fails_the_doubling_check(self):
+        # a NaN V is not an exact zero, so it stays in the sum and fails
+        # the convergence test instead of vanishing from the matrix
+        spec = SystemSpec(
+            basis=BasisSpec("laguerre", lam=1.0, ell=0, size=8), potential=parse_potential("0*r^-400"), check_potential=False
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QuadratureError, match="did not converge") as info:
+            laguerre_matrices(spec)
+        assert math.isnan(info.value.residual)
 
     def test_family_mismatch(self):
         with pytest.raises(InputError):

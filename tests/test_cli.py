@@ -79,6 +79,10 @@ class TestExitCodes:
         cases = [
             (["smatrix", "--potential", "7.5*r^2*exp(-r)", "--range-r", "0"], "range_r must be finite and positive"),
             (["dos", "--family", "oscillator", "--method", "continuation", "--fit-order", "-2"], "fit_order must be >= 1"),
+            (
+                ["dos", "--family", "oscillator", "--method", "continuation", "--fit-threshold", "-1"],
+                "fit_threshold must be finite and positive",
+            ),
         ]
         for argv, message in cases:
             assert run_cli(argv + out) == 1

@@ -9,6 +9,7 @@ from resolvent_kit.matrix_core import (
     det,
     eig_general,
     gen_sym_eig,
+    is_spd,
     sym_eig,
 )
 
@@ -19,6 +20,36 @@ class TestTypes:
     def test_sym_matrix_rejects_asymmetry(self):
         with pytest.raises(InputError):
             SymMatrix(np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]]))
+
+    def test_plain_arrays_checked_for_symmetry(self, rng):
+        h = random_symmetric(rng, 4)
+        om = random_spd(rng, 4)
+        skew = h.copy()
+        skew[0, 1] += 1e-3
+        calls = (
+            lambda: sym_eig(skew),
+            lambda: gen_sym_eig(skew, om),
+            lambda: gen_sym_eig(h, skew + 10.0 * np.eye(4)),
+            lambda: is_spd(skew + 10.0 * np.eye(4)),
+        )
+        for call in calls:
+            with pytest.raises(InputError, match="not symmetric"):
+                call()
+
+    def test_sym_matrix_not_checked_again(self, rng, monkeypatch):
+        # a SymMatrix was checked bit-exact when built; the eigensolvers
+        # take it as it is and give the same pair as the checked arrays
+        h = random_symmetric(rng, 5)
+        om = random_spd(rng, 5)
+        want = gen_sym_eig(h, om), sym_eig(h)
+        sh, som = SymMatrix(h), SymMatrix(om)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("symmetry checked again")
+
+        monkeypatch.setattr(np, "allclose", refuse)
+        for got, ref in zip((gen_sym_eig(sh, som), sym_eig(sh)), want):
+            assert np.array_equal(got.eps, ref.eps) and np.array_equal(got.gamma, ref.gamma)
 
     def test_sym_matrix_frozen(self):
         m = SymMatrix(np.eye(3))
