@@ -49,8 +49,6 @@ from .matrix_core import (
     SpectralPair,
     SymMatrix,
     delete_row_col,
-    det,
-    eig_general,
     gen_sym_eig,
     sym_eig,
 )

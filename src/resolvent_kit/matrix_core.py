@@ -2,7 +2,8 @@
 
 This is the linear-algebra substrate for the resolvent formulas: plain and
 generalized eigendecompositions with a fixed normalization and sign
-convention, determinants, and row/column-deleted submatrices. Everything
+convention, and row/column-deleted submatrices. Every matrix is checked
+finite where it comes in. Everything
 here is a pure function; returned arrays are frozen (non-writeable), so
 a SymMatrix or SpectralPair shared by several consumers cannot be
 written through, just as the Gauss rules cached in ``basis`` cannot.
@@ -41,6 +42,7 @@ class SymMatrix:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise InputError("matrix dimension must be >= 1")
+        _check_finite(a)
         if not np.array_equal(a, a.T):
             raise InputError("matrix is not exactly symmetric")
         object.__setattr__(self, "data", _freeze(a))
@@ -54,49 +56,37 @@ class SymMatrix:
 class SpectralPair:
     """Solution of H Gamma = Omega Gamma diag(eps).
 
-    ``eps`` ascending; ``gamma`` holds the eigenvectors as columns;
-    ``sigma[i] = gamma[:,i]^T Omega gamma[:,i]`` and
-    ``eta[i] = gamma[:,i]^T H gamma[:,i]``, so ``eps = eta / sigma``.
-    The solvers below scale columns so that sigma == 1, but the formulas
-    consuming a SpectralPair divide by sigma explicitly and therefore
-    stay correct under any column rescaling.
+    ``eps`` ascending; ``gamma`` holds the eigenvectors as columns,
+    normalized so that gamma^T Omega gamma = I, hence
+    gamma^T H gamma = diag(eps). Both solvers below return that
+    normalization, and the spectral form of the resolvent,
+    G_nm(z) = sum_j gamma[n,j] gamma[m,j] / (eps_j - z), relies on it.
     """
 
     eps: np.ndarray
     gamma: np.ndarray
-    sigma: np.ndarray
-    eta: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _freeze(np.asarray(self.eps, dtype=float)))
         object.__setattr__(self, "gamma", _freeze(np.asarray(self.gamma, dtype=float)))
-        object.__setattr__(self, "sigma", _freeze(np.asarray(self.sigma, dtype=float)))
-        object.__setattr__(self, "eta", _freeze(np.asarray(self.eta, dtype=float)))
 
     @property
     def n(self) -> int:
         return self.eps.shape[0]
 
-    def rescaled(self, factors) -> "SpectralPair":
-        """Multiply column i of gamma by factors[i] (sigma, eta pick up
-        the square). Used by scale-invariance tests."""
-        f = np.asarray(factors, dtype=float)
-        return SpectralPair(self.eps, self.gamma * f, self.sigma * f**2, self.eta * f**2)
 
-
-def _as_square_array(a) -> np.ndarray:
-    if isinstance(a, SymMatrix):
-        a = a.data
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
-    return a
+def _check_finite(a: np.ndarray):
+    if not np.isfinite(a).all():
+        raise InputError("matrix has non-finite (inf or NaN) entries")
 
 
 def _as_sym_array(a) -> np.ndarray:
     if isinstance(a, SymMatrix):
         return a.data
-    a = _as_square_array(a)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
+    _check_finite(a)
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-13 * max(1.0, np.abs(a).max())):
         raise InputError("matrix is not symmetric")
     return a
@@ -116,17 +106,14 @@ def _fix_column_signs(gamma: np.ndarray) -> np.ndarray:
 def sym_eig(a) -> SpectralPair:
     """Eigendecomposition of a real symmetric matrix.
 
-    Columns of gamma are orthonormal, eigenvalues ascend, and the
-    identity-overlap conventions hold: sigma = 1, eta = eps.
+    Columns of gamma are orthonormal and eigenvalues ascend.
     """
     m = _as_sym_array(a)
     try:
         eps, gamma = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
-    gamma = _fix_column_signs(gamma)
-    ones = np.ones_like(eps)
-    return SpectralPair(eps=eps, gamma=gamma, sigma=ones, eta=eps.copy())
+    return SpectralPair(eps=eps, gamma=_fix_column_signs(gamma))
 
 
 def _has_cholesky(m: np.ndarray) -> bool:
@@ -138,32 +125,26 @@ def _has_cholesky(m: np.ndarray) -> bool:
         return False
 
 
-def is_spd(b) -> bool:
-    """Positive definiteness via attempted Cholesky factorization."""
-    return _has_cholesky(_as_sym_array(b))
-
-
 def gen_sym_eig(a, b) -> SpectralPair:
     """Generalized eigendecomposition H gamma = eps Omega gamma.
 
     ``b`` must be symmetric positive definite. Columns are scaled so that
-    gamma^T b gamma = I (sigma = 1), hence eta = eps. Each of ``a`` and
-    ``b`` is checked for symmetry once, and not at all when it is a
-    SymMatrix, which was checked when it was built.
+    gamma^T b gamma = I. Each of ``a`` and ``b`` is checked for symmetry
+    and finiteness once, and not at all when it is a SymMatrix, which was
+    checked when it was built. The solver's Cholesky factorization of
+    ``b`` is the only one; a failure is classified after the fact.
     """
     ma = _as_sym_array(a)
     mb = _as_sym_array(b)
     if ma.shape != mb.shape:
         raise InputError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    if not _has_cholesky(mb):
-        raise OverlapNotSPDError("overlap not SPD")
     try:
-        eps, gamma = scipy.linalg.eigh(ma, mb)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        eps, gamma = scipy.linalg.eigh(ma, mb, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        if not _has_cholesky(mb):
+            raise OverlapNotSPDError("overlap not SPD") from exc
         raise ConvergenceError(f"generalized eigensolver did not converge: {exc}") from exc
-    gamma = _fix_column_signs(gamma)
-    ones = np.ones_like(eps)
-    return SpectralPair(eps=eps, gamma=gamma, sigma=ones, eta=eps.copy())
+    return SpectralPair(eps=eps, gamma=_fix_column_signs(gamma))
 
 
 def delete_row_col(a, n: int, m: int):
@@ -182,23 +163,3 @@ def delete_row_col(a, n: int, m: int):
         raise InputError(f"indices ({n}, {m}) out of range for shape {arr.shape}")
     return np.delete(np.delete(arr, n, axis=0), m, axis=1)
 
-
-def det(a) -> float:
-    """Signed determinant via pivoted LU factorization."""
-    return float(np.linalg.det(_as_square_array(a)))
-
-
-def eig_general(a) -> np.ndarray:
-    """Complex eigenvalues of a real square matrix, sorted ascending by
-    real part with ties broken by imaginary part.
-
-    Only used as a cross-check: products of these eigenvalues equal
-    determinants, which is what the production formulas use instead.
-    """
-    m = _as_square_array(a)
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"QR eigensolver did not converge: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]

@@ -140,8 +140,8 @@ class PartialFractions:
     @classmethod
     def from_pair(cls, pair: SpectralPair, n: int, m: int) -> "PartialFractions":
         """G_{n,m} of any symmetric-definite pencil from its eigenpairs:
-        residues gamma[n,j] gamma[m,j] / sigma_j."""
-        return cls(poles=pair.eps, coeffs=pair.gamma[n] * pair.gamma[m] / pair.sigma, n=n, m=m)
+        residues gamma[n,j] gamma[m,j]."""
+        return cls(poles=pair.eps, coeffs=pair.gamma[n] * pair.gamma[m], n=n, m=m)
 
     def evaluate(self, z, drop=None):
         """(values, on_pole) at a scalar or an array of points z, both in
@@ -207,7 +207,7 @@ def _is_singular_submatrix(a: np.ndarray, rtol: float = 1e-12) -> bool:
 
 
 def green_spectral(inp: ResolventInput, n: int, m: int, pair: Optional[SpectralPair] = None) -> complex:
-    """Spectral sum  sum_i gamma[n,i] gamma[m,i] / (sigma_i (eps_i - z)).
+    """Spectral sum  sum_i gamma[n,i] gamma[m,i] / (eps_i - z).
 
     ``pair`` may carry a precomputed decomposition of (H, Omega) for reuse
     across many z.
@@ -258,30 +258,23 @@ def _product_form(h: np.ndarray, om: Optional[np.ndarray], n: int, m: int):
         (-1)^(n+m) det Omega^(n,m) / det Omega
 
     ``om=None`` is an orthonormal basis (Omega = I, n == m), with
-    prefactor 1. A symmetric-definite deleted pencil (n == m) has real
-    eigenvalues; otherwise it is a QZ problem with complex ones, and a
-    singular deleted overlap or an infinite eigenvalue leaves the form
+    prefactor 1. A deleted principal submatrix (n == m) of the SPD Omega
+    is SPD, so that deleted pencil is symmetric-definite with real
+    eigenvalues. For n != m they are the complex eigenvalues of
+    Omega^(n,m)^-1 H^(n,m), and a singular Omega^(n,m) leaves the form
     undefined: SingularSubmatrixError, pointing at ``green_cofactor``.
     """
     if om is None:
         return 1.0, np.linalg.eigvalsh(delete_row_col(h, n, n))
     hs, os_ = delete_row_col(h, n, m), delete_row_col(om, n, m)
-    sign_full, log_full = np.linalg.slogdet(om)
-    sign_sub, log_sub = np.linalg.slogdet(os_)
-    if sign_sub == 0 or (n != m and _is_singular_submatrix(os_)):
+    if n != m and _is_singular_submatrix(os_):
         raise SingularSubmatrixError(
             "eigenvalue-product form undefined: deleted overlap submatrix is "
             f"singular for (n, m)=({n}, {m}); use green_cofactor"
         )
-    if n == m:
-        sub = _gen_eigvals(hs, os_)
-    else:
-        alpha, beta = scipy.linalg.eig(hs, os_, right=False, homogeneous_eigvals=True)
-        if np.any(np.abs(beta) < 1e-300):
-            raise SingularSubmatrixError(
-                f"deleted pencil for (n, m)=({n}, {m}) has an infinite eigenvalue; use green_cofactor"
-            )
-        sub = alpha / beta
+    sign_full, log_full = np.linalg.slogdet(om)
+    sign_sub, log_sub = np.linalg.slogdet(os_)
+    sub = _gen_eigvals(hs, os_) if n == m else np.linalg.eigvals(np.linalg.solve(os_, hs))
     return (-1.0) ** (n + m) * sign_sub * sign_full * np.exp(log_sub - log_full), sub
 
 
@@ -405,8 +398,8 @@ def eigvec_sq_from_eigs(h, n: int, k: int) -> float:
 
 def eigvec_from_eigs_general(h, omega, n: int, m: int, k: int) -> float:
     """gamma[n,k] * gamma[m,k] for a symmetric-definite pencil from
-    eigenvalues and overlap determinants only, under the sigma = 1
-    normalization:
+    eigenvalues and overlap determinants only, under the normalization
+    gamma^T Omega gamma = I:
 
         (-1)^(n+m) * (det Omega^(n,m) / det Omega)
                    * prod_i (eps_sub_i - eps_k) / prod_{j != k} (eps_j - eps_k)

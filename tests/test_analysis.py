@@ -234,7 +234,7 @@ def mp_pole(calc, start, dps=50):
     ell, size = basis.ell, basis.size
     with mp.workdps(dps):
         lam, z_charge = mp.mpf(basis.lam), mp.mpf(calc.system.z_charge)
-        weights = calc.pair.gamma[-1] ** 2 / calc.pair.sigma
+        weights = calc.pair.gamma[-1] ** 2
         poles = [(mp.mpf(float(w)), mp.mpf(float(e))) for w, e in zip(weights, calc.pair.eps)]
         root = mp.sqrt(size * (size + 2 * ell + 1))
 

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from resolvent_kit import matrix_core
 from resolvent_kit.errors import InputError, OverlapNotSPDError
 from resolvent_kit.matrix_core import (
     SymMatrix,
     _fix_column_signs,
     delete_row_col,
-    det,
-    eig_general,
     gen_sym_eig,
-    is_spd,
     sym_eig,
 )
 
@@ -30,7 +28,6 @@ class TestTypes:
             lambda: sym_eig(skew),
             lambda: gen_sym_eig(skew, om),
             lambda: gen_sym_eig(h, skew + 10.0 * np.eye(4)),
-            lambda: is_spd(skew + 10.0 * np.eye(4)),
         )
         for call in calls:
             with pytest.raises(InputError, match="not symmetric"):
@@ -56,19 +53,21 @@ class TestTypes:
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
 
-    def test_spectral_pair_scale_invariance(self, rng):
-        h = random_symmetric(rng, 5)
-        om = random_spd(rng, 5)
-        pair = gen_sym_eig(h, om)
-        factors = rng.uniform(0.5, 2.0, size=5)
-        scaled = pair.rescaled(factors)
-        # eps unchanged, sigma and eta pick up the square
-        np.testing.assert_allclose(scaled.eps, pair.eps)
-        np.testing.assert_allclose(scaled.eta / scaled.sigma, pair.eps, atol=1e-12)
-        gs = scaled.gamma
-        np.testing.assert_allclose(
-            np.diag(gs.T @ om @ gs), scaled.sigma, rtol=1e-10, atol=1e-12
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries_rejected(self, rng, bad):
+        h = random_symmetric(rng, 4)
+        om = random_spd(rng, 4)
+        broken = h.copy()
+        broken[1, 2] = broken[2, 1] = bad
+        calls = (
+            lambda: SymMatrix(broken),
+            lambda: sym_eig(broken),
+            lambda: gen_sym_eig(broken, om),
+            lambda: gen_sym_eig(h, broken),
         )
+        for call in calls:
+            with pytest.raises(InputError, match="non-finite"):
+                call()
 
 
 class TestSymEig:
@@ -76,8 +75,9 @@ class TestSymEig:
         pair = sym_eig(np.diag([2.0, 3.0]))
         np.testing.assert_allclose(pair.eps, [2.0, 3.0])
         np.testing.assert_allclose(pair.gamma, np.eye(2))
-        np.testing.assert_allclose(pair.sigma, [1.0, 1.0])
-        np.testing.assert_allclose(pair.eta, [2.0, 3.0])
+        h = np.diag([2.0, 3.0])
+        np.testing.assert_allclose(pair.gamma.T @ pair.gamma, np.eye(2))
+        np.testing.assert_allclose(pair.gamma.T @ h @ pair.gamma, np.diag(pair.eps))
 
     def test_off_diagonal_pair(self):
         pair = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -163,16 +163,35 @@ class TestGenSymEig:
         ht = pair.gamma.T @ h @ pair.gamma
         ot = pair.gamma.T @ om @ pair.gamma
         tol = 1e-10 * max(np.abs(h).max(), 1.0)
-        assert np.max(np.abs(ht - np.diag(np.diag(ht)))) < tol
-        assert np.max(np.abs(ot - np.diag(np.diag(ot)))) < tol
-        np.testing.assert_allclose(np.diag(ot), pair.sigma, atol=1e-10)
-        np.testing.assert_allclose(np.diag(ht), pair.eta, atol=1e-9)
-        np.testing.assert_allclose(pair.eta / pair.sigma, pair.eps, atol=1e-10)
+        # the normalization every consumer relies on: gamma^T Omega gamma = I
+        # and gamma^T H gamma = diag(eps)
+        np.testing.assert_allclose(ot, np.eye(6), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(ht, np.diag(pair.eps), rtol=0, atol=tol)
 
     def test_not_spd_rejected(self, rng):
         h = random_symmetric(rng, 4)
         with pytest.raises(OverlapNotSPDError, match="overlap not SPD"):
             gen_sym_eig(h, np.diag([1.0, -1.0, 1.0, 1.0]))
+
+    def test_overlap_factored_once(self, rng, monkeypatch):
+        # an SPD pencil is factored by the generalized solver alone; the
+        # overlap is tested for a Cholesky factor only once that fails
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(matrix_core, "_has_cholesky", spy("_has_cholesky", matrix_core._has_cholesky))
+        monkeypatch.setattr(np.linalg, "cholesky", spy("cholesky", np.linalg.cholesky))
+        h = random_symmetric(rng, 6)
+        gen_sym_eig(h, random_spd(rng, 6))
+        assert calls == []
+        with pytest.raises(OverlapNotSPDError, match="overlap not SPD"):
+            gen_sym_eig(h, np.diag([1.0, 2.0, -0.5, 1.0, 3.0, 1.0]))
+        assert calls == ["_has_cholesky", "cholesky"]
 
 
 class TestDeleteRowCol:
@@ -204,44 +223,22 @@ class TestDeleteRowCol:
 
 
 class TestDet:
+    """The cofactor-expansion determinant that the tests use as an oracle."""
+
     def test_identity(self):
-        assert det(np.eye(6)) == pytest.approx(1.0)
+        assert det_cofactor(np.eye(6)) == 1.0
 
     def test_upper_triangular(self, rng):
         a = np.triu(rng.randn(5, 5))
-        np.testing.assert_allclose(det(a), np.prod(np.diag(a)), rtol=1e-12)
+        np.testing.assert_allclose(det_cofactor(a), np.prod(np.diag(a)), rtol=1e-12)
 
     def test_cofactor_oracle(self, rng):
         for _ in range(5):
             a = rng.randn(4, 4)
-            want = det_cofactor(a)
-            np.testing.assert_allclose(det(a), want, rtol=1e-10)
+            np.testing.assert_allclose(np.linalg.det(a), det_cofactor(a), rtol=1e-10)
 
     def test_singular_is_zero(self):
-        a = np.ones((3, 3))
-        assert abs(det(a)) < 1e-12
-
-
-class TestEigGeneral:
-    def test_diagonal(self):
-        vals = eig_general(np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(vals, [1.0, 2.0])
-
-    def test_nilpotent(self):
-        vals = eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(vals, [0.0, 0.0], atol=1e-12)
-
-    def test_product_matches_det(self, rng):
-        for _ in range(5):
-            a = rng.randn(3, 3)
-            prod = np.prod(eig_general(a))
-            np.testing.assert_allclose(prod.real, det(a), rtol=1e-8, atol=1e-10)
-            assert abs(prod.imag) < 1e-8
-
-    def test_sorted_output(self, rng):
-        vals = eig_general(rng.randn(6, 6))
-        keys = [(v.real, v.imag) for v in vals]
-        assert keys == sorted(keys)
+        assert abs(det_cofactor(np.ones((3, 3)))) < 1e-12
 
 
 class TestInterlacing:
@@ -258,8 +255,8 @@ class TestCofactorInverseIdentity:
     def test_inverse_from_deleted_determinants(self, rng):
         c = rng.randn(5, 5) + 5.0 * np.eye(5)
         inv = np.linalg.inv(c)
-        dc = det(c)
+        dc = det_cofactor(c)
         for n in range(5):
             for m in range(5):
-                val = det(delete_row_col(c, n, m)) * (-1.0) ** (n + m) / dc
+                val = det_cofactor(delete_row_col(c, n, m)) * (-1.0) ** (n + m) / dc
                 np.testing.assert_allclose(val, inv[m, n], rtol=1e-9, atol=1e-12)

@@ -7,10 +7,11 @@ from resolvent_kit.errors import (
     SingularSubmatrixError,
     SpectrumEvaluationError,
 )
-from resolvent_kit.matrix_core import delete_row_col, det, gen_sym_eig, sym_eig
+from resolvent_kit.matrix_core import delete_row_col, gen_sym_eig, sym_eig
 from resolvent_kit.resolvent import (
     _BATCH_SIZE,
     PartialFractions,
+    _product_form,
     ResolventInput,
     eigvec_from_eigs_general,
     eigvec_prod_from_eigs,
@@ -24,7 +25,7 @@ from resolvent_kit.resolvent import (
     paired_product_ratio,
 )
 
-from conftest import random_spd, random_symmetric
+from conftest import det_cofactor, random_spd, random_symmetric
 
 
 def tridiag_spd(n):
@@ -149,7 +150,7 @@ class TestGreenEigprodGeneral:
         # diagonal (non-identity) overlap: deleting row 0 and column 2
         # leaves a matrix with a zero column, exactly singular
         om = np.diag([1.0, 2.0, 3.0])
-        assert abs(det(delete_row_col(om, 0, 2))) < 1e-14
+        assert det_cofactor(delete_row_col(om, 0, 2)) == 0.0
         h = random_symmetric(rng, 3)
         inp = ResolventInput(h=h, omega=om, z=0.1j)
         with pytest.raises(SingularSubmatrixError, match="green_cofactor"):
@@ -159,7 +160,7 @@ class TestGreenEigprodGeneral:
         # a tridiagonal overlap's deleted submatrix at |n-m| = 2 is
         # triangular with nonzero diagonal, so the product form applies
         om = tridiag_spd(3)
-        assert abs(det(delete_row_col(om, 0, 2))) > 0.1
+        assert abs(det_cofactor(delete_row_col(om, 0, 2))) > 0.1
         h = random_symmetric(rng, 3)
         inp = ResolventInput(h=h, omega=om, z=0.1j)
         a = green_eigprod_general(inp, 0, 2)
@@ -170,6 +171,21 @@ class TestGreenEigprodGeneral:
         inp = ResolventInput(h=random_symmetric(rng, 3), omega=None, z=1j)
         with pytest.raises(InputError):
             green_eigprod_general(inp, 0, 0)
+
+    def test_deleted_pencil_eigenvalues_are_determinant_roots(self, rng):
+        # off the diagonal the deleted pencil is nonsymmetric: its complex
+        # eigenvalues multiply to det H^(n,m) / det Omega^(n,m), and each
+        # is a root of det(H^(n,m) - lam Omega^(n,m)), by cofactor expansion
+        h = random_symmetric(rng, 5)
+        om = random_spd(rng, 5)
+        for n, m in ((0, 1), (3, 1), (4, 2)):
+            hs, os_ = delete_row_col(h, n, m), delete_row_col(om, n, m)
+            sub = _product_form(h, om, n, m)[1]
+            assert sub.size == 4
+            np.testing.assert_allclose(np.prod(sub), det_cofactor(hs) / det_cofactor(os_), rtol=1e-10)
+            scale = abs(det_cofactor(os_)) * max(1.0, np.max(np.abs(sub))) ** 4
+            for lam in sub:
+                assert abs(det_cofactor(hs - lam * os_)) / scale < 1e-10
 
 
 class TestGreenDiagOrthonormal:
@@ -251,12 +267,10 @@ class TestPartialFractions:
         pair = gen_sym_eig(h, om)
         zs = rng.uniform(-4.0, 4.0, 3 * _BATCH_SIZE + 1) + 1j * rng.uniform(0.05, 2.0, 3 * _BATCH_SIZE + 1)
         want = np.array([inverse_oracle(ResolventInput(h=h, omega=om, z=z))[1, 4] for z in zs])
-        # residues divide by sigma, so rescaled eigenvectors change nothing
-        for p in (pair, pair.rescaled(rng.uniform(0.5, 2.0, 6))):
-            values, on_pole = PartialFractions.from_pair(p, 1, 4).evaluate(zs)
-            assert values.shape == on_pole.shape == zs.shape
-            assert not on_pole.any()
-            assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-10
+        values, on_pole = PartialFractions.from_pair(pair, 1, 4).evaluate(zs)
+        assert values.shape == on_pole.shape == zs.shape
+        assert not on_pole.any()
+        assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-10
 
     def test_from_pair_residues_match_determinant_route(self, rng):
         h = random_symmetric(rng, 5)
@@ -389,6 +403,21 @@ class TestEigvecGeneral:
         h = random_symmetric(rng, 3)
         with pytest.raises(SingularSubmatrixError):
             eigvec_from_eigs_general(h, om, 0, 2, 0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_matrices_rejected(rng, bad):
+    h = random_symmetric(rng, 4)
+    om = random_spd(rng, 4)
+    calls = []
+    for which in ("h", "omega"):
+        mats = {"h": h.copy(), "omega": om.copy()}
+        mats[which][0, 3] = mats[which][3, 0] = bad
+        calls.append(lambda mats=mats: ResolventInput(h=mats["h"], omega=mats["omega"], z=0.2j))
+        calls.append(lambda mats=mats: eigvec_from_eigs_general(mats["h"], mats["omega"], 1, 2, 0))
+    for call in calls:
+        with pytest.raises(InputError, match="non-finite"):
+            call()
 
 
 class TestFormulaEquivalence:

@@ -22,7 +22,7 @@ import mpmath as mp
 def mp_green_boundary(calc, energy):
     """G J at ``energy`` in the current mpmath precision, from the double
     resolvent weights and boundary element of ``calc``."""
-    weights = calc.pair.gamma[-1] ** 2 / calc.pair.sigma
+    weights = calc.pair.gamma[-1] ** 2
     g = mp.fsum(mp.mpf(float(w)) / (mp.mpf(float(e)) - energy) for w, e in zip(weights, calc.pair.eps))
     return g * mp.mpf(float(calc.mats.j_boundary(energy)))
 
