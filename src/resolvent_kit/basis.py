@@ -47,7 +47,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gammaln
 
 from .errors import InputError, QuadratureError
 from .matrix_core import SymMatrix
@@ -119,7 +118,7 @@ def _orthonormal_recurrence(alpha: float, degree: int, x: np.ndarray, cur, logsc
 
 def _lhat0(alpha: float, x: np.ndarray):
     """Start values (cur, logscale) of the recurrence for the bare lhat_n."""
-    return np.full_like(x, np.exp(-0.5 * gammaln(alpha + 1.0))), np.zeros_like(x)
+    return np.full_like(x, np.exp(-0.5 * math.lgamma(alpha + 1.0))), np.zeros_like(x)
 
 
 def gauss_quadrature(alpha: float, npts: int):
@@ -169,7 +168,7 @@ def _gauss_rule_cached(alpha: float, npts: int):
     k = np.arange(npts, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     if npts == 1:
-        nodes, log_w = diag, np.array([gammaln(alpha + 1.0)])
+        nodes, log_w = diag, np.array([math.lgamma(alpha + 1.0)])
     else:
         off = np.sqrt(k[1:] * (k[1:] + alpha))
         nodes = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
@@ -197,7 +196,7 @@ def orthonormal_laguerre_table(alpha: float, nmax: int, x, log_scale=None) -> np
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1, x.size))
     logscale = np.zeros_like(x) if log_scale is None else np.asarray(log_scale, dtype=float)
-    _orthonormal_recurrence(alpha, nmax, x, np.ones_like(x), logscale - 0.5 * gammaln(alpha + 1.0), rows=out)
+    _orthonormal_recurrence(alpha, nmax, x, np.ones_like(x), logscale - 0.5 * math.lgamma(alpha + 1.0), rows=out)
     return out
 
 
