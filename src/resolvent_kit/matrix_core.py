@@ -2,11 +2,11 @@
 
 This is the linear-algebra substrate for the resolvent formulas: plain and
 generalized eigendecompositions with a fixed normalization and sign
-convention, and row/column-deleted submatrices. Every matrix is checked
-finite where it comes in. Everything
-here is a pure function; returned arrays are frozen (non-writeable), so
-a SymMatrix or SpectralPair shared by several consumers cannot be
-written through, just as the Gauss rules cached in ``basis`` cannot.
+convention, and row/column-deleted submatrices. A matrix is checked
+finite where it comes in. Everything here is a pure function; returned
+arrays are frozen (non-writeable), so a SymMatrix or SpectralPair shared
+by several consumers cannot be written through, just as the Gauss rules
+cached in ``basis`` cannot.
 """
 
 from __future__ import annotations
@@ -162,4 +162,3 @@ def delete_row_col(a, n: int, m: int):
     if not (0 <= n < rows and 0 <= m < cols):
         raise InputError(f"indices ({n}, {m}) out of range for shape {arr.shape}")
     return np.delete(np.delete(arr, n, axis=0), m, axis=1)
-
