@@ -11,8 +11,8 @@ from resolvent_kit.matrix_core import delete_row_col, gen_sym_eig, sym_eig
 from resolvent_kit.resolvent import (
     _BATCH_SIZE,
     PartialFractions,
-    _product_form,
     ResolventInput,
+    _product_form,
     eigvec_from_eigs_general,
     eigvec_prod_from_eigs,
     eigvec_sq_from_eigs,
