@@ -57,10 +57,7 @@ from .resolvent import (
     PartialFractions,
     ResolventInput,
     eigvec_from_eigs_general,
-    eigvec_prod_from_eigs,
-    eigvec_sq_from_eigs,
     green_cofactor,
-    green_diag_orthonormal,
     green_eigprod_general,
     green_partial_fractions,
     green_spectral,

@@ -141,14 +141,6 @@ def gauss_quadrature(alpha: float, npts: int):
     return nodes.copy(), weights
 
 
-def log_weights(alpha: float, npts: int, nodes: np.ndarray) -> np.ndarray:
-    """log of the Gauss-Laguerre weights at the given nodes."""
-    nodes = np.asarray(nodes, dtype=float)
-    cur, _, logscale = _orthonormal_recurrence(alpha, npts + 1, nodes, *_lhat0(alpha, nodes))
-    logmag = np.log(np.abs(cur)) + logscale
-    return np.log(nodes) - math.log(npts + 1.0) - math.log(npts + alpha + 1.0) - 2.0 * logmag
-
-
 def gauss_rule_log(alpha: float, npts: int):
     """(nodes, log weights) of the generalized Gauss-Laguerre rule; the
     form quadrature sums should consume so tiny weights keep relative
@@ -177,7 +169,10 @@ def _gauss_rule_cached(alpha: float, npts: int):
         cur, prev, _ = _orthonormal_recurrence(alpha, npts, nodes, *_lhat0(alpha, nodes))
         deriv = (npts * cur - math.sqrt(npts * (npts + alpha)) * prev) / nodes
         nodes = nodes - cur / deriv
-        log_w = log_weights(alpha, npts, nodes)
+        # the end-polynomial weight formula (see gauss_quadrature) in logs
+        cur, _, logscale = _orthonormal_recurrence(alpha, npts + 1, nodes, *_lhat0(alpha, nodes))
+        logmag = np.log(np.abs(cur)) + logscale
+        log_w = np.log(nodes) - math.log(npts + 1.0) - math.log(npts + alpha + 1.0) - 2.0 * logmag
     nodes.setflags(write=False)
     log_w.setflags(write=False)
     return nodes, log_w

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import ScanTable, bound_states, density_of_states, locate_resonances
-from .analysis import scan_smatrix  # noqa: F401 (benchmarks/tracer.py patches this name)
 from .basis import BasisSpec, SystemSpec, build_matrices
 from .config import CHOICES, COMMANDS, FIELD_TYPES, RunConfig, build_config, file_key, parse_config_file
 from .errors import ConfigError, InputError, NumericalError, ResolventKitError
@@ -219,7 +218,7 @@ def _selftest_checks():
         return abs(pair.eps[0] + 0.5)
 
     def eigvec_identity():
-        from .resolvent import eigvec_sq_from_eigs
+        from .resolvent import eigvec_from_eigs_general
 
         a = rng.randn(6, 6)
         h = 0.5 * (a + a.T)
@@ -227,7 +226,7 @@ def _selftest_checks():
         worst = 0.0
         for n in range(6):
             for k in range(6):
-                worst = max(worst, abs(eigvec_sq_from_eigs(h, n, k) - gamma[n, k] ** 2))
+                worst = max(worst, abs(eigvec_from_eigs_general(h, None, n, n, k) - gamma[n, k] ** 2))
         return worst
 
     return [

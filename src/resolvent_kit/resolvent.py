@@ -1,27 +1,33 @@
 """Finite-basis resolvent (Green's function) matrix elements.
 
 Four interchangeable routes to G_{n,m}(z), the (n, m) element of
-(H - z Omega)^{-1}:
+(H - z Omega)^{-1}, for orthogonal and non-orthogonal bases alike;
+``omega=None`` is an orthonormal basis (Omega = I):
 
 * ``green_spectral``          -- spectral sum over the (generalized)
                                  eigenpairs; the reference route.
 * ``green_cofactor``          -- signed ratio of determinants of the
                                  row/column-deleted and full matrices.
 * ``green_eigprod_general``   -- ratio of eigenvalue products of the
-                                 deleted and full pencils (non-orthogonal
-                                 basis; undefined for some n != m).
-* ``green_diag_orthonormal``  -- the same product form specialized to
-                                 diagonal elements in an orthonormal basis.
+                                 deleted and full pencils; undefined for
+                                 some n != m, and for every n != m in an
+                                 orthonormal basis.
+* ``green_partial_fractions`` -- poles and residues of an element in an
+                                 orthonormal basis, the residues from
+                                 determinants of the shifted deleted
+                                 matrix; defined for every (n, m).
 
-The eigenvalue-product routes need the spectra of the full and the
-row/column-deleted pencils but no eigenvectors; the scans evaluate their
-elements through the pole/residue form below instead.
+The eigenvalue-product and partial-fraction routes need spectra but no
+eigenvectors; the scans evaluate their elements through the pole/residue
+form below instead.
 
 Also here: the pole/residue form of G, ``PartialFractions``, whose
 ``evaluate`` is the one evaluator of the sum and applies the one pole
-rule (``POLE_RTOL``) for every consumer of the package; and the
-closed-form identities that recover eigenvector component products from
-eigenvalue spectra alone.
+rule (``POLE_RTOL``) for every consumer of the package; and
+``eigvec_from_eigs_general``, the closed-form identity that recovers
+eigenvector component products from eigenvalue spectra alone. In an
+orthonormal basis the product gamma[n,k] gamma[m,k] is also the k-th
+residue, ``green_partial_fractions(h, n, m).coeffs[k]``.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .errors import (
 )
 from .matrix_core import (
     SpectralPair,
+    SymMatrix,
     _as_sym_array,
     _has_cholesky,
     delete_row_col,
@@ -85,40 +92,64 @@ def _pole_error(poles: np.ndarray, z) -> SpectrumEvaluationError:
     return SpectrumEvaluationError(f"evaluation at spectrum: z={z} sits on eigenvalue {pole}", pole=pole)
 
 
+def _check_indices(size: int, *indices: int):
+    """InputError for a basis or eigenvalue index outside 0..size-1; a
+    negative index would otherwise wrap around to the end."""
+    for i in indices:
+        if not 0 <= i < size:
+            raise InputError(f"index {i} out of range 0..{size - 1}")
+
+
+def _sym_matrix(a) -> SymMatrix:
+    """A matrix symmetric within round-off as a SymMatrix, made exactly
+    symmetric by 0.5 * (a + a^T), which leaves an exactly symmetric one
+    bit-unchanged. A SymMatrix passes through as it is."""
+    if isinstance(a, SymMatrix):
+        return a
+    a = _as_sym_array(a)
+    return SymMatrix(0.5 * (a + a.T))
+
+
 @dataclass(frozen=True)
 class ResolventInput:
     """Evaluation request: pencil (H, Omega) and a complex point z.
 
-    ``omega=None`` means an orthonormal basis (overlap = identity).
+    ``omega=None`` means an orthonormal basis (overlap = identity). The
+    matrices are validated once, here, and kept as SymMatrix.
     """
 
-    h: np.ndarray
-    omega: Optional[np.ndarray]
+    h: SymMatrix
+    omega: Optional[SymMatrix]
     z: complex
 
     def __post_init__(self):
-        h = _as_sym_array(self.h)
+        h = _sym_matrix(self.h)
         object.__setattr__(self, "h", h)
         if self.omega is not None:
-            om = _as_sym_array(self.omega)
-            if om.shape != h.shape:
-                raise InputError(f"H and Omega dimensions differ: {h.shape} vs {om.shape}")
-            if not _has_cholesky(om):
+            om = _sym_matrix(self.omega)
+            if om.n != h.n:
+                raise InputError(f"H and Omega dimensions differ: {h.data.shape} vs {om.data.shape}")
+            if not _has_cholesky(om.data):
                 raise InputError("overlap not SPD")
             object.__setattr__(self, "omega", om)
         object.__setattr__(self, "z", complex(self.z))
 
     @property
     def n(self) -> int:
-        return self.h.shape[0]
+        return self.h.n
+
+    def _arrays(self):
+        """(H, Omega) as read-only arrays; Omega is None for an orthonormal basis."""
+        return self.h.data, None if self.omega is None else self.omega.data
 
     def pencil(self) -> np.ndarray:
         """H - z*Omega as a complex array."""
-        if self.omega is None:
-            out = self.h.astype(complex).copy()
+        h, om = self._arrays()
+        if om is None:
+            out = h.astype(complex)
             out[np.diag_indices_from(out)] -= self.z
             return out
-        return self.h - self.z * self.omega
+        return h - self.z * om
 
     def spectral_pair(self) -> SpectralPair:
         return sym_eig(self.h) if self.omega is None else gen_sym_eig(self.h, self.omega)
@@ -141,6 +172,7 @@ class PartialFractions:
     def from_pair(cls, pair: SpectralPair, n: int, m: int) -> "PartialFractions":
         """G_{n,m} of any symmetric-definite pencil from its eigenpairs:
         residues gamma[n,j] gamma[m,j]."""
+        _check_indices(pair.n, n, m)
         return cls(poles=pair.eps, coeffs=pair.gamma[n] * pair.gamma[m], n=n, m=m)
 
     def evaluate(self, z, drop=None):
@@ -230,7 +262,9 @@ def green_cofactor(inp: ResolventInput, n: int, m: int) -> complex:
     The determinant rarely rounds to exactly 0 on an eigenvalue, so a z
     within ``POLE_RTOL`` of the real axis is tested against the pencil's
     eigenvalues by the pole rule; a vanishing determinant is refused too.
+    The cofactor of a 1x1 pencil is the empty determinant, 1.
     """
+    _check_indices(inp.n, n, m)
     c = inp.pencil()
     if abs(inp.z.imag) < POLE_RTOL * max(1.0, abs(inp.z)):
         eps = inp.spectral_pair().eps
@@ -239,16 +273,16 @@ def green_cofactor(inp: ResolventInput, n: int, m: int) -> complex:
     sign_full, log_full = np.linalg.slogdet(c)
     if sign_full == 0 or not np.isfinite(log_full):
         raise _pole_error(inp.spectral_pair().eps, inp.z)
-    sub = delete_row_col(c, n, m)
-    sign_sub, log_sub = np.linalg.slogdet(sub)
+    sign_sub, log_sub = np.linalg.slogdet(delete_row_col(c, n, m)) if inp.n > 1 else (1.0, 0.0)
     if sign_sub == 0:
         return 0j
     return complex((-1.0) ** (n + m) * sign_sub / sign_full * np.exp(log_sub - log_full))
 
 
-def _gen_eigvals(h: np.ndarray, om: np.ndarray) -> np.ndarray:
-    """Real generalized eigenvalues of a symmetric-definite pencil, ascending."""
-    return scipy.linalg.eigh(h, om, eigvals_only=True)
+def _eigvals(h: np.ndarray, om: Optional[np.ndarray]) -> np.ndarray:
+    """Real eigenvalues of a symmetric-definite pencil, ascending;
+    ``om=None`` is the identity overlap."""
+    return np.linalg.eigvalsh(h) if om is None else scipy.linalg.eigh(h, om, eigvals_only=True)
 
 
 def _product_form(h: np.ndarray, om: Optional[np.ndarray], n: int, m: int):
@@ -257,24 +291,27 @@ def _product_form(h: np.ndarray, om: Optional[np.ndarray], n: int, m: int):
 
         (-1)^(n+m) det Omega^(n,m) / det Omega
 
-    ``om=None`` is an orthonormal basis (Omega = I, n == m), with
-    prefactor 1. A deleted principal submatrix (n == m) of the SPD Omega
-    is SPD, so that deleted pencil is symmetric-definite with real
-    eigenvalues. For n != m they are the complex eigenvalues of
-    Omega^(n,m)^-1 H^(n,m), and a singular Omega^(n,m) leaves the form
-    undefined: SingularSubmatrixError, pointing at ``green_cofactor``.
+    ``om=None`` is an orthonormal basis (Omega = I), with prefactor 1. A
+    deleted principal submatrix (n == m) of the SPD Omega is SPD, so that
+    deleted pencil is symmetric-definite with real eigenvalues. For
+    n != m they are the complex eigenvalues of Omega^(n,m)^-1 H^(n,m), and
+    a singular Omega^(n,m), which the deleted identity always is, leaves
+    the form undefined: SingularSubmatrixError. A 1x1 pencil deletes to
+    nothing: no eigenvalues, prefactor 1 / Omega[0, 0].
     """
-    if om is None:
-        return 1.0, np.linalg.eigvalsh(delete_row_col(h, n, n))
-    hs, os_ = delete_row_col(h, n, m), delete_row_col(om, n, m)
-    if n != m and _is_singular_submatrix(os_):
+    if h.shape[0] == 1:
+        return (1.0 if om is None else 1.0 / float(om[0, 0])), np.empty(0)
+    hs, os_ = delete_row_col(h, n, m), None if om is None else delete_row_col(om, n, m)
+    if n != m and (om is None or _is_singular_submatrix(os_)):
         raise SingularSubmatrixError(
-            "eigenvalue-product form undefined: deleted overlap submatrix is "
-            f"singular for (n, m)=({n}, {m}); use green_cofactor"
+            "eigenvalue-product form undefined: deleted overlap submatrix is singular for "
+            f"(n, m)=({n}, {m}); use green_cofactor, or green_partial_fractions in an orthonormal basis"
         )
+    if om is None:
+        return 1.0, _eigvals(hs, None)
     sign_full, log_full = np.linalg.slogdet(om)
     sign_sub, log_sub = np.linalg.slogdet(os_)
-    sub = _gen_eigvals(hs, os_) if n == m else np.linalg.eigvals(np.linalg.solve(os_, hs))
+    sub = _eigvals(hs, os_) if n == m else np.linalg.eigvals(np.linalg.solve(os_, hs))
     return (-1.0) ** (n + m) * sign_sub * sign_full * np.exp(log_sub - log_full), sub
 
 
@@ -288,26 +325,18 @@ def _green_product(h, om, eps: np.ndarray, z: complex, n: int, m: int) -> comple
 
 
 def green_eigprod_general(inp: ResolventInput, n: int, m: int, pair: Optional[SpectralPair] = None) -> complex:
-    """Eigenvalue-product form for a non-orthogonal basis.
+    """Eigenvalue-product form, orthonormal (``omega=None``, diagonal
+    elements only) or not:
 
     (-1)^(n+m) * (det Omega^(n,m) / det Omega)
                * prod_i (eps_sub_i - z) / prod_j (eps_j - z)
 
     ``pair`` may carry a precomputed decomposition of (H, Omega).
     """
-    if inp.omega is None:
-        raise InputError("green_eigprod_general requires an explicit overlap matrix")
-    eps = pair.eps if pair is not None else _gen_eigvals(inp.h, inp.omega)
-    return _green_product(inp.h, inp.omega, eps, inp.z, n, m)
-
-
-def green_diag_orthonormal(h, z: complex, n: int) -> complex:
-    """Diagonal element in an orthonormal basis as a pure eigenvalue ratio:
-
-        prod_i (eps^(n,n)_i - z) / prod_j (eps_j - z)
-    """
-    hm = _as_sym_array(h)
-    return _green_product(hm, None, np.linalg.eigvalsh(hm), z, n, n)
+    _check_indices(inp.n, n, m)
+    h, om = inp._arrays()
+    eps = pair.eps if pair is not None else _eigvals(h, om)
+    return _green_product(h, om, eps, inp.z, n, m)
 
 
 def inverse_oracle(inp: ResolventInput) -> np.ndarray:
@@ -348,52 +377,15 @@ def green_partial_fractions(h, n: int, m: int, pair: Optional[SpectralPair] = No
     """Pole/residue decomposition of G_{n,m}(z) in an orthonormal basis.
 
     Residues come from determinants of the shifted deleted matrix, so no
-    eigenvectors are needed. Requires a non-degenerate spectrum.
+    eigenvectors are needed; the k-th is gamma[n,k] * gamma[m,k]. Requires
+    a non-degenerate spectrum.
     """
     hm = _as_sym_array(h)
-    eps = pair.eps if pair is not None else np.linalg.eigvalsh(hm)
-    eps = np.asarray(eps)
+    _check_indices(hm.shape[0], n, m)
+    eps = np.asarray(pair.eps if pair is not None else _eigvals(hm, None))
     _check_nondegenerate(eps)
-    if hm.shape[0] == 1:
-        coeffs = np.array([1.0 if n == m else 0.0])
-        return PartialFractions(poles=eps.copy(), coeffs=coeffs, n=n, m=m)
-    coeffs = np.array([_coeff_from_dets(hm, eps, n, m, j) for j in range(eps.size)])
+    coeffs = np.ones(1) if hm.shape[0] == 1 else np.array([_coeff_from_dets(hm, eps, n, m, j) for j in range(eps.size)])
     return PartialFractions(poles=eps.copy(), coeffs=coeffs, n=n, m=m)
-
-
-def eigvec_prod_from_eigs(h, n: int, m: int, k: int) -> float:
-    """gamma[n,k] * gamma[m,k] of a symmetric matrix from eigenvalues only.
-
-    This is exactly the k-th partial-fraction residue of G_{n,m}.
-    """
-    hm = _as_sym_array(h)
-    if hm.shape[0] == 1:
-        return 1.0
-    eps = np.linalg.eigvalsh(hm)
-    _check_nondegenerate(eps)
-    return _coeff_from_dets(hm, eps, n, m, k)
-
-
-def _eigvec_product(hm: np.ndarray, om: Optional[np.ndarray], n: int, m: int, k: int) -> float:
-    """prefactor * prod_i (eps_sub_i - eps_k) / prod_{j != k} (eps_j - eps_k)."""
-    eps = np.linalg.eigvalsh(hm) if om is None else _gen_eigvals(hm, om)
-    _check_nondegenerate(eps)
-    pref, sub = _product_form(hm, om, n, m)
-    return float(np.real(pref * paired_product_ratio(sub - eps[k], np.delete(eps, k) - eps[k])))
-
-
-def eigvec_sq_from_eigs(h, n: int, k: int) -> float:
-    """gamma[n,k]^2 from the spectra of H and its (n, n)-deleted principal
-    submatrix:
-
-        prod_i (eps^(n,n)_i - eps_k) / prod_{j != k} (eps_j - eps_k)
-
-    Interlacing makes every paired ratio nonnegative and bounded.
-    """
-    hm = _as_sym_array(h)
-    if hm.shape[0] == 1:
-        return 1.0
-    return _eigvec_product(hm, None, n, n, k)
 
 
 def eigvec_from_eigs_general(h, omega, n: int, m: int, k: int) -> float:
@@ -403,13 +395,15 @@ def eigvec_from_eigs_general(h, omega, n: int, m: int, k: int) -> float:
 
         (-1)^(n+m) * (det Omega^(n,m) / det Omega)
                    * prod_i (eps_sub_i - eps_k) / prod_{j != k} (eps_j - eps_k)
+
+    With ``omega=None`` (orthonormal basis) it gives the squares
+    gamma[n,k]^2, each paired ratio nonnegative and bounded by
+    interlacing; the products for n != m are the residues
+    ``green_partial_fractions(h, n, m).coeffs[k]``.
     """
-    hm = _as_sym_array(h)
-    om = _as_sym_array(omega)
-    if hm.shape != om.shape:
-        raise InputError("H and Omega dimensions differ")
-    if not _has_cholesky(om):
-        raise InputError("overlap not SPD")
-    if hm.shape[0] == 1:
-        return 1.0 / float(om[0, 0]) if n == m == 0 else 0.0
-    return _eigvec_product(hm, om, n, m, k)
+    hm, om = ResolventInput(h=h, omega=omega, z=0.0)._arrays()
+    _check_indices(hm.shape[0], n, m, k)
+    eps = _eigvals(hm, om)
+    _check_nondegenerate(eps)
+    pref, sub = _product_form(hm, om, n, m)
+    return float(np.real(pref * paired_product_ratio(sub - eps[k], np.delete(eps, k) - eps[k])))

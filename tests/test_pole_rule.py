@@ -29,7 +29,6 @@ from resolvent_kit.potential import parse_potential
 from resolvent_kit.resolvent import (
     ResolventInput,
     green_cofactor,
-    green_diag_orthonormal,
     green_eigprod_general,
     green_spectral,
     inverse_oracle,
@@ -138,10 +137,12 @@ def eigprod_general(sys_, e, tmp_path):
 
 
 def diag_orthonormal(sys_, e, tmp_path):
-    return green_diag_orthonormal(sys_.h, e, N_INDEX)
+    return green_eigprod_general(ResolventInput(h=sys_.h, omega=None, z=e), N_INDEX, N_INDEX)
 
 
-# (consumer, system fixture, element it returns; None for S, abs for |G|)
+# (consumer, system fixture, element it returns; None for S, abs for |G|);
+# green_diag_orthonormal is green_eigprod_general on a diagonal element of
+# an orthonormal basis (omega=None)
 CONSUMERS = {
     "s_values": (s_values, "laguerre", None),
     "bound_states": (bound_states_abs_g, "laguerre", (LAST, LAST, abs)),

@@ -1,23 +1,21 @@
 import numpy as np
 import pytest
 
+from resolvent_kit import matrix_core
 from resolvent_kit.errors import (
     DegenerateSpectrumError,
     InputError,
     SingularSubmatrixError,
     SpectrumEvaluationError,
 )
-from resolvent_kit.matrix_core import delete_row_col, gen_sym_eig, sym_eig
+from resolvent_kit.matrix_core import SymMatrix, delete_row_col, gen_sym_eig, sym_eig
 from resolvent_kit.resolvent import (
     _BATCH_SIZE,
     PartialFractions,
     ResolventInput,
     _product_form,
     eigvec_from_eigs_general,
-    eigvec_prod_from_eigs,
-    eigvec_sq_from_eigs,
     green_cofactor,
-    green_diag_orthonormal,
     green_eigprod_general,
     green_partial_fractions,
     green_spectral,
@@ -30,6 +28,109 @@ from conftest import det_cofactor, random_spd, random_symmetric
 
 def tridiag_spd(n):
     return np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -0.7), 1) + np.diag(np.full(n - 1, -0.7), -1)
+
+
+def diag_orthonormal(h, z, n):
+    """G_nn(z) in an orthonormal basis as a pure eigenvalue ratio."""
+    return green_eigprod_general(ResolventInput(h=h, omega=None, z=z), n, n)
+
+
+def eigvec_prod(h, n, m, k):
+    """gamma[n,k] * gamma[m,k] of a symmetric matrix from eigenvalues only:
+    the k-th partial-fraction residue of G_nm."""
+    return green_partial_fractions(h, n, m).coeffs[k]
+
+
+class TestResolventInputValidation:
+    def test_matrices_kept_exactly_as_sym_matrix(self, rng):
+        h, om = random_symmetric(rng, 4), random_spd(rng, 4)
+        inp = ResolventInput(h=h, omega=om, z=1j)
+        assert isinstance(inp.h, SymMatrix) and isinstance(inp.omega, SymMatrix)
+        assert np.array_equal(inp.h.data, h) and np.array_equal(inp.omega.data, om)
+        pair, want = inp.spectral_pair(), gen_sym_eig(h, om)
+        assert np.array_equal(pair.eps, want.eps) and np.array_equal(pair.gamma, want.gamma)
+
+    def test_round_off_asymmetry_is_symmetrized(self, rng):
+        h = random_symmetric(rng, 4)
+        h[0, 1] += 1e-15
+        inp = ResolventInput(h=h, omega=None, z=1j)
+        assert np.array_equal(inp.h.data, inp.h.data.T)
+        assert inp.h.data[0, 1] == 0.5 * (h[0, 1] + h[1, 0])
+
+    def test_spectral_pair_validates_no_matrix_again(self, rng, monkeypatch):
+        inp = ResolventInput(h=random_symmetric(rng, 4), omega=random_spd(rng, 4), z=1j)
+        seen = []
+        check = matrix_core._as_sym_array
+        monkeypatch.setattr(matrix_core, "_as_sym_array", lambda a: seen.append(type(a)) or check(a))
+        inp.spectral_pair()
+        assert seen == [SymMatrix, SymMatrix]
+
+    def test_dimension_mismatch_rejected(self, rng):
+        with pytest.raises(InputError, match="dimensions differ"):
+            ResolventInput(h=random_symmetric(rng, 3), omega=random_spd(rng, 4), z=1j)
+
+
+class TestIndexChecks:
+    """Every route refuses an index outside 0..size-1 with InputError; -1
+    would otherwise wrap around to the last basis function or eigenvalue."""
+
+    ROUTES = (
+        "green_spectral",
+        "green_cofactor",
+        "green_eigprod_general",
+        "green_partial_fractions",
+        "from_pair",
+        "eigvec_from_eigs_general",
+    )
+
+    @staticmethod
+    def call(route, h, om, n, m, k=0):
+        inp = ResolventInput(h=h, omega=om, z=0.3j)
+        if route == "green_spectral":
+            return green_spectral(inp, n, m)
+        if route == "green_cofactor":
+            return green_cofactor(inp, n, m)
+        if route == "green_eigprod_general":
+            return green_eigprod_general(inp, n, m)
+        if route == "green_partial_fractions":
+            return green_partial_fractions(h, n, m)
+        if route == "from_pair":
+            return PartialFractions.from_pair(inp.spectral_pair(), n, m)
+        return eigvec_from_eigs_general(h, om, n, m, k)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("n, m", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_basis_index_out_of_range(self, route, n, m, rng):
+        h = random_symmetric(rng, 3)
+        om = None if route == "green_partial_fractions" else tridiag_spd(3)
+        with pytest.raises(InputError, match="out of range"):
+            self.call(route, h, om, n, m)
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_eigenvalue_index_out_of_range(self, k, rng):
+        with pytest.raises(InputError, match="out of range"):
+            eigvec_from_eigs_general(random_symmetric(rng, 3), tridiag_spd(3), 0, 0, k)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("omega", [None, 2.0])
+    def test_one_by_one(self, route, omega):
+        h, om = np.array([[3.0]]), None if omega is None else np.array([[omega]])
+        weight = 1.0 if omega is None else 1.0 / omega
+        got = self.call(route, h, om, 0, 0)
+        if route in ("green_spectral", "green_cofactor", "green_eigprod_general"):
+            want = 1.0 / (3.0 - 0.3j * (1.0 if omega is None else omega))
+            assert got == pytest.approx(want, rel=1e-14)
+        elif route == "eigvec_from_eigs_general":
+            assert got == pytest.approx(weight, rel=1e-14)
+        else:  # green_partial_fractions reads H alone, as an orthonormal basis
+            want = 1.0 if route == "green_partial_fractions" else weight
+            np.testing.assert_allclose(got.coeffs, [want], rtol=1e-14)
+        bad = [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
+        if route == "eigvec_from_eigs_general":
+            bad += [(0, 0, 1), (0, 0, -1)]
+        for n, m, k in bad:
+            with pytest.raises(InputError, match="out of range"):
+                self.call(route, h, om, n, m, k)
 
 
 class TestGreenSpectral:
@@ -126,7 +227,7 @@ class TestGreenEigprodGeneral:
         inp = ResolventInput(h=h, omega=np.eye(4), z=z)
         for n in range(4):
             a = green_eigprod_general(inp, n, n)
-            b = green_diag_orthonormal(h, z, n)
+            b = diag_orthonormal(h, z, n)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_tridiagonal_overlap_matches_cofactor(self, rng):
@@ -167,10 +268,22 @@ class TestGreenEigprodGeneral:
         b = green_cofactor(inp, 0, 2)
         assert abs(a - b) <= 1e-9 * max(abs(b), 1e-6)
 
-    def test_requires_overlap(self, rng):
-        inp = ResolventInput(h=random_symmetric(rng, 3), omega=None, z=1j)
-        with pytest.raises(InputError):
-            green_eigprod_general(inp, 0, 0)
+    def test_orthonormal_basis_diagonal_matches_inverse(self, rng):
+        h = random_symmetric(rng, 5)
+        for z in (0.3 + 0.4j, -1.2 + 0.05j, 7.0):
+            inp = ResolventInput(h=h, omega=None, z=z)
+            inv = inverse_oracle(inp)
+            for n in range(5):
+                got = green_eigprod_general(inp, n, n)
+                assert abs(got - inv[n, n]) <= 1e-10 * abs(inv[n, n])
+                assert abs(got - green_cofactor(inp, n, n)) <= 1e-10 * abs(inv[n, n])
+
+    def test_orthonormal_basis_off_diagonal_refused(self, rng):
+        # the deleted identity I^(n,m) has a zero row for n != m
+        inp = ResolventInput(h=random_symmetric(rng, 4), omega=None, z=1j)
+        for n, m in ((0, 1), (3, 0), (1, 3)):
+            with pytest.raises(SingularSubmatrixError, match="green_partial_fractions"):
+                green_eigprod_general(inp, n, m)
 
     def test_deleted_pencil_eigenvalues_are_determinant_roots(self, rng):
         # off the diagonal the deleted pencil is nonsymmetric: its complex
@@ -193,11 +306,11 @@ class TestGreenDiagOrthonormal:
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
         # deleted spectrum {0}, full spectrum {-1, 1}:
         # (0 - 2i) / ((-1 - 2i)(1 - 2i)) = -2i / -5 = 0.4i
-        got = green_diag_orthonormal(h, 2j, 0)
+        got = diag_orthonormal(h, 2j, 0)
         assert got == pytest.approx(0.4j)
 
     def test_diagonal(self):
-        assert green_diag_orthonormal(np.diag([1.0, 2.0]), 0.0, 0) == pytest.approx(1.0)
+        assert diag_orthonormal(np.diag([1.0, 2.0]), 0.0, 0) == pytest.approx(1.0)
 
     def test_matches_spectral(self, rng):
         h = random_symmetric(rng, 6)
@@ -205,7 +318,7 @@ class TestGreenDiagOrthonormal:
         for z in zs:
             inp = ResolventInput(h=h, omega=None, z=complex(z))
             for n in range(6):
-                a = green_diag_orthonormal(h, complex(z), n)
+                a = diag_orthonormal(h, complex(z), n)
                 b = green_spectral(inp, n, n)
                 assert abs(a - b) <= 1e-10 * max(abs(b), 1e-3)
 
@@ -308,38 +421,38 @@ class TestPartialFractions:
 class TestEigvecFromEigenvalues:
     def test_half_by_symmetry(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert eigvec_sq_from_eigs(h, 0, 0) == pytest.approx(0.5)
+        assert eigvec_from_eigs_general(h, None, 0, 0, 0) == pytest.approx(0.5)
 
     def test_scalar(self):
-        assert eigvec_sq_from_eigs(np.array([[3.0]]), 0, 0) == pytest.approx(1.0)
+        assert eigvec_from_eigs_general(np.array([[3.0]]), None, 0, 0, 0) == pytest.approx(1.0)
 
     def test_against_eigensolver(self, rng):
         h = random_symmetric(rng, 8)
         pair = sym_eig(h)
         for n in range(8):
             for k in range(8):
-                got = eigvec_sq_from_eigs(h, n, k)
+                got = eigvec_from_eigs_general(h, None, n, n, k)
                 assert abs(got - pair.gamma[n, k] ** 2) < 1e-10
                 assert -1e-12 <= got <= 1.0 + 1e-12
 
     def test_completeness(self, rng):
         h = random_symmetric(rng, 7)
         for n in range(7):
-            total = sum(eigvec_sq_from_eigs(h, n, k) for k in range(7))
+            total = sum(eigvec_from_eigs_general(h, None, n, n, k) for k in range(7))
             assert abs(total - 1.0) < 1e-10
 
     def test_prod_reduces_to_square(self, rng):
         h = random_symmetric(rng, 5)
         for n in range(5):
             for k in range(5):
-                a = eigvec_prod_from_eigs(h, n, n, k)
-                b = eigvec_sq_from_eigs(h, n, k)
+                a = eigvec_prod(h, n, n, k)
+                b = eigvec_from_eigs_general(h, None, n, n, k)
                 assert a == pytest.approx(b, abs=1e-11)
 
     def test_prod_against_eigensolver(self):
         h = np.array([[2.0, 1.0], [1.0, 3.0]])
         pair = sym_eig(h)
-        got = eigvec_prod_from_eigs(h, 0, 1, 0)
+        got = eigvec_prod(h, 0, 1, 0)
         assert abs(got - pair.gamma[0, 0] * pair.gamma[1, 0]) < 1e-12
 
     def test_spectral_reconstruction(self, rng):
@@ -347,12 +460,12 @@ class TestEigvecFromEigenvalues:
         eps = np.linalg.eigvalsh(h)
         for n in range(6):
             for m in range(6):
-                total = sum(eigvec_prod_from_eigs(h, n, m, k) * eps[k] for k in range(6))
+                total = sum(eigvec_prod(h, n, m, k) * eps[k] for k in range(6))
                 assert abs(total - h[n, m]) < 1e-9
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
-            eigvec_sq_from_eigs(np.eye(2), 0, 0)
+            eigvec_from_eigs_general(np.eye(2), None, 0, 0, 0)
 
 
 class TestEigvecGeneral:
@@ -361,7 +474,7 @@ class TestEigvecGeneral:
         for n in range(4):
             for k in range(4):
                 a = eigvec_from_eigs_general(h, np.eye(4), n, n, k)
-                b = eigvec_prod_from_eigs(h, n, n, k)
+                b = eigvec_prod(h, n, n, k)
                 assert a == pytest.approx(b, abs=1e-10)
         # off the diagonal the deleted identity is singular and the
         # product form is undefined, exactly like the resolvent case
@@ -403,6 +516,22 @@ class TestEigvecGeneral:
         h = random_symmetric(rng, 3)
         with pytest.raises(SingularSubmatrixError):
             eigvec_from_eigs_general(h, om, 0, 2, 0)
+
+    def test_orthonormal_basis_weights_sum_to_inverse(self, rng):
+        # sum_k gamma[n,k]^2 / (eps_k - z) is G_nn(z)
+        h = random_symmetric(rng, 5)
+        eps = np.linalg.eigvalsh(h)
+        inp = ResolventInput(h=h, omega=None, z=0.3 + 0.4j)
+        inv = inverse_oracle(inp)
+        for n in range(5):
+            got = sum(eigvec_from_eigs_general(h, None, n, n, k) / (eps[k] - inp.z) for k in range(5))
+            assert abs(got - inv[n, n]) <= 1e-10 * abs(inv[n, n])
+            assert abs(got - green_cofactor(inp, n, n)) <= 1e-10 * abs(inv[n, n])
+
+    def test_orthonormal_basis_off_diagonal_refused(self, rng):
+        h = random_symmetric(rng, 4)
+        with pytest.raises(SingularSubmatrixError, match="green_partial_fractions"):
+            eigvec_from_eigs_general(h, None, 1, 3, 0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
