@@ -25,16 +25,29 @@ the basis appear). Any disagreement beyond ``CHECK_TOL`` aborts the
 build. The short-range potential matrix is always computed by
 quadrature, with an order-doubling convergence check.
 
-The first doubling compares the rules of max(4N, 40) and twice as many
-points, and builds both in one pass: V is evaluated and the table of
-the N orthonormal polynomials built once, over the nodes of the two
-rules together, and each matrix is formed from its rule's columns. For
-N >= 10 the table is N x 12N doubles at most (1.4 MB at N = 120), and
-the V-weighted copy of one rule's columns N x 8N; an escalation past
-the first doubling builds its new rule alone. Nodes where V is
-exactly 0.0 (a Gaussian tail that underflows, say) add nothing to any
-sum, so they are left out of the table; a NaN or inf V is kept, and
-fails the convergence check. With V = 0 no table is built.
+Each family has its own potential rule, given level by level, each
+level twice the points of the one before:
+
+* ``laguerre``: Gauss-Laguerre in x = lam r, from max(4N, 40) points.
+* ``oscillator``: uniform panels of the 32-point Gauss-Legendre rule in
+  y = sqrt(x) = lam r on (0, Y), from ceil(max(4N, 40) / 32) panels,
+  with Y from the basis (see ``_oscillator_potential_nodes``). In
+  x = lam^2 r^2 an odd power of r is a power of sqrt(x), on which a
+  Gauss-Laguerre rule in x converges only algebraically; in y the
+  integrand is analytic wherever V is, and the panels converge
+  exponentially (Trefethen, SIAM Rev. 50, 67 (2008)).
+
+The first doubling compares levels 0 and 1, and builds both in one
+pass: V is evaluated and the table of the N orthonormal polynomials
+built once, over the nodes of the two rules together, and each matrix
+is formed from its rule's columns. For N >= 10 the table is N x 12N
+doubles at most (1.4 MB at N = 120; a little more for the oscillator,
+whose levels round up to whole panels), and the V-weighted copy of one
+rule's columns N x 8N; an escalation past the first doubling builds its
+new level alone. Nodes where V is exactly 0.0 (a Gaussian tail that
+underflows, say) add nothing to any sum, so they are left out of the
+table; a NaN or inf V is kept, and fails the convergence check. With
+V = 0 no table is built.
 """
 
 from __future__ import annotations
@@ -331,20 +344,20 @@ def _bands_to_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return m
 
 
-def _potential_by_quadrature(spec: SystemSpec, alpha_weight, alpha_poly, rules, arg_of_r):
+def _potential_by_quadrature(spec: SystemSpec, alpha_poly, rules):
     """<psi_n|V|psi_m> on the weighted-polynomial representation, one
-    size x size matrix sum_k w_k lhat_n lhat_m V(r(x_k)) per rule size in
-    ``rules``.
+    size x size matrix sum_k w_k lhat_n(x_k) lhat_m(x_k) V(r_k) per rule
+    in ``rules``, each rule an (x, log w, r) triple of node arrays.
 
     V is evaluated and the table built once, over the nodes of all the
     rules together; each matrix is then formed from its rule's columns.
     Nodes where V is exactly 0.0 add nothing to any sum, so they are left
     out of the table (a NaN or inf V is kept and reaches the matrix)."""
     size = spec.basis.size
-    nodes, log_w = (np.concatenate(part) for part in zip(*(gauss_rule_log(alpha_weight, npts) for npts in rules)))
-    vvals = spec.v_values(arg_of_r(nodes))
+    nodes, log_w, radii = (np.concatenate(part) for part in zip(*rules))
+    vvals = spec.v_values(radii)
     live = vvals != 0.0
-    ends = np.cumsum(live)[np.cumsum(rules) - 1]  # live nodes up to the end of each rule
+    ends = np.cumsum(live)[np.cumsum([rule[0].size for rule in rules]) - 1]  # live nodes up to the end of each rule
     if not ends[-1]:
         return [np.zeros((size, size)) for _ in rules]
     table = orthonormal_laguerre_table(alpha_poly, size - 1, nodes[live], log_scale=0.5 * log_w[live])
@@ -357,41 +370,97 @@ def _potential_by_quadrature(spec: SystemSpec, alpha_weight, alpha_poly, rules, 
     return matrices
 
 
-# The potential quadrature starts from max(4 * size, 40) points and
-# doubles until a doubling changes the matrix by at most CONV_TOL
-# (relative), or raises at _QUAD_POINT_CAP.
+# The potential quadrature starts from max(4 * size, 40) points (rounded
+# up to whole panels in the oscillator basis) and doubles until a
+# doubling changes the matrix by at most CONV_TOL (relative), or raises
+# at _QUAD_POINT_CAP. Only the Laguerre levels are Gauss-Laguerre rules
+# and go through the gauss_rule_log cache; the oscillator panels are laid
+# out anew for each build.
 _QUAD_POINT_CAP = 4096
 CONV_TOL = 1e-8
+
+# Points of the Gauss-Legendre rule on each panel of the oscillator
+# potential quadrature.
+_PANEL_POINTS = 32
 
 # Largest disagreement (relative) allowed between the closed-form H0 and
 # overlap matrices and their exact quadrature.
 CHECK_TOL = 1e-10
 
 
-def _potential_with_convergence_check(spec: SystemSpec, alpha_weight, alpha_poly, arg_of_r):
+def _laguerre_potential_nodes(basis: BasisSpec, level: int):
+    """(x, log w, r) of level ``level`` of the Laguerre potential rule:
+    the Gauss-Laguerre rule of max(4N, 40) * 2^level points for the
+    weight x^(2ell+2) e^(-x), x = lam r."""
+    x, log_w = gauss_rule_log(2 * basis.ell + 2, max(4 * basis.size, 40) << level)
+    return x, log_w, x / basis.lam
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_panel():
+    """Nodes on (0, 1) and log weights of the panel rule, built once per
+    process (leggauss costs about 0.8 ms) and returned read-only."""
+    t, w = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+    unit, log_w = 0.5 * (t + 1.0), np.log(0.5 * w)
+    unit.setflags(write=False)
+    log_w.setflags(write=False)
+    return unit, log_w
+
+
+def _oscillator_potential_nodes(basis: BasisSpec, level: int):
+    """(x, log w, r) of level ``level`` of the oscillator potential rule:
+    ceil(max(4N, 40) / 32) * 2^level uniform panels of the 32-point
+    Gauss-Legendre rule in y = sqrt(x) = lam r on (0, Y), for
+
+        int_0^Y 2 y^(2ell+2) e^(-y^2) lhat_n(y^2) lhat_m(y^2) V(y / lam) dy.
+
+    In y the integrand is analytic wherever V(r) is, so the panels
+    converge exponentially; in x an odd power of r is a power of sqrt(x),
+    on which a rule in x converges only algebraically. Y comes from the
+    basis, not from ``range_r``: the largest zero of L_N^alpha
+    (alpha = ell + 1/2) lies below 4N + 2 alpha + 2, and
+    e^(-x) x^alpha lhat_n(x)^2 decays beyond it on a scale of N^(1/3).
+    At Y^2 = 4N + 2 alpha + 2 + 6 N^(1/3) + 60 the largest of them has
+    fallen below 2e-14 of its peak for N <= 120 (2e-13 at N = 200)."""
+    size, ell = basis.size, basis.ell
+    y_max = math.sqrt(4.0 * size + 2.0 * ell + 3.0 + 6.0 * size ** (1.0 / 3.0) + 60.0)
+    panels = -(-max(4 * size, 40) // _PANEL_POINTS) << level
+    width = y_max / panels
+    unit, log_unit_w = _legendre_panel()
+    y = ((np.arange(panels)[:, None] + unit) * width).ravel()
+    log_w = np.tile(log_unit_w, panels) + math.log(2.0 * width) + (2.0 * ell + 2.0) * np.log(y) - y * y
+    return y * y, log_w, y / basis.lam
+
+
+def _potential_with_convergence_check(spec: SystemSpec, alpha_poly, rule_at):
     """Doubling test on the potential quadrature; escalates the rule until
     doubling changes nothing, errors out at the point cap.
 
-    The first comparison builds both of its rules in one table pass; each
-    escalation builds only its new, doubled rule. The cap is checked
-    after the doubled rule is built, so from a start below the cap the
-    last doubling builds fewer than 2 * _QUAD_POINT_CAP points before
-    QuadratureError; that also bounds the largest cached rule at about
-    128 KB."""
-    npts = max(4 * spec.basis.size, 40)
-    v1, v2 = _potential_by_quadrature(spec, alpha_weight, alpha_poly, (npts, 2 * npts), arg_of_r)
+    ``rule_at(basis, level)`` returns the (x, log w, r) nodes of a
+    family's rule at a level; each level has twice the points of the one
+    before. The first comparison builds levels 0 and 1 in one table pass;
+    each escalation builds only its new, doubled level. The cap is
+    checked after the doubled level is built, so from a start below the
+    cap the last doubling builds fewer than 2 * _QUAD_POINT_CAP points
+    before QuadratureError; that also bounds the largest cached
+    Gauss-Laguerre rule at about 128 KB."""
+    level = 1
+    coarse, fine = rule_at(spec.basis, 0), rule_at(spec.basis, 1)
+    v1, v2 = _potential_by_quadrature(spec, alpha_poly, (coarse, fine))
     while True:
         residual = float(np.max(np.abs(v1 - v2)) / (1.0 + np.max(np.abs(v2))))
         if np.isfinite(residual) and residual <= CONV_TOL:
             return v2
-        if 2 * npts >= _QUAD_POINT_CAP:
+        npts, fine_pts = coarse[0].size, fine[0].size
+        if fine_pts >= _QUAD_POINT_CAP:
             raise QuadratureError(
-                f"potential quadrature did not converge: doubling {npts} -> {2 * npts} points "
+                f"potential quadrature did not converge: doubling {npts} -> {fine_pts} points "
                 f"still changes the matrix by {residual:.3e} (tolerance {CONV_TOL:.1e})",
                 residual=residual,
             )
-        npts *= 2
-        v1, (v2,) = v2, _potential_by_quadrature(spec, alpha_weight, alpha_poly, (2 * npts,), arg_of_r)
+        level += 1
+        coarse, fine = fine, rule_at(spec.basis, level)
+        v1, (v2,) = v2, _potential_by_quadrature(spec, alpha_poly, (fine,))
 
 
 def laguerre_matrices(spec: SystemSpec) -> MatrixSet:
@@ -410,7 +479,7 @@ def laguerre_matrices(spec: SystemSpec) -> MatrixSet:
 
     omega = _bands_to_matrix(omega_d, omega_o)
     h0 = _bands_to_matrix(h0_d, h0_o)
-    v = _potential_with_convergence_check(spec, 2 * ell + 2, 2 * ell + 1, lambda x: x / lam)
+    v = _potential_with_convergence_check(spec, 2 * ell + 1, _laguerre_potential_nodes)
 
     return MatrixSet(
         h0=SymMatrix(h0), v=SymMatrix(v), omega=SymMatrix(omega), spec=spec,
@@ -431,7 +500,7 @@ def oscillator_matrices(spec: SystemSpec) -> MatrixSet:
     if spec.z_charge != 0.0:
         # 1/r = lam x^(-1/2) has no closed form here; weight x^ell keeps it exact
         h0 = h0 + spec.z_charge * lam * _gram(ell, ell + 0.5, size)
-    v = _potential_with_convergence_check(spec, ell + 0.5, ell + 0.5, lambda x: np.sqrt(x) / lam)
+    v = _potential_with_convergence_check(spec, ell + 0.5, _oscillator_potential_nodes)
     return MatrixSet(h0=SymMatrix(h0), v=SymMatrix(v), omega=SymMatrix(np.eye(size)), spec=spec)
 
 

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from resolvent_kit.basis import (
     BasisSpec,
     CHECK_TOL,
     SystemSpec,
+    CONV_TOL,
     _closed_form_residual,
+    _laguerre_potential_nodes,
     _oscillator_analytic,
     _potential_by_quadrature,
     build_matrices,
@@ -200,7 +204,8 @@ class TestLaguerreMatrices:
         pot = parse_potential("7.5*r^2*exp(-r)")
         mats = laguerre_matrices(self.spec(size=12, pot=pot))
         # independent check against a fixed 400-point rule (lam = 1, ell = 0)
-        (finer,) = _potential_by_quadrature(self.spec(size=12, pot=pot), 2, 1, (400,), lambda x: x)
+        x, lw = gauss_rule_log(2, 400)
+        (finer,) = _potential_by_quadrature(self.spec(size=12, pot=pot), 1, [(x, lw, x)])
         assert np.max(np.abs(mats.v.data - finer)) < 1e-9
 
     @pytest.mark.parametrize(
@@ -216,7 +221,7 @@ class TestLaguerreMatrices:
         assert np.mean(v == 0.0) > 0.5
         t = orthonormal_laguerre_table(2 * ell + 1, size - 1, x, log_scale=0.5 * lw)
         full = (t * v) @ t.T
-        (got,) = _potential_by_quadrature(spec, 2 * ell + 2, 2 * ell + 1, (npts,), lambda x: x / lam)
+        (got,) = _potential_by_quadrature(spec, 2 * ell + 1, [(x, lw, x / lam)])
         assert np.max(np.abs(got - 0.5 * (full + full.T))) <= 1e-15 * np.max(np.abs(full))
 
     def test_zero_potential_builds_no_table(self, monkeypatch):
@@ -225,7 +230,8 @@ class TestLaguerreMatrices:
 
         monkeypatch.setattr(basis_module, "orthonormal_laguerre_table", table)
         for pot in (None, parse_potential("0*exp(-r)")):
-            got = _potential_by_quadrature(self.spec(size=12, pot=pot), 2, 1, (48, 96), lambda x: x)
+            spec = self.spec(size=12, pot=pot)
+            got = _potential_by_quadrature(spec, 1, [_laguerre_potential_nodes(spec.basis, level) for level in (0, 1)])
             assert len(got) == 2 and all(np.array_equal(v, np.zeros((12, 12))) for v in got)
 
     def test_nonfinite_potential_fails_the_doubling_check(self):
@@ -307,6 +313,26 @@ class TestOscillatorMatrices:
         # 1/r couples all n in this basis: off-tridiagonal entries present
         assert np.max(np.abs(h0 - np.diag(np.diag(h0)) - np.diag(np.diag(h0, 1), 1) - np.diag(np.diag(h0, -1), -1))) > 1e-3
 
+    @pytest.mark.parametrize(
+        "text, lam, size",
+        [("-2*exp(-r)", lam, size) for lam in (0.45, 1.0, 3.0) for size in (20, 100)]
+        + [("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)", 0.45, 100)],
+    )
+    def test_odd_powers_of_r_build(self, text, lam, size):
+        # e^(-r) is e^(-sqrt(x)/lam) in x = lam^2 r^2; a rule in x reached
+        # the point cap on each of these, the rule in y = lam r converges
+        mats = oscillator_matrices(self.spec(lam=lam, size=size, pot=parse_potential(text)))
+        assert np.all(np.isfinite(mats.v.data)) and np.array_equal(mats.v.data, mats.v.data.T)
+
+    def test_r_power_in_s_wave_raises_at_cap(self):
+        # at ell = 0, r^-1.5 leaves y^(1/2) in the integrand, on which the
+        # panels converge only as h^1.5; from 3 panels of 32 points the
+        # doublings reach the cap at 3072 -> 6144
+        with pytest.raises(QuadratureError, match=r"doubling 3072 -> 6144 points") as info:
+            oscillator_matrices(self.spec(size=20, pot=parse_potential("r^-1.5")))
+        residual = info.value.residual
+        assert np.isfinite(residual) and residual > CONV_TOL
+
     def test_family_mismatch(self):
         with pytest.raises(InputError):
             oscillator_matrices(SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=4)))
@@ -319,6 +345,83 @@ class TestOscillatorMatrices:
             mats.j_tridiagonal(1.0)
         with pytest.raises(InputError, match="oscillator"):
             mats.j_boundary(np.array([0.5, 1.0]))
+
+
+BARRIER = "7.5*r^2*exp(-r)"
+TWO_GAUSSIAN = "5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)"
+MP_POTENTIALS = {
+    "-2*exp(-r)": lambda r: -2 * mp.exp(-r),
+    BARRIER: lambda r: mp.mpf("7.5") * r**2 * mp.exp(-r),
+    TWO_GAUSSIAN: lambda r: 5 * mp.exp(-((r - mp.mpf("3.5")) ** 2) / 4) - 8 * mp.exp(-(r**2) / 5),
+    "r^-1.5": lambda r: r ** mp.mpf("-1.5"),
+}
+
+
+def mp_basis_function(family, lam, ell, n):
+    """psi_n(r) from mp.laguerre, lhat_n = sqrt(n!/Gamma(n+alpha+1)) L_n^alpha:
+
+        laguerre:   sqrt(lam)   (lam r)^(ell+1) e^(-lam r/2)       lhat_n^(2ell+1)(lam r)
+        oscillator: sqrt(2 lam) (lam r)^(ell+1) e^(-(lam r)^2/2)   lhat_n^(ell+1/2)((lam r)^2)
+    """
+    lam = mp.mpf(lam)
+    if family == "laguerre":
+        alpha, width, arg = 2 * ell + 1, 1, lambda r: lam * r
+    else:
+        alpha, width, arg = ell + mp.mpf(1) / 2, 2, lambda r: (lam * r) ** 2
+    norm = mp.sqrt(width * lam * mp.factorial(n) / mp.gamma(n + alpha + 1))
+    return lambda r: norm * (lam * r) ** (ell + 1) * mp.exp(-arg(r) / 2) * mp.laguerre(n, alpha, arg(r))
+
+
+@functools.lru_cache(maxsize=None)
+def mp_pair(family, lam, ell, n, m):
+    """r -> psi_n(r) psi_m(r), remembered per node, so that integrals of
+    several potentials against one pair share their basis evaluations."""
+    f, g = mp_basis_function(family, lam, ell, n), mp_basis_function(family, lam, ell, m)
+    return functools.lru_cache(maxsize=None)(lambda r: f(r) * g(r))
+
+
+def mp_potential_element(family, lam, ell, size, n, m, text):
+    """<psi_n|V|psi_m> as a 30-digit mp.quad over r. In the basis variable
+    (lam r, or (lam r)^2) every psi_n of the size-N basis has its last zero
+    below 4N + 2 alpha + 2 and decays as e^(-x/2) beyond it; the integral
+    stops 100 + 20 N^(1/3) further out, far past anything double
+    precision can see, and runs on one panel per two basis functions."""
+    alpha = 2 * ell + 1 if family == "laguerre" else ell + 0.5
+    x_cut = 4 * size + 2 * alpha + 2 + 20 * size ** (1 / 3) + 100
+    with mp.workdps(30):
+        r_cut = mp.mpf(x_cut) / lam if family == "laguerre" else mp.sqrt(x_cut) / lam
+        pair, v = mp_pair(family, lam, ell, n, m), MP_POTENTIALS[text]
+        return mp.quad(lambda r: pair(r) * v(r), mp.linspace(0, r_cut, size // 2 + 4), method="gauss-legendre")
+
+
+def assert_elements_match_mpmath(family, lam, ell, size, text, tol):
+    spec = SystemSpec(basis=BasisSpec(family, lam=lam, ell=ell, size=size), potential=parse_potential(text))
+    v = build_matrices(spec).v.data
+    for n, m in ((0, 0), (3, 7), (size - 1, size - 1)):
+        want = mp_potential_element(family, lam, ell, size, n, m, text)
+        assert abs(v[n, m] - float(want)) <= tol, (family, lam, ell, size, text, n, m, v[n, m], want)
+
+
+class TestPotentialAgainstMpmath:
+    """The built V against <psi_n|V|psi_m> integrated over r by mpmath,
+    with basis functions from mp.laguerre: neither the rule nor the
+    polynomial recurrence of the build."""
+
+    @pytest.mark.parametrize(
+        "family, lam, ell",
+        [("oscillator", 0.45, 0), ("oscillator", 1.0, 2), ("laguerre", 1.0, 0), ("laguerre", 10.0, 1)],
+    )
+    @pytest.mark.parametrize("text", ["-2*exp(-r)", BARRIER, TWO_GAUSSIAN])
+    def test_elements(self, family, lam, ell, text):
+        assert_elements_match_mpmath(family, lam, ell, 20, text, 1e-10)
+
+    def test_oscillator_r_power_above_s_wave(self):
+        # y^(2ell+2) r^-1.5 leaves y^(2ell+1/2) at the origin: at ell = 2
+        # the first panel converges fast enough for 1e-10; at ell = 1 it
+        # converges as h^3.5, so the doubling check certifies CONV_TOL,
+        # not 1e-10
+        assert_elements_match_mpmath("oscillator", 1.0, 2, 20, "r^-1.5", 1e-10)
+        assert_elements_match_mpmath("oscillator", 1.0, 1, 20, "r^-1.5", CONV_TOL)
 
 
 @pytest.fixture
