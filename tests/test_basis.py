@@ -9,8 +9,8 @@ from resolvent_kit import basis as basis_module
 from resolvent_kit.basis import (
     BasisSpec,
     CHECK_TOL,
-    SystemSpec,
     CONV_TOL,
+    SystemSpec,
     _closed_form_residual,
     _laguerre_potential_nodes,
     _oscillator_analytic,
