@@ -25,29 +25,29 @@ the basis appear). Any disagreement beyond ``CHECK_TOL`` aborts the
 build. The short-range potential matrix is always computed by
 quadrature, with an order-doubling convergence check.
 
-Each family has its own potential rule, given level by level, each
-level twice the points of the one before:
-
-* ``laguerre``: Gauss-Laguerre in x = lam r, from max(4N, 40) points.
-* ``oscillator``: uniform panels of the 32-point Gauss-Legendre rule in
-  y = sqrt(x) = lam r on (0, Y), from ceil(max(4N, 40) / 32) panels,
-  with Y from the basis (see ``_oscillator_potential_nodes``). In
-  x = lam^2 r^2 an odd power of r is a power of sqrt(x), on which a
-  Gauss-Laguerre rule in x converges only algebraically; in y the
-  integrand is analytic wherever V is, and the panels converge
-  exponentially (Trefethen, SIAM Rev. 50, 67 (2008)).
+Both families share one potential rule, given level by level, each
+level twice the points of the one before: uniform panels of the 32-point
+Gauss-Legendre rule in y = sqrt(x) on (0, Y), from ceil(max(4N, 40) / 32)
+panels, with Y from the basis (see ``_potential_nodes`` and ``_y_cut``).
+In x an odd power of sqrt(x) -- of r in the oscillator's x = lam^2 r^2,
+of sqrt(r) in the Laguerre x = lam r -- is not a polynomial, and a
+Gauss-Laguerre rule in x converges on it only algebraically; in y the
+integrand is analytic wherever V(r) is, and the panels converge
+exponentially (Trefethen, SIAM Rev. 50, 67 (2008)). The only
+Gauss-Laguerre rules the package builds have N + 2 points: the exact
+rules of the closed-form check and of the oscillator Coulomb term.
 
 The first doubling compares levels 0 and 1, and builds both in one
 pass: V is evaluated and the table of the N orthonormal polynomials
 built once, over the nodes of the two rules together, and each matrix
 is formed from its rule's columns. For N >= 10 the table is N x 12N
-doubles at most (1.4 MB at N = 120; a little more for the oscillator,
-whose levels round up to whole panels), and the V-weighted copy of one
-rule's columns N x 8N; an escalation past the first doubling builds its
-new level alone. Nodes where V is exactly 0.0 (a Gaussian tail that
+doubles at most (1.4 MB at N = 120; a little more where the levels
+round up to whole panels), and the V-weighted copy of one rule's
+columns N x 8N; an escalation past the first doubling builds its new
+level alone. Nodes where V is exactly 0.0 (a Gaussian tail that
 underflows, say) add nothing to any sum, so they are left out of the
-table; a NaN or inf V is kept, and fails the convergence check. With
-V = 0 no table is built.
+table; a NaN or inf V is kept, and fails the convergence check at the
+first doubling. With V = 0 no table is built.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, QuadratureError
 from .matrix_core import SymMatrix
@@ -139,8 +138,10 @@ def gauss_quadrature(alpha: float, npts: int):
 
     Exact for polynomials of degree <= 2*npts - 1 against the weight
     x^alpha e^(-x) on (0, inf). Nodes are the eigenvalues of the
-    orthonormal-recurrence tridiagonal matrix; weights come from the
-    classical end-polynomial formula
+    orthonormal-recurrence tridiagonal (Jacobi) matrix, found by the
+    dense symmetric eigensolver, so a rule of n points costs O(n^3): the
+    package itself builds only rules of N + 2 points. Weights come from
+    the classical end-polynomial formula
 
         w_k = x_k / ((npts+1)(npts+alpha+1) lhat_(npts+1)(x_k)^2)
 
@@ -160,7 +161,9 @@ def gauss_rule_log(alpha: float, npts: int):
     accuracy.
 
     A rule depends only on (alpha, npts), so each is built once per
-    process and shared: the returned arrays are read-only."""
+    process and shared: the returned arrays are read-only. Building a
+    rule of n points costs O(n^3) (see ``gauss_quadrature``); the package
+    builds only rules of N + 2 points."""
     if npts < 1:
         raise InputError("quadrature needs at least one point")
     if alpha <= -1.0:
@@ -176,7 +179,7 @@ def _gauss_rule_cached(alpha: float, npts: int):
         nodes, log_w = diag, np.array([math.lgamma(alpha + 1.0)])
     else:
         off = np.sqrt(k[1:] * (k[1:] + alpha))
-        nodes = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+        nodes = np.linalg.eigvalsh(_bands_to_matrix(diag, off))
         # One Newton step against the degree-npts polynomial cleans up the
         # O(norm * eps) eigenvalue round-off; x lhat' = n lhat - sqrt(n(n+a)) lhat_(n-1).
         cur, prev, _ = _orthonormal_recurrence(alpha, npts, nodes, *_lhat0(alpha, nodes))
@@ -371,29 +374,20 @@ def _potential_by_quadrature(spec: SystemSpec, alpha_poly, rules):
 
 
 # The potential quadrature starts from max(4 * size, 40) points (rounded
-# up to whole panels in the oscillator basis) and doubles until a
-# doubling changes the matrix by at most CONV_TOL (relative), or raises
-# at _QUAD_POINT_CAP. Only the Laguerre levels are Gauss-Laguerre rules
-# and go through the gauss_rule_log cache; the oscillator panels are laid
-# out anew for each build.
+# up to whole panels) and doubles until a doubling changes the matrix by
+# at most CONV_TOL (relative), or raises at _QUAD_POINT_CAP. Its panels
+# are laid out anew for each build; none goes through the gauss_rule_log
+# cache.
 _QUAD_POINT_CAP = 4096
 CONV_TOL = 1e-8
 
-# Points of the Gauss-Legendre rule on each panel of the oscillator
-# potential quadrature.
+# Points of the Gauss-Legendre rule on each panel of the potential
+# quadrature.
 _PANEL_POINTS = 32
 
 # Largest disagreement (relative) allowed between the closed-form H0 and
 # overlap matrices and their exact quadrature.
 CHECK_TOL = 1e-10
-
-
-def _laguerre_potential_nodes(basis: BasisSpec, level: int):
-    """(x, log w, r) of level ``level`` of the Laguerre potential rule:
-    the Gauss-Laguerre rule of max(4N, 40) * 2^level points for the
-    weight x^(2ell+2) e^(-x), x = lam r."""
-    x, log_w = gauss_rule_log(2 * basis.ell + 2, max(4 * basis.size, 40) << level)
-    return x, log_w, x / basis.lam
 
 
 @functools.lru_cache(maxsize=None)
@@ -407,59 +401,70 @@ def _legendre_panel():
     return unit, log_w
 
 
-def _oscillator_potential_nodes(basis: BasisSpec, level: int):
-    """(x, log w, r) of level ``level`` of the oscillator potential rule:
+def _y_cut(size: int, alpha: float, power: int) -> float:
+    """Upper end Y of the potential rule in y = sqrt(x), for the basis
+    density e^(-x) x^a lhat_n(x)^2, a = (power - 1) / 2, of polynomials
+    lhat_n of parameter ``alpha`` and degree below ``size``.
+
+    The largest zero of L_N^alpha lies below 4N + 2 alpha + 2, and the
+    density decays beyond it on a scale of N^(1/3). With
+    Y^2 = 4N + 2a + 2 + (6 + 2 (a - alpha)) N^(1/3) + 60 the largest
+    density at Y^2 is below 2e-14 of its peak for N <= 120 and ell <= 3
+    in both families, measured: each power of x in the density beyond the
+    polynomials' own weight (one in the Laguerre family, none in the
+    oscillator one) takes 2 N^(1/3) more."""
+    extra = 0.5 * (power - 1) - alpha
+    return math.sqrt(4.0 * size + power + 1.0 + (6.0 + 2.0 * extra) * size ** (1.0 / 3.0) + 60.0)
+
+
+def _potential_nodes(size: int, level: int, alpha: float, power: int, r_of_y):
+    """(x, log w, r) of level ``level`` of the potential rule:
     ceil(max(4N, 40) / 32) * 2^level uniform panels of the 32-point
-    Gauss-Legendre rule in y = sqrt(x) = lam r on (0, Y), for
+    Gauss-Legendre rule in y = sqrt(x) on (0, Y), for
 
-        int_0^Y 2 y^(2ell+2) e^(-y^2) lhat_n(y^2) lhat_m(y^2) V(y / lam) dy.
+        int_0^Y 2 y^power e^(-y^2) lhat_n(y^2) lhat_m(y^2) V(r(y)) dy,
 
-    In y the integrand is analytic wherever V(r) is, so the panels
-    converge exponentially; in x an odd power of r is a power of sqrt(x),
-    on which a rule in x converges only algebraically. Y comes from the
-    basis, not from ``range_r``: the largest zero of L_N^alpha
-    (alpha = ell + 1/2) lies below 4N + 2 alpha + 2, and
-    e^(-x) x^alpha lhat_n(x)^2 decays beyond it on a scale of N^(1/3).
-    At Y^2 = 4N + 2 alpha + 2 + 6 N^(1/3) + 60 the largest of them has
-    fallen below 2e-14 of its peak for N <= 120 (2e-13 at N = 200)."""
-    size, ell = basis.size, basis.ell
-    y_max = math.sqrt(4.0 * size + 2.0 * ell + 3.0 + 6.0 * size ** (1.0 / 3.0) + 60.0)
+    the integral over x against the basis weight x^((power - 1) / 2) e^(-x),
+    lhat_n of parameter ``alpha``. Y comes from the basis, not from
+    ``range_r`` (see ``_y_cut``)."""
+    y_max = _y_cut(size, alpha, power)
     panels = -(-max(4 * size, 40) // _PANEL_POINTS) << level
     width = y_max / panels
     unit, log_unit_w = _legendre_panel()
     y = ((np.arange(panels)[:, None] + unit) * width).ravel()
-    log_w = np.tile(log_unit_w, panels) + math.log(2.0 * width) + (2.0 * ell + 2.0) * np.log(y) - y * y
-    return y * y, log_w, y / basis.lam
+    log_w = np.tile(log_unit_w, panels) + math.log(2.0 * width) + power * np.log(y) - y * y
+    return y * y, log_w, r_of_y(y)
 
 
-def _potential_with_convergence_check(spec: SystemSpec, alpha_poly, rule_at):
+def _potential_with_convergence_check(spec: SystemSpec, alpha_poly, power, r_of_y):
     """Doubling test on the potential quadrature; escalates the rule until
     doubling changes nothing, errors out at the point cap.
 
-    ``rule_at(basis, level)`` returns the (x, log w, r) nodes of a
-    family's rule at a level; each level has twice the points of the one
-    before. The first comparison builds levels 0 and 1 in one table pass;
-    each escalation builds only its new, doubled level. The cap is
-    checked after the doubled level is built, so from a start below the
-    cap the last doubling builds fewer than 2 * _QUAD_POINT_CAP points
-    before QuadratureError; that also bounds the largest cached
-    Gauss-Laguerre rule at about 128 KB."""
+    The rule is ``_potential_nodes`` for the family's polynomials
+    (``alpha_poly``), weight power of y and r(y); each level has twice
+    the points of the one before. The first comparison builds levels 0
+    and 1 in one table pass; each escalation builds only its new, doubled
+    level. The cap is checked after the doubled level is built, so from a
+    start below the cap the last doubling builds fewer than
+    2 * _QUAD_POINT_CAP points before QuadratureError. A residual that is
+    not finite (a NaN or inf V) cannot improve, so it raises at once."""
+    size = spec.basis.size
     level = 1
-    coarse, fine = rule_at(spec.basis, 0), rule_at(spec.basis, 1)
+    coarse, fine = (_potential_nodes(size, k, alpha_poly, power, r_of_y) for k in (0, 1))
     v1, v2 = _potential_by_quadrature(spec, alpha_poly, (coarse, fine))
     while True:
         residual = float(np.max(np.abs(v1 - v2)) / (1.0 + np.max(np.abs(v2))))
-        if np.isfinite(residual) and residual <= CONV_TOL:
+        if residual <= CONV_TOL:
             return v2
         npts, fine_pts = coarse[0].size, fine[0].size
-        if fine_pts >= _QUAD_POINT_CAP:
+        if fine_pts >= _QUAD_POINT_CAP or not np.isfinite(residual):
             raise QuadratureError(
                 f"potential quadrature did not converge: doubling {npts} -> {fine_pts} points "
                 f"still changes the matrix by {residual:.3e} (tolerance {CONV_TOL:.1e})",
                 residual=residual,
             )
         level += 1
-        coarse, fine = fine, rule_at(spec.basis, level)
+        coarse, fine = fine, _potential_nodes(size, level, alpha_poly, power, r_of_y)
         v1, (v2,) = v2, _potential_by_quadrature(spec, alpha_poly, (fine,))
 
 
@@ -479,7 +484,7 @@ def laguerre_matrices(spec: SystemSpec) -> MatrixSet:
 
     omega = _bands_to_matrix(omega_d, omega_o)
     h0 = _bands_to_matrix(h0_d, h0_o)
-    v = _potential_with_convergence_check(spec, 2 * ell + 1, _laguerre_potential_nodes)
+    v = _potential_with_convergence_check(spec, 2 * ell + 1, 4 * ell + 5, lambda y: y * y / lam)
 
     return MatrixSet(
         h0=SymMatrix(h0), v=SymMatrix(v), omega=SymMatrix(omega), spec=spec,
@@ -500,7 +505,7 @@ def oscillator_matrices(spec: SystemSpec) -> MatrixSet:
     if spec.z_charge != 0.0:
         # 1/r = lam x^(-1/2) has no closed form here; weight x^ell keeps it exact
         h0 = h0 + spec.z_charge * lam * _gram(ell, ell + 0.5, size)
-    v = _potential_with_convergence_check(spec, ell + 0.5, _oscillator_potential_nodes)
+    v = _potential_with_convergence_check(spec, ell + 0.5, 2 * ell + 2, lambda y: y / lam)
     return MatrixSet(h0=SymMatrix(h0), v=SymMatrix(v), omega=SymMatrix(np.eye(size)), spec=spec)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, InputError, OverlapNotSPDError
 
@@ -125,26 +124,43 @@ def _has_cholesky(m: np.ndarray) -> bool:
         return False
 
 
+def _reduce_pencil(a: np.ndarray, b: np.ndarray):
+    """Reduce a gamma = eps b gamma to the standard problem C v = eps v,
+    C = L^-1 a L^-T with L the Cholesky factor of ``b``, so that
+    gamma = L^-T v. Returns (C, L^-1); the factorization is the only one,
+    and its failure raises OverlapNotSPDError.
+
+    numpy has no triangular solve, so L^-1 is formed once and applied by
+    products: faster than three general solves, and as accurate on the
+    Laguerre pencils (eigenvalues and last-row weights against 30-digit
+    mpmath)."""
+    try:
+        factor = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError as exc:
+        raise OverlapNotSPDError("overlap not SPD") from exc
+    inv = np.linalg.inv(factor)
+    return inv @ a @ inv.T, inv
+
+
 def gen_sym_eig(a, b) -> SpectralPair:
     """Generalized eigendecomposition H gamma = eps Omega gamma.
 
     ``b`` must be symmetric positive definite. Columns are scaled so that
     gamma^T b gamma = I. Each of ``a`` and ``b`` is checked for symmetry
     and finiteness once, and not at all when it is a SymMatrix, which was
-    checked when it was built. The solver's Cholesky factorization of
-    ``b`` is the only one; a failure is classified after the fact.
+    checked when it was built. The Cholesky factorization of ``b`` in
+    ``_reduce_pencil`` is the only one.
     """
     ma = _as_sym_array(a)
     mb = _as_sym_array(b)
     if ma.shape != mb.shape:
         raise InputError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
+    c, inv = _reduce_pencil(ma, mb)
     try:
-        eps, gamma = scipy.linalg.eigh(ma, mb, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        if not _has_cholesky(mb):
-            raise OverlapNotSPDError("overlap not SPD") from exc
+        eps, v = np.linalg.eigh(c)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(f"generalized eigensolver did not converge: {exc}") from exc
-    return SpectralPair(eps=eps, gamma=_fix_column_signs(gamma))
+    return SpectralPair(eps=eps, gamma=_fix_column_signs(inv.T @ v))
 
 
 def delete_row_col(a, n: int, m: int):

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateSpectrumError,
@@ -51,6 +50,7 @@ from .matrix_core import (
     SymMatrix,
     _as_sym_array,
     _has_cholesky,
+    _reduce_pencil,
     delete_row_col,
     gen_sym_eig,
     sym_eig,
@@ -281,8 +281,9 @@ def green_cofactor(inp: ResolventInput, n: int, m: int) -> complex:
 
 def _eigvals(h: np.ndarray, om: Optional[np.ndarray]) -> np.ndarray:
     """Real eigenvalues of a symmetric-definite pencil, ascending;
-    ``om=None`` is the identity overlap."""
-    return np.linalg.eigvalsh(h) if om is None else scipy.linalg.eigh(h, om, eigvals_only=True)
+    ``om=None`` is the identity overlap. The pencil is reduced as in
+    ``gen_sym_eig``."""
+    return np.linalg.eigvalsh(h if om is None else _reduce_pencil(h, om)[0])
 
 
 def _product_form(h: np.ndarray, om: Optional[np.ndarray], n: int, m: int):

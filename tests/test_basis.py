@@ -12,9 +12,10 @@ from resolvent_kit.basis import (
     CONV_TOL,
     SystemSpec,
     _closed_form_residual,
-    _laguerre_potential_nodes,
     _oscillator_analytic,
     _potential_by_quadrature,
+    _potential_nodes,
+    _y_cut,
     build_matrices,
     gauss_quadrature,
     gauss_rule_log,
@@ -231,29 +232,34 @@ class TestLaguerreMatrices:
         monkeypatch.setattr(basis_module, "orthonormal_laguerre_table", table)
         for pot in (None, parse_potential("0*exp(-r)")):
             spec = self.spec(size=12, pot=pot)
-            got = _potential_by_quadrature(spec, 1, [_laguerre_potential_nodes(spec.basis, level) for level in (0, 1)])
+            rules = [_potential_nodes(12, level, 1, 5, lambda y: y * y) for level in (0, 1)]
+            got = _potential_by_quadrature(spec, 1, rules)
             assert len(got) == 2 and all(np.array_equal(v, np.zeros((12, 12))) for v in got)
 
     def test_nonfinite_potential_fails_the_doubling_check(self):
         # a NaN V is not an exact zero, so it stays in the sum and fails
-        # the convergence test instead of vanishing from the matrix
+        # the convergence test instead of vanishing from the matrix; a
+        # non-finite residual cannot improve, so the first doubling (two
+        # panels of 32 points against four) raises
         spec = SystemSpec(
             basis=BasisSpec("laguerre", lam=1.0, ell=0, size=8), potential=parse_potential("0*r^-400"), check_potential=False
         )
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QuadratureError, match="did not converge") as info:
             laguerre_matrices(spec)
         assert math.isnan(info.value.residual)
+        assert "doubling 64 -> 128 points" in str(info.value)
 
     def test_family_mismatch(self):
         with pytest.raises(InputError):
             laguerre_matrices(SystemSpec(basis=BasisSpec("oscillator", lam=1.0, ell=0, size=4)))
 
     def test_unconverged_doubling_raises_at_cap(self):
-        # r^-1.5 against the weight x^2 leaves x^(1/2) in the integrand, so
-        # each doubling still moves the matrix far above CONV_TOL; from 40
-        # points the doublings reach the cap at 2560 -> 5120
-        spec = self.spec(pot=parse_potential("r^-1.5"))
-        with pytest.raises(QuadratureError, match=r"doubling 2560 -> 5120 points") as info:
+        # in y = sqrt(lam r) the weight is y^5 at ell = 0, and r^-2.4
+        # leaves y^0.2 in the integrand, so each doubling still moves the
+        # matrix far above CONV_TOL; from two panels of 32 points the
+        # doublings reach the cap at 2048 -> 4096
+        spec = self.spec(pot=parse_potential("r^-2.4"))
+        with pytest.raises(QuadratureError, match=r"doubling 2048 -> 4096 points") as info:
             laguerre_matrices(spec)
         residual = info.value.residual
         assert np.isfinite(residual) and residual > 1e-8
@@ -385,13 +391,17 @@ def mp_potential_element(family, lam, ell, size, n, m, text):
     (lam r, or (lam r)^2) every psi_n of the size-N basis has its last zero
     below 4N + 2 alpha + 2 and decays as e^(-x/2) beyond it; the integral
     stops 100 + 20 N^(1/3) further out, far past anything double
-    precision can see, and runs on one panel per two basis functions."""
+    precision can see, and runs on one panel per two basis functions.
+    A power of r leaves a fractional power of r at the origin, which
+    Gauss-Legendre panels resolve only to about 1e-6; tanh-sinh takes
+    those to full accuracy."""
     alpha = 2 * ell + 1 if family == "laguerre" else ell + 0.5
     x_cut = 4 * size + 2 * alpha + 2 + 20 * size ** (1 / 3) + 100
+    method = "tanh-sinh" if text.startswith("r^") else "gauss-legendre"
     with mp.workdps(30):
         r_cut = mp.mpf(x_cut) / lam if family == "laguerre" else mp.sqrt(x_cut) / lam
         pair, v = mp_pair(family, lam, ell, n, m), MP_POTENTIALS[text]
-        return mp.quad(lambda r: pair(r) * v(r), mp.linspace(0, r_cut, size // 2 + 4), method="gauss-legendre")
+        return mp.quad(lambda r: pair(r) * v(r), mp.linspace(0, r_cut, size // 2 + 4), method=method)
 
 
 def assert_elements_match_mpmath(family, lam, ell, size, text, tol):
@@ -422,6 +432,30 @@ class TestPotentialAgainstMpmath:
         # not 1e-10
         assert_elements_match_mpmath("oscillator", 1.0, 2, 20, "r^-1.5", 1e-10)
         assert_elements_match_mpmath("oscillator", 1.0, 1, 20, "r^-1.5", CONV_TOL)
+
+    def test_laguerre_r_power_in_s_wave(self):
+        # in y = sqrt(lam r) the weight y^5 times r^-1.5 leaves y^2: the
+        # integrand is analytic, and the panels reach 1e-10
+        assert_elements_match_mpmath("laguerre", 1.0, 0, 20, "r^-1.5", 1e-10)
+
+
+@pytest.mark.parametrize("family", ["laguerre", "oscillator"])
+def test_cut_leaves_out_below_2e_14_of_the_basis_density(family):
+    """The potential rule stops at Y (``_y_cut``). There the basis
+    densities e^(-x) x^a lhat_n(x)^2, n < N, which weight V in each
+    diagonal V_nn, are at most 2e-14 of the largest density's peak for
+    N <= 120. The doubling check cannot see what the cut leaves out, and
+    that grows with N past 120: 1.9e-13 at N = 200 for the oscillator at
+    ell = 0, 2.1e-13 for the Laguerre basis at ell = 3."""
+    for ell in range(4):
+        # (polynomial parameter, weight power of y = 2a + 1)
+        alpha, power = (2 * ell + 1, 4 * ell + 5) if family == "laguerre" else (ell + 0.5, 2 * ell + 2)
+        a = 0.5 * (power - 1)
+        for size in (2, 15, 60, 120):
+            y_cut = _y_cut(size, alpha, power)
+            x = np.append(np.linspace(1e-6, y_cut**2, 20001), y_cut**2)
+            density = orthonormal_laguerre_table(alpha, size - 1, x, log_scale=0.5 * (a * np.log(x) - x)) ** 2
+            assert np.max(density[:, -1]) <= 2e-14 * np.max(density), (family, ell, size)
 
 
 @pytest.fixture
