@@ -162,6 +162,12 @@ class PoleCandidate:
         return -2.0 * self.pole.imag
 
 
+def _failed_candidate(seed, steps, residual, pole, exc: Optional[NumericalError]) -> PoleCandidate:
+    """A candidate that ended on ``exc``, the first error of its solve."""
+    status = "continued-fraction failure" if isinstance(exc, ConvergenceError) else "numerical failure"
+    return PoleCandidate(float(seed), steps, residual, complex(pole), math.nan, status, exc)
+
+
 def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
     """Newton's method on f_j(E) = (eps_j - E)(1 + G J R_N(+)), one
     candidate per eigenvalue eps_j, j in ``index``: a PoleCandidate each.
@@ -175,9 +181,15 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
     after one of at most sqrt(``_NEWTON_RTOL``) * max(1, |E|): quadratic
     convergence would have taken the next below the tolerance, so f's
     own rounding sets the floor. All candidates advance in lockstep,
-    one ``continued_terms`` call per step, each element on its own, so a
-    candidate comes out as it would alone. At the pole S = T f(-) / f(+)
-    has residue T f(-) / f'.
+    one ``denominator_terms`` call per step, which evaluates R_N(+) alone
+    (a closed form at Z = 0, one Gauss continued fraction otherwise),
+    each element on its own, so a candidate comes out as it would alone.
+
+    At the pole S = T f(-) / f(+) has residue T f(-) / f', with T and
+    R_N(-) (in f(-)) at the centre point of the last step. They come from
+    one ``continued_terms`` call for all converged candidates after the
+    loop, the seeds and recursion of ``s_values``; a candidate whose
+    evaluation fails there ends as a failure, with its pole.
     """
     eps = calc.eigenvalues[index]
     results = [None] * index.size
@@ -185,7 +197,7 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
 
     def evaluate(points, rows, per_row):
         errors = {}
-        terms = calc.continued_terms(points, np.repeat(index[rows], per_row), _POLE_LEVELS, errors)
+        terms = calc.denominator_terms(points, np.repeat(index[rows], per_row), _POLE_LEVELS, errors)
         for i, exc in sorted(errors.items(), reverse=True):
             failure[rows[i // per_row]] = exc
         return terms
@@ -195,38 +207,51 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
     start = evaluate(eps.astype(complex), rows, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         energy = eps + start.residue_j * start.r_plus / (1.0 + start.rest_j * start.r_plus)
+    done = []  # (row, step, centre energy, slope, |f|, pole) of each converged candidate
     for step in range(_NEWTON_STEPS + 1):
         # a failed evaluation leaves a NaN iterate: retire it
         failed = ~np.isfinite(energy)
         for r in np.flatnonzero(failed):
-            exc = failure.get(rows[r])
-            status = "continued-fraction failure" if isinstance(exc, ConvergenceError) else "numerical failure"
-            results[rows[r]] = PoleCandidate(float(eps[r]), step, math.nan, complex(energy[r]), math.nan, status, exc)
+            results[rows[r]] = _failed_candidate(eps[r], step, math.nan, energy[r], failure.get(rows[r]))
         rows, eps, energy, last = (v[~failed] for v in (rows, eps, energy, last))
         if rows.size == 0 or step == _NEWTON_STEPS:
             break
         h = _DERIVATIVE_RTOL * np.maximum(1.0, np.abs(energy))
         points = (energy[:, None] + h[:, None] * np.array([0.0, -1.0, 1.0])).ravel()
         terms = evaluate(points, rows, 3)
-        u = np.repeat(eps, 3) - points
-        centre = terms._make(v[::3] for v in terms)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f = terms.divided(u, terms.r_plus).reshape(-1, 3)
+            f = terms.divided(np.repeat(eps, 3) - points, terms.r_plus).reshape(-1, 3)
             slope = (f[:, 2] - f[:, 1]) / (2.0 * h)
             new = energy - f[:, 0] / slope
-            residue = centre.t * centre.divided(u[::3], centre.r_minus) / slope
         moved, scale = np.abs(new - energy), np.maximum(1.0, np.abs(energy))
         converged = (moved <= _NEWTON_RTOL * scale) | ((moved >= last) & (last <= math.sqrt(_NEWTON_RTOL) * scale))
-        for r in np.flatnonzero(converged):
-            gamma = -2.0 * new[r].imag
-            strength = float(abs(residue[r]) / gamma) if gamma > 0.0 else math.nan
-            results[rows[r]] = PoleCandidate(
-                float(eps[r]), step + 1, float(abs(f[r, 0])), complex(new[r]), strength, "converged"
-            )
+        done += [(rows[r], step + 1, energy[r], slope[r], abs(f[r, 0]), new[r]) for r in np.flatnonzero(converged)]
         rows, eps, energy, last = (v[~converged] for v in (rows, eps, new, moved))
     for r in range(rows.size):
         results[rows[r]] = PoleCandidate(float(eps[r]), _NEWTON_STEPS, math.nan, complex(energy[r]), math.nan, "step cap")
+    if done:
+        _residue_pass(calc, index, done, results)
     return results
+
+
+def _residue_pass(calc: ScatteringCalculator, index: np.ndarray, done: list, results: list):
+    """The strength |T f(-) / f'| / Gamma of each converged candidate in
+    ``done`` (see ``_solve_poles``), into ``results``."""
+    rows, steps, centre, slope, residual, pole = (np.array(v) for v in zip(*done))
+    errors = {}
+    terms = calc.continued_terms(centre, index[rows], _POLE_LEVELS, errors)
+    eps = calc.eigenvalues[index[rows]]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        residue = terms.t * terms.divided(eps - centre, terms.r_minus) / slope
+    for i, r in enumerate(rows):
+        if i in errors:
+            results[r] = _failed_candidate(eps[i], int(steps[i]), float(residual[i]), pole[i], errors[i])
+            continue
+        gamma = -2.0 * pole[i].imag
+        strength = float(abs(residue[i]) / gamma) if gamma > 0.0 else math.nan
+        results[r] = PoleCandidate(
+            float(eps[i]), int(steps[i]), float(residual[i]), complex(pole[i]), strength, "converged"
+        )
 
 
 def _verdict(c: PoleCandidate, earlier: list, e_min: float, e_max: float) -> str:

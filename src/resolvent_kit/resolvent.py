@@ -32,6 +32,7 @@ residue, ``green_partial_fractions(h, n, m).coeffs[k]``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -151,7 +152,9 @@ class ResolventInput:
             return out
         return h - self.z * om
 
+    @functools.cached_property
     def spectral_pair(self) -> SpectralPair:
+        """The eigenpairs of (H, Omega), computed on first use and kept."""
         return sym_eig(self.h) if self.omega is None else gen_sym_eig(self.h, self.omega)
 
 
@@ -245,7 +248,7 @@ def green_spectral(inp: ResolventInput, n: int, m: int, pair: Optional[SpectralP
     across many z.
     """
     if pair is None:
-        pair = inp.spectral_pair()
+        pair = inp.spectral_pair
     value, on_pole = PartialFractions.from_pair(pair, n, m).evaluate(inp.z)
     if on_pole:
         raise _pole_error(pair.eps, inp.z)
@@ -267,12 +270,12 @@ def green_cofactor(inp: ResolventInput, n: int, m: int) -> complex:
     _check_indices(inp.n, n, m)
     c = inp.pencil()
     if abs(inp.z.imag) < POLE_RTOL * max(1.0, abs(inp.z)):
-        eps = inp.spectral_pair().eps
+        eps = inp.spectral_pair.eps
         if _on_pole(eps - inp.z, inp.z):
             raise _pole_error(eps, inp.z)
     sign_full, log_full = np.linalg.slogdet(c)
     if sign_full == 0 or not np.isfinite(log_full):
-        raise _pole_error(inp.spectral_pair().eps, inp.z)
+        raise _pole_error(inp.spectral_pair.eps, inp.z)
     sign_sub, log_sub = np.linalg.slogdet(delete_row_col(c, n, m)) if inp.n > 1 else (1.0, 0.0)
     if sign_sub == 0:
         return 0j

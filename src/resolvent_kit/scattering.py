@@ -28,6 +28,16 @@ complex E, where resonances are poles of S (``KinematicParams.continued``,
 ``ScatteringCalculator.continued_terms``): theta becomes complex, and the
 minus branch is the conjugate of the plus branch at conj(E).
 
+A pole is a zero of the denominator D = 1 + G J R_N(+) alone, so the
+pole search evaluates R_N(+) alone (``ScatteringCalculator.
+denominator_terms``): the closed form at Z = 0, and at Z != 0 one Gauss
+continued fraction for F_(N+1)/F_N, with neither seeds, recursion, T
+nor the mirror energy. S on the real axis and a pole's residue need T
+as well, and at Z != 0 still take T and R_N(+/-) from the seeds and
+recursion. The two routes to R_N(+) agree to rounding where the
+recursion is accurate; far below E = lam^2/8 the fraction is the
+accurate one.
+
 Every stage is elementwise in E and works on an array of energies at
 once. A stage that fails at some energies either raises the first
 failure or, given an ``errors`` map, records each failure under its
@@ -103,10 +113,24 @@ class KinematicParams:
         rounding of atan2."""
         energy = np.asarray(energy, dtype=complex)
         energy = np.concatenate([energy, np.conj(energy)])
-        k = np.sqrt(2.0 * energy)
-        theta = -1j * (np.log(2.0 * k + 1j * lam) - np.log(2.0 * k - 1j * lam))
+        theta, t = _continued_angle(energy, lam, z_charge)
         mirror = np.roll(np.arange(energy.size), energy.size // 2)
-        return cls(energy=energy, theta=theta, t=z_charge / k, mirror=mirror)
+        return cls(energy=energy, theta=theta, t=t, mirror=mirror)
+
+
+def _continued_angle(energy: np.ndarray, lam: float, z_charge: float):
+    """(theta, t) at complex energies, elementwise (see
+    ``KinematicParams.continued``)."""
+    k = np.sqrt(2.0 * energy)
+    theta = -1j * (np.log(2.0 * k + 1j * lam) - np.log(2.0 * k - 1j * lam))
+    return theta, z_charge / k
+
+
+def _nan_at(errors: dict, terms):
+    """``terms`` with every array NaN at the indices in ``errors``."""
+    for v in terms:
+        v[list(errors)] = complex("nan")
+    return terms
 
 
 def _minus(plus: np.ndarray, kin: KinematicParams) -> np.ndarray:
@@ -123,10 +147,23 @@ class CSCoefficients:
     r_plus: np.ndarray
 
 
-class ContinuedTerms(NamedTuple):
-    """The factors of S = T (1 + G J R_N(-)) / (1 + G J R_N(+)), analytic in
+class DenominatorTerms(NamedTuple):
+    """The factors of D = 1 + G J R_N(+), the denominator of S, analytic in
     complex E, with one pole eps_j of G split off: ``residue_j`` = w_j J
     (w_j its residue) and ``rest_j`` = G_rest J (G_rest the other poles)."""
+
+    residue_j: np.ndarray
+    rest_j: np.ndarray
+    r_plus: np.ndarray
+
+    def divided(self, u, r):
+        """(eps_j - E)(1 + G J r), given u = eps_j - E: smooth at eps_j."""
+        return u * (1.0 + self.rest_j * r) + self.residue_j * r
+
+
+class ContinuedTerms(NamedTuple):
+    """The factors of S = T (1 + G J R_N(-)) / (1 + G J R_N(+)): those of
+    ``DenominatorTerms``, then R_N(-) and T = T_(N-1)."""
 
     residue_j: np.ndarray
     rest_j: np.ndarray
@@ -134,9 +171,7 @@ class ContinuedTerms(NamedTuple):
     r_minus: np.ndarray
     t: np.ndarray
 
-    def divided(self, u, r):
-        """(eps_j - E)(1 + G J r), given u = eps_j - E: smooth at eps_j."""
-        return u * (1.0 + self.rest_j * r) + self.residue_j * r
+    divided = DenominatorTerms.divided
 
 
 @dataclass(frozen=True)
@@ -240,8 +275,8 @@ def hyp2f1_b1(a: complex, c: complex, x: complex, tol: float = 1e-15, max_terms:
 # Seeds and recursion
 # ---------------------------------------------------------------------------
 
-# A seed's continued fraction has converged at its first Lentz factor
-# with |Delta - 1| < SEED_TOL.
+# A seed's continued fraction, and R_N(+)'s, has converged at its first
+# Lentz factor with |Delta - 1| < SEED_TOL.
 SEED_TOL = 1e-15
 
 
@@ -369,12 +404,9 @@ def _neutral_coefficients(kin: KinematicParams, ell: int, n: int, errors: Option
     element (see the module docstring for ``errors``).
     """
     energy, theta = np.ravel(kin.energy), np.ravel(kin.theta)
-    phase = np.exp(-1j * theta)
-    y = 2j * np.sin(theta) * phase  # 1 - x without the cancellation near x = 1
-    p_n, p_next = _neutral_polynomial(ell, n, y), _neutral_polynomial(ell, n + 1, y)
+    r_plus, p_n = _neutral_r_plus(theta, ell, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.exp(2j * n * theta) * _minus(p_n, kin) / p_n
-        r_plus = phase * math.sqrt(n / (n + 2.0 * ell + 1.0)) * p_next / p_n
     bad = ~(np.isfinite(t) & np.isfinite(r_plus))
     for i in np.flatnonzero(bad):
         _record(
@@ -386,6 +418,37 @@ def _neutral_coefficients(kin: KinematicParams, ell: int, n: int, errors: Option
         )
     t[bad] = r_plus[bad] = complex("nan")
     return CSCoefficients(t=t.reshape(kin.energy.shape), r_plus=r_plus.reshape(kin.energy.shape))
+
+
+def _neutral_r_plus(theta: np.ndarray, ell: int, n: int):
+    """R_n(+) of ``_neutral_coefficients`` at a 1-D array of angles, and
+    the P_n it divides by."""
+    phase = np.exp(-1j * theta)
+    y = 2j * np.sin(theta) * phase  # 1 - x without the cancellation near x = 1
+    p_n = _neutral_polynomial(ell, n, y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r_plus = phase * math.sqrt(n / (n + 2.0 * ell + 1.0)) * _neutral_polynomial(ell, n + 1, y) / p_n
+    return r_plus, p_n
+
+
+def _coulomb_r_plus(theta: np.ndarray, t: np.ndarray, ell: int, n: int, max_levels: int):
+    """R_n(+) at Z != 0 from one Gauss continued fraction, elementwise
+    over 1-D arrays of angles and Coulomb parameters. With a = -ell + i t,
+    c = ell + 2 + i t, x = e^(-2i theta) and F_n = 2F1(a, n; c+n-1; x),
+
+        R_n(+) = e^(-i theta) sqrt(n (n+2ell+1)) / (c+n-1) F_(n+1) / F_n
+
+    the reference solutions' ratio at n (Heller & Yamani, PRA 9, 1201
+    (1974); Yamani & Fishman, JMP 16, 410 (1975)), which at Z = 0 is
+    ``_neutral_r_plus``. Returns ``_gauss_cf``'s (values, failed,
+    last_delta) with R_n(+) as the values."""
+    gamma = ell + 1.0 + n + 1j * t  # c + n - 1
+    ratio, failed, last = _gauss_cf(
+        np.full(theta.size, float(n)), -ell + 1j * t, gamma, np.exp(-2j * theta), SEED_TOL, max_levels
+    )
+    with np.errstate(invalid="ignore"):
+        r_plus = np.exp(-1j * theta) * math.sqrt(n * (n + 2.0 * ell + 1.0)) * ratio / gamma
+    return r_plus, failed, last
 
 
 def _neutral_polynomial(ell: int, n: int, y: np.ndarray) -> np.ndarray:
@@ -462,25 +525,52 @@ class ScatteringCalculator:
             _record(errors, i, _pole_error(self.pair.eps, energies[i]))
         return g
 
+    def denominator_terms(self, energies: np.ndarray, drop: np.ndarray, max_levels: int, errors: dict):
+        """``DenominatorTerms`` at a 1-D array of complex energies, splitting
+        off pole drop[i] of G at energy i.
+
+        R_N(+) is its closed form at Z = 0 (``_neutral_r_plus``, as in
+        ``cs_recursion``) and one Gauss continued fraction, stopped at
+        ``max_levels``, otherwise (``_coulomb_r_plus``): no seeds, no
+        recursion, no T and no mirror energy. A failure goes to ``errors``
+        under its index, and its factors are NaN."""
+        basis = self.system.basis
+        ell, n = basis.ell, self.mats.size
+        theta, t = _continued_angle(energies, basis.lam, self.system.z_charge)
+        if self.system.z_charge == 0.0:
+            r_plus, _ = _neutral_r_plus(theta, ell, n)
+        else:
+            r_plus, failed, last = _coulomb_r_plus(theta, t, ell, n, max_levels)
+            for i, last_delta in zip(failed, last):
+                stage = f"R_N(+) at E={energies[i]}, ell={ell}, t={t[i]}"
+                _record(errors, i, _cf_error(stage, max_levels, last_delta))
+        for i in np.flatnonzero(~np.isfinite(r_plus)):
+            _record(errors, i, NumericalError(f"R_N(+) at E={energies[i]}, ell={ell}: non-finite {r_plus[i]}"))
+        return _nan_at(errors, DenominatorTerms(*self._split_off(energies, drop, errors), r_plus))
+
     def continued_terms(self, energies: np.ndarray, drop: np.ndarray, max_levels: int, errors: dict):
         """``ContinuedTerms`` at a 1-D array of complex energies, splitting
-        off pole drop[i] of G at energy i; the seeds' continued fractions
-        stop at ``max_levels``. A failure at E or its mirror conj(E) goes
-        to ``errors`` under E's index, and its factors are NaN."""
+        off pole drop[i] of G at energy i. T and R_N(+/-) come from
+        ``cs_recursion`` at E and at its mirror conj(E): at Z != 0 seeds,
+        whose continued fractions stop at ``max_levels``, and the N-step
+        recursion, as in ``s_values``. A failure at E or conj(E) goes to
+        ``errors`` under E's index, and its factors are NaN."""
         size = energies.size
         kin = KinematicParams.continued(energies, self.system.basis.lam, self.system.z_charge)
         both = {}
         cs = cs_recursion(self.mats, kin, up_to=self.mats.size, errors=both, max_levels=max_levels)
         for i, exc in sorted(both.items()):
             _record(errors, i % size, exc)
-        j = self.mats.j_boundary(energies)
-        g_rest = self.green_last(energies, errors, drop=drop)
-        terms = ContinuedTerms(
-            self._g_last.coeffs[drop] * j, g_rest * j, cs.r_plus[:size], np.conj(cs.r_plus[size:]), cs.t[:size]
+        residue_j, rest_j = self._split_off(energies, drop, errors)
+        return _nan_at(
+            errors, ContinuedTerms(residue_j, rest_j, cs.r_plus[:size], np.conj(cs.r_plus[size:]), cs.t[:size])
         )
-        for v in terms:
-            v[list(errors)] = complex("nan")
-        return terms
+
+    def _split_off(self, energies, drop, errors):
+        """w_j J and G_rest J at each energy, with G's pole drop[i] split off
+        at energy i (see ``DenominatorTerms``)."""
+        j = self.mats.j_boundary(energies)
+        return self._g_last.coeffs[drop] * j, self.green_last(energies, errors, drop=drop) * j
 
     def s_values(self, energies):
         """S(E) at each of a sequence of energies, and a map from index to

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import mpmath as mp
 
+from resolvent_kit import scattering
 from resolvent_kit.analysis import (
     ScanTable,
     _solve_poles,
@@ -321,13 +322,50 @@ class TestPoleSearch:
         calc, e_min, e_max = coulomb_calcs[0]
         want = locate_resonances(calc, e_min, e_max, coarse_steps=20)
         # the candidates nearest threshold need more continued-fraction
-        # levels than this; the resonance's own need fewer
-        monkeypatch.setattr("resolvent_kit.analysis._POLE_LEVELS", 50)
+        # levels than this; the resonance's own need fewer. Measured: the
+        # Newton steps' fraction takes 13-29 levels, and the residue pass's
+        # seeds 70 and 60 for the two nearest threshold, 47 for the
+        # resonance and 52 and 47 for the others
+        monkeypatch.setattr("resolvent_kit.analysis._POLE_LEVELS", 56)
         got = locate_resonances(calc, e_min, e_max, coarse_steps=20)
         failed = [c for c in got.candidates if c.status == "continued-fraction failure"]
         assert failed and all(isinstance(c.error, ConvergenceError) for c in failed)
-        assert "50 levels" in str(failed[0].error)
+        assert "56 levels" in str(failed[0].error)
         assert got.peaks == want.peaks and len(got.peaks) == 1
+        # they fail in the residue pass: each keeps its pole, without a strength
+        assert len(failed) == 2
+        for c, d in zip(got.candidates, want.candidates):
+            if c in failed:
+                assert str(c.error).startswith("seed at E=")
+                assert repr(c.pole) == repr(d.pole) and c.residual == d.residual and math.isnan(c.strength)
+
+    def test_fraction_level_cap_fails_its_candidate(self, coulomb_calcs, monkeypatch):
+        # below the 25 levels R_N(+)'s fraction needs at the start of the
+        # candidate nearest threshold, that candidate fails in its Newton
+        # steps, naming the fraction
+        calc, e_min, e_max = coulomb_calcs[0]
+        monkeypatch.setattr("resolvent_kit.analysis._POLE_LEVELS", 20)
+        first = locate_resonances(calc, e_min, e_max, coarse_steps=20).candidates[0]
+        assert first.status == "continued-fraction failure" and isinstance(first.error, ConvergenceError)
+        assert str(first.error).startswith("R_N(+) at E=")
+        assert str(first.error).endswith("continued fraction did not converge in 20 levels")
+        assert math.isnan(first.strength)
+
+    def test_newton_steps_run_no_seeds(self, p_wave_calc, monkeypatch):
+        # seeds and recursion run twice: for the coarse scan, and for T and
+        # R_N(-) at every converged candidate at once; the Newton steps
+        # evaluate R_N(+) alone
+        calls = []
+        real = scattering.cs_recursion
+
+        def cs_recursion(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scattering, "cs_recursion", cs_recursion)
+        report = locate_resonances(p_wave_calc, 1.45, 1.85, coarse_steps=20)
+        assert len(calls) == 2
+        assert len(report.peaks) == 1
 
     def test_continuum_poles_fail_the_rule(self, barrier_calc):
         # the barrier search that reported five continuum eigenvalues near

@@ -47,7 +47,7 @@ class TestResolventInputValidation:
         inp = ResolventInput(h=h, omega=om, z=1j)
         assert isinstance(inp.h, SymMatrix) and isinstance(inp.omega, SymMatrix)
         assert np.array_equal(inp.h.data, h) and np.array_equal(inp.omega.data, om)
-        pair, want = inp.spectral_pair(), gen_sym_eig(h, om)
+        pair, want = inp.spectral_pair, gen_sym_eig(h, om)
         assert np.array_equal(pair.eps, want.eps) and np.array_equal(pair.gamma, want.gamma)
 
     def test_round_off_asymmetry_is_symmetrized(self, rng):
@@ -62,8 +62,22 @@ class TestResolventInputValidation:
         seen = []
         check = matrix_core._as_sym_array
         monkeypatch.setattr(matrix_core, "_as_sym_array", lambda a: seen.append(type(a)) or check(a))
-        inp.spectral_pair()
+        inp.spectral_pair
         assert seen == [SymMatrix, SymMatrix]
+
+    def test_spectral_pair_computed_once(self, rng, monkeypatch):
+        # construction factors the overlap once to check it is SPD, and the
+        # first green_spectral once more for the pencil; the second call
+        # reuses that pair, with values identical to a fresh input's
+        h, om = random_symmetric(rng, 5), random_spd(rng, 5)
+        want = [green_spectral(ResolventInput(h=h, omega=om, z=0.3j), n, n) for n in (0, 3)]
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        inp = ResolventInput(h=h, omega=om, z=0.3j)
+        got = [green_spectral(inp, n, n) for n in (0, 3)]
+        assert len(calls) == 2
+        assert got[0] == want[0] and got[1] == want[1]
 
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(InputError, match="dimensions differ"):
@@ -95,7 +109,7 @@ class TestIndexChecks:
         if route == "green_partial_fractions":
             return green_partial_fractions(h, n, m)
         if route == "from_pair":
-            return PartialFractions.from_pair(inp.spectral_pair(), n, m)
+            return PartialFractions.from_pair(inp.spectral_pair, n, m)
         return eigvec_from_eigs_general(h, om, n, m, k)
 
     @pytest.mark.parametrize("route", ROUTES)

@@ -339,6 +339,22 @@ def closed_form_reference(energy, lam, ell, n, dps=50):
         return complex(t), complex(r)
 
 
+def coulomb_r_plus_reference(energy, lam, z_charge, ell, n, dps=50):
+    """R_n(+) of a Coulomb system (Z != 0) at a real or complex energy,
+    e^(-i theta) sqrt(n (n+2ell+1)) / (c+n-1) F_(n+1) / F_n with
+    F_n = 2F1(a, n; c+n-1; x) by mp.hyp2f1, a = -ell + it, c = ell + 2 + it,
+    x = e^(-2i theta), e^(i theta) = (2k + i lam) / (2k - i lam), k = sqrt(2E)
+    on its principal branch and t = Z / k, all at ``dps`` digits; it reads
+    neither the J rows nor the double kinematics."""
+    with mp.workdps(dps):
+        k = mp.sqrt(2 * mp.mpc(energy))
+        phase = (2 * k - 1j * lam) / (2 * k + 1j * lam)  # e^(-i theta)
+        it = 1j * z_charge / k
+        a, c, x = -ell + it, ell + 2 + it, phase**2
+        ratio = mp.hyp2f1(a, n + 1, c + n, x) / mp.hyp2f1(a, n, c + n - 1, x)
+        return complex(phase * mp.sqrt(n * (n + 2 * ell + 1)) / (c + n - 1) * ratio)
+
+
 def closed_form_s(calc, energy, dps=50):
     """S(E) of a neutral system from ``closed_form_reference`` and the
     resolvent weights of ``calc``; no J rows, no double kinematics."""
@@ -498,11 +514,16 @@ class TestSMatrix:
         assert spread < 1e-2
 
 
+def nearest_poles(calc, energies):
+    """The index of the pole of G nearest each energy."""
+    return np.argmin(np.abs(calc.eigenvalues[None, :] - energies.real[:, None]), axis=1)
+
+
 def continued_s(calc, energies, max_levels=10**6):
     """S = T (1 + G J R_N(-)) / (1 + G J R_N(+)) from the continued factors,
     with the pole of G nearest each energy divided out; and the errors."""
     eps = calc.eigenvalues
-    drop = np.argmin(np.abs(eps[None, :] - energies.real[:, None]), axis=1)
+    drop = nearest_poles(calc, energies)
     errors = {}
     terms = calc.continued_terms(energies.astype(complex), drop, max_levels, errors)
     u = eps[drop] - energies
@@ -563,3 +584,70 @@ class TestContinuedKinematics:
         got, errors = continued_s(calc, energies, max_levels=60)
         assert list(errors) == [1] and isinstance(errors[1], ConvergenceError)
         assert np.isnan(got[1]) and got[0] == want[0] and got[2] == want[2]
+
+
+def denominator(calc, energies, max_levels=10**6):
+    """``denominator_terms`` at ``energies``, with the pole of G nearest
+    each split off, and the errors."""
+    errors = {}
+    terms = calc.denominator_terms(energies, nearest_poles(calc, energies), max_levels, errors)
+    return terms, errors
+
+
+class TestDenominatorTerms:
+    @pytest.mark.slow
+    def test_coulomb_r_plus_against_mpmath(self):
+        # the one continued fraction against 50-digit mp.hyp2f1, on and off
+        # the real axis; worst seen 8.8e-15, at lam = 20, ell = 2, N = 15,
+        # E = 1e-3 (mp.hyp2f1 near |x| = 1 takes most of the time)
+        energies = np.array([1e-3, 1e-2, 0.05, 0.3, 1.0, 5.0, 50.0, 1.6 - 0.05j, 0.4 - 0.3j, 3.0 - 0.5j])
+        worst = 0.0
+        for lam in (1.0, 20.0):
+            for z_charge in (-1.0, 1.0):
+                for ell in range(3):
+                    for size in (15, 100):
+                        spec = SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=size), z_charge=z_charge)
+                        terms, errors = denominator(ScatteringCalculator(spec), energies)
+                        assert errors == {}
+                        for got, energy in zip(terms.r_plus, energies):
+                            want = coulomb_r_plus_reference(complex(energy), lam, z_charge, ell, size)
+                            worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("z_charge,ell,lam", TestContinuedKinematics.SYSTEMS)
+    def test_agrees_with_continued_terms(self, z_charge, ell, lam):
+        # the split-off resolvent factors are the same computation; R_N(+)
+        # is the same closed form at Z = 0, and at Z != 0 the fraction
+        # agrees with seeds plus recursion where the recursion is accurate
+        # (7e-14 seen here)
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=60), potential=pot, z_charge=z_charge)
+        calc = ScatteringCalculator(spec)
+        re, im = np.meshgrid(np.linspace(0.3, 6.0, 20), [0.0, -0.05, -0.3])
+        energies = (re + 1j * im).ravel()
+        terms, errors = denominator(calc, energies)
+        continued_errors = {}
+        continued = calc.continued_terms(energies, nearest_poles(calc, energies), 10**6, continued_errors)
+        assert not errors and not continued_errors
+        assert np.array_equal(terms.residue_j, continued.residue_j)
+        assert np.array_equal(terms.rest_j, continued.rest_j)
+        if z_charge == 0.0:
+            assert np.array_equal(terms.r_plus, continued.r_plus)
+        else:
+            np.testing.assert_allclose(terms.r_plus, continued.r_plus, rtol=1e-12, atol=0.0)
+
+    def test_level_cap_fails_only_its_energy(self):
+        # the fraction needs under 20 levels at the outer energies and
+        # about 95 at the one near threshold
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=30), potential=pot, z_charge=1.0)
+        calc = ScatteringCalculator(spec)
+        energies = np.array([1.0 - 0.01j, 0.02 - 0.01j, 2.0 - 0.1j])
+        want, _ = denominator(calc, energies)
+        got, errors = denominator(calc, energies, max_levels=60)
+        assert list(errors) == [1] and isinstance(errors[1], ConvergenceError)
+        assert str(errors[1]).startswith("R_N(+) at E=(0.02-0.01j), ell=0, t=")
+        assert str(errors[1]).endswith("continued fraction did not converge in 60 levels")
+        for field in got._fields:
+            values = getattr(got, field)
+            assert np.isnan(values[1]) and values[0] == getattr(want, field)[0] and values[2] == getattr(want, field)[2]
