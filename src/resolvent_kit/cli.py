@@ -33,18 +33,18 @@ from .resolvent import PartialFractions
 from .scattering import ScatteringCalculator
 
 
-def _format_value(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path: str, energies, columns: dict, energy_header: str = "E_au"):
     """Numeric CSV: header row, comma separators, 17 significant digits,
-    LF line endings. Every value re-parses to the exact double written."""
+    LF line endings. Every value re-parses to the exact double written.
+
+    Each row is one ``%.17g`` template over Python numbers, the conversion
+    of ``format(x, ".17g")``; a complex column raises TypeError, and
+    columns of unequal length raise ValueError."""
     names = [energy_header] + list(columns)
     arrays = [np.asarray(energies)] + [np.asarray(c) for c in columns.values()]
+    row = ",".join(["%.17g"] * len(arrays))
     lines = [",".join(names)]
-    for i in range(arrays[0].size):
-        lines.append(",".join(_format_value(a[i]) for a in arrays))
+    lines.extend(row % values for values in zip(*(a.tolist() for a in arrays), strict=True))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -194,10 +194,17 @@ class ScatteringPoint:
 # ---------------------------------------------------------------------------
 
 
+# Levels per block of ``_gauss_cf``. Numpy dispatch, not arithmetic, sets
+# the cost of a level on arrays this short; on the seeds' and the pole
+# search's fractions, blocks of 12 to 20 levels timed alike and 8 slower.
+_CF_BLOCK = 16
+
+
 def _gauss_cf(alpha, beta, gamma, z, tol: float, max_levels: int):
     """F(alpha+1, beta; gamma+1; z) / F(alpha, beta; gamma; z) by Gauss's
     continued fraction (DLMF 15.7), evaluated with modified Lentz
-    elementwise over 1-D arrays of one length:
+    (Thompson & Barnett, J. Comput. Phys. 64, 490 (1986)) elementwise over
+    1-D arrays of one length:
 
         1 / (1 + k_1 z / (1 + k_2 z / (1 + ...)))
         k_(2m+1) = (alpha-gamma-m)(beta+m) / ((gamma+2m)(gamma+2m+1))
@@ -208,6 +215,12 @@ def _gauss_cf(alpha, beta, gamma, z, tol: float, max_levels: int):
     On the unit circle the fraction converges everywhere but z = 1, ever
     more slowly as z nears 1; a vanishing k_j ends it exactly.
 
+    The levels run in blocks of ``_CF_BLOCK`` (``_lentz_block``), and the
+    active set shrinks after each block; an element that converges inside
+    a block runs on to its end, and those later levels are discarded.
+    Every element's value, stopping level and last Delta are those of a
+    level-by-level evaluation, bit for bit.
+
     Returns (values, failed, last_delta): the elements still active at
     the level cap are NaN in ``values`` and listed by index in
     ``failed``, with their last |Delta - 1| in ``last_delta``.
@@ -216,33 +229,73 @@ def _gauss_cf(alpha, beta, gamma, z, tol: float, max_levels: int):
     active = np.arange(z.size)
     f = c = np.ones(z.size, dtype=complex)
     d = delta = np.zeros(z.size, dtype=complex)
-    for level in range(max_levels):
+    alpha_gamma, beta_gamma = alpha - gamma, beta - gamma
+    for start in range(0, max_levels, _CF_BLOCK):
         if active.size == 0:
             break
-        m, second = divmod(level, 2)
-        if second:
-            k = (beta - gamma - m - 1.0) * (alpha + m + 1.0) / ((gamma + 2 * m + 1.0) * (gamma + 2 * m + 2.0))
-        else:
-            k = (alpha - gamma - m) * (beta + m) / ((gamma + 2 * m) * (gamma + 2 * m + 1.0))
-        a = k * z
-        # np.count_nonzero is the cheapest any/all test on short arrays
-        d = 1.0 + a * d
-        if np.count_nonzero(d) < d.size:
-            d[d == 0.0] = 1e-300
-        d = 1.0 / d
-        c = 1.0 + a / c
-        if np.count_nonzero(c) < c.size:
-            c[c == 0.0] = 1e-300
-        delta = c * d
-        f = f * delta
-        done = np.abs(delta - 1.0) < tol
-        if np.count_nonzero(done):
-            values[active[done]] = 1.0 / f[done]
-            keep = ~done
-            active, alpha, beta, gamma, z, f, c, d, delta = (
-                v[keep] for v in (active, alpha, beta, gamma, z, f, c, d, delta)
+        # block row j is level start + j, and start is even: the even rows
+        # take k_(2m+1) and the odd rows k_(2m+2), at one m per row pair.
+        # Complex products and quotients run on 1-D arrays of one length,
+        # as they do level by level: a broadcast (1, 1) by (1,) product can
+        # take another numpy inner loop and round 1 ulp apart
+        levels = min(_CF_BLOCK, max_levels - start)
+        rows, odd = (levels + 1) // 2, levels // 2
+        m = np.arange(start // 2, start // 2 + rows, dtype=float)[:, None]
+        g = (gamma + 2.0 * m).ravel()
+        g1 = g + 1.0
+        zs = np.concatenate([z] * rows)
+        a = np.empty((levels, z.size), dtype=complex)
+        a[0::2] = ((alpha_gamma - m).ravel() * (beta + m).ravel() / (g * g1) * zs).reshape(rows, z.size)
+        m, cut = m[:odd], odd * z.size
+        a[1::2] = (
+            (beta_gamma - m - 1.0).ravel() * (alpha + m + 1.0).ravel() / (g1[:cut] * (g[:cut] + 2.0)) * zs[:cut]
+        ).reshape(odd, z.size)
+
+        deltas, fs, c_end, d_end = _lentz_block(a, c, d, f, guarded=False)
+        # f is the running product of the Deltas, so a non-finite or zero
+        # Delta leaves the block's last f non-finite or zero
+        if not (np.isfinite(fs[-1]).all() and fs[-1].all()):
+            deltas, fs, c_end, d_end = _lentz_block(a, c, d, f, guarded=True)
+        c, d, f, delta = c_end, d_end, fs[-1], deltas[-1]
+        done = (np.abs(deltas.ravel() - 1.0) < tol).reshape(deltas.shape)
+        hit = done.any(axis=0)
+        if hit.any():
+            cols = np.flatnonzero(hit)
+            values[active[cols]] = 1.0 / fs[done[:, cols].argmax(axis=0), cols]
+            keep = ~hit
+            active, alpha, beta, gamma, alpha_gamma, beta_gamma, z, f, c, d, delta = (
+                v[keep] for v in (active, alpha, beta, gamma, alpha_gamma, beta_gamma, z, f, c, d, delta)
             )
     return values, active, np.abs(delta - 1.0)
+
+
+def _lentz_block(a, c, d, f, guarded: bool):
+    """Modified Lentz over the rows of ``a`` (a_j = k_j z, one level per
+    row) from the state (c, d, f): the rows of Delta and of the running
+    product f, and the final c and d.
+
+    A level where 1 + a d or c vanishes gives a non-finite or zero Delta
+    unguarded; ``guarded`` replaces that zero with 1e-300, the Lentz
+    guard. Levels after an element has converged are discarded by the
+    caller, so their overflow and invalid values raise no warning."""
+    deltas = np.empty_like(a)
+    fs = np.empty_like(a)
+    # an array of ones gives the bits of the scalar 1.0 at about half
+    # numpy's cost of converting a Python scalar at every level
+    one = np.ones(a.shape[1], dtype=complex)
+    with np.errstate(all="ignore"):
+        for a_j, delta_j, f_j in zip(a, deltas, fs):
+            d = one + a_j * d
+            if guarded:
+                d[d == 0.0] = 1e-300
+            d = one / d
+            c = one + a_j / c
+            if guarded:
+                c[c == 0.0] = 1e-300
+            np.multiply(c, d, out=delta_j)
+            # a running product: np.cumprod of the Deltas rounds differently
+            f = np.multiply(f, delta_j, out=f_j)
+    return deltas, fs, c, d
 
 
 def _cf_error(stage: str, max_levels: int, last_delta) -> ConvergenceError:

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from resolvent_kit.cli import main
+from resolvent_kit.cli import main, write_csv
 from resolvent_kit.config import CHOICES, FIELD_TYPES, RunConfig, build_config, file_key, parse_config_file
 
 
@@ -156,6 +156,30 @@ class TestArtifacts:
         table = scan_smatrix(spec, np.linspace(0.5, 6.0, 41))
         assert np.array_equal(rows[:, 1], table.columns["re_s"])
         assert np.array_equal(rows[:, 4], table.columns["delta"])
+
+    def test_csv_matches_per_value_format(self, tmp_path):
+        # every value is written as format(x, ".17g") of its float, the
+        # extremes and signed zero included; integer and boolean columns too
+        special = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+        energies = np.arange(1.0, 8.0)
+        columns = {
+            "x": np.array(special),
+            "y": np.array(special[::-1]) * -1.0,
+            "frac": np.linspace(0.1, 1.0, 7) / 3.0,
+            "n": np.arange(7),
+            "even": np.arange(7) % 2 == 0,
+        }
+        write_csv(str(tmp_path / "t.csv"), energies, columns)
+        lines = [",".join(["E_au", *columns])]
+        for i in range(7):
+            lines.append(",".join(format(float(c[i]), ".17g") for c in [energies, *columns.values()]))
+        assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_csv_rejects_complex_and_ragged_columns(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_csv(str(tmp_path / "c.csv"), np.array([1.0, 2.0]), {"s": np.array([1.0 + 2.0j, 3.0 - 1.0j])})
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "r.csv"), np.array([1.0, 2.0]), {"s": np.array([1.0])})
 
     def test_byte_identical_reruns(self, tmp_path):
         args = self.smatrix_args(tmp_path)

@@ -8,8 +8,10 @@ from resolvent_kit.basis import BasisSpec, MatrixSet, SystemSpec, build_matrices
 from resolvent_kit.errors import ConvergenceError, InputError, NumericalError, RecursionBreakdownError
 from resolvent_kit.potential import parse_potential
 from resolvent_kit.scattering import (
+    _CF_BLOCK,
     KinematicParams,
     ScatteringCalculator,
+    _gauss_cf,
     cs_recursion,
     hyp2f1_b1,
     s_matrix,
@@ -103,6 +105,111 @@ class TestHyp2F1:
     def test_outside_disk_rejected(self):
         with pytest.raises(InputError):
             hyp2f1_b1(1.0, 2.0, 1.5)
+
+    def test_terminating_through_lentz_guard(self):
+        # 2F1(-4, 1; 2; 1) = 1 - 2 + 2 - 1 + 1/5; the fraction's level-1
+        # 1 + a d is exactly 0, so only the Lentz guard carries it on
+        assert abs(hyp2f1_b1(-4.0, 2.0, 1.0) - 0.2) <= 1e-15
+
+
+def gauss_cf_reference(alpha, beta, gamma, z, tol, max_levels):
+    """``_gauss_cf`` one level at a time, with the Lentz guard at every
+    level: the reference its blocked evaluation must match bit for bit."""
+    values = np.full(z.shape, complex("nan"))
+    active = np.arange(z.size)
+    f = c = np.ones(z.size, dtype=complex)
+    d = delta = np.zeros(z.size, dtype=complex)
+    for level in range(max_levels):
+        if active.size == 0:
+            break
+        m, second = divmod(level, 2)
+        if second:
+            k = (beta - gamma - m - 1.0) * (alpha + m + 1.0) / ((gamma + 2 * m + 1.0) * (gamma + 2 * m + 2.0))
+        else:
+            k = (alpha - gamma - m) * (beta + m) / ((gamma + 2 * m) * (gamma + 2 * m + 1.0))
+        a = k * z
+        d = 1.0 + a * d
+        if np.count_nonzero(d) < d.size:
+            d[d == 0.0] = 1e-300
+        d = 1.0 / d
+        c = 1.0 + a / c
+        if np.count_nonzero(c) < c.size:
+            c[c == 0.0] = 1e-300
+        delta = c * d
+        f = f * delta
+        done = np.abs(delta - 1.0) < tol
+        if np.count_nonzero(done):
+            values[active[done]] = 1.0 / f[done]
+            keep = ~done
+            active, alpha, beta, gamma, z, f, c, d, delta = (
+                v[keep] for v in (active, alpha, beta, gamma, z, f, c, d, delta)
+            )
+    return values, active, np.abs(delta - 1.0)
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def cf_batch(seed, size=240):
+    """Seeded fractions as their callers pose them: alpha = 0 and 1 (the
+    T_0 and R_1(+) seeds, gamma = c - 1 and c) and alpha = n (R_n(+),
+    gamma = c + n - 1), with c = ell + 2 + it, at real and complex
+    energies of one Coulomb system."""
+    rng = np.random.default_rng(seed)
+    energy = np.geomspace(0.05, 20.0, size) - 1j * rng.uniform(0.0, 0.4, size) * (rng.random(size) < 0.5)
+    lam, z_charge = 20.0, float(rng.choice([-1.0, 1.0]))
+    ell, n = int(rng.integers(0, 3)), int(rng.choice([15, 100]))
+    k = np.sqrt(2.0 * energy)
+    it = 1j * z_charge / k
+    alpha = rng.choice([0.0, 1.0, float(n)], size)
+    gamma = ell + 1.0 + np.where(alpha == 0.0, 0.0, np.where(alpha == 1.0, 1.0, float(n))) + it
+    return alpha, -ell + it, gamma, ((2.0 * k - 1j * lam) / (2.0 * k + 1j * lam)) ** 2
+
+
+class TestBlockedGaussCF:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("max_levels", [0, 1, 7, _CF_BLOCK, _CF_BLOCK + 1, 60, 10**6])
+    def test_matches_level_by_level(self, seed, max_levels):
+        # the batch, and elements alone: a cap of B + 1 leaves one element
+        # a last block of one level, where a 2-D product would round apart
+        args = cf_batch(seed)
+        assert_same_bytes(_gauss_cf(*args, 1e-15, max_levels), gauss_cf_reference(*args, 1e-15, max_levels))
+        for i in range(0, 240, 30):
+            single = [v[i : i + 1] for v in args]
+            assert_same_bytes(_gauss_cf(*single, 1e-15, max_levels), gauss_cf_reference(*single, 1e-15, max_levels))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batches_stop_on_both_sides_of_a_block_boundary(self, seed):
+        # some elements stop inside the first block, some at the last level
+        # of the second and some at the first level of the third, and some
+        # run on past it, so the comparisons above cover each case
+        args = cf_batch(seed)
+
+        def still_active(levels):
+            return gauss_cf_reference(*args, 1e-15, levels)[1].size
+
+        end = 2 * _CF_BLOCK
+        assert still_active(_CF_BLOCK) < args[0].size
+        assert still_active(end - 1) > still_active(end) > still_active(end + 1) > 0
+
+    def test_guarded_and_non_finite_elements_in_a_batch(self):
+        # a terminating fraction whose level-1 1 + a d is exactly 0 (the
+        # Lentz guard) and one whose k_1 is infinite (gamma = 0, never
+        # converging), inside a seeded batch whose other elements stay exact
+        alpha, beta, gamma, z = cf_batch(3, size=40)
+        alpha, beta, gamma, z = (np.insert(v, [5, 21], extra) for v, extra in (
+            (alpha, [0.0, 0.0]), (beta, [-4.0, 0.5j]), (gamma, [1.0, 0.0]), (z, [1.0, 0.5])
+        ))
+        for max_levels in (1, 2, _CF_BLOCK + 1, 60):
+            with np.errstate(all="ignore"):
+                want = gauss_cf_reference(alpha, beta, gamma, z, 1e-15, max_levels)
+                got = _gauss_cf(alpha, beta, gamma, z, 1e-15, max_levels)
+            assert_same_bytes(got, want)
+        values, failed, last_delta = got
+        assert abs(values[5] - 0.2) <= 1e-15
+        assert np.isnan(last_delta[failed == 22]).all() and 22 in failed
 
 
 class TestKinematics:
@@ -597,9 +704,11 @@ def denominator(calc, energies, max_levels=10**6):
 class TestDenominatorTerms:
     @pytest.mark.slow
     def test_coulomb_r_plus_against_mpmath(self):
-        # the one continued fraction against 50-digit mp.hyp2f1, on and off
+        # the one continued fraction against 30-digit mp.hyp2f1, on and off
         # the real axis; worst seen 8.8e-15, at lam = 20, ell = 2, N = 15,
-        # E = 1e-3 (mp.hyp2f1 near |x| = 1 takes most of the time)
+        # E = 1e-3 (mp.hyp2f1 near |x| = 1 takes most of the time, about
+        # half as long as at 50 digits, whose values the 30-digit ones
+        # match to 2e-31 relative at all 240 points)
         energies = np.array([1e-3, 1e-2, 0.05, 0.3, 1.0, 5.0, 50.0, 1.6 - 0.05j, 0.4 - 0.3j, 3.0 - 0.5j])
         worst = 0.0
         for lam in (1.0, 20.0):
@@ -610,7 +719,7 @@ class TestDenominatorTerms:
                         terms, errors = denominator(ScatteringCalculator(spec), energies)
                         assert errors == {}
                         for got, energy in zip(terms.r_plus, energies):
-                            want = coulomb_r_plus_reference(complex(energy), lam, z_charge, ell, size)
+                            want = coulomb_r_plus_reference(complex(energy), lam, z_charge, ell, size, dps=30)
                             worst = max(worst, abs(got - want) / abs(want))
         assert worst <= 1e-13
 
