@@ -188,7 +188,7 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
     At the pole S = T f(-) / f(+) has residue T f(-) / f', with T and
     R_N(-) (in f(-)) at the centre point of the last step. They come from
     one ``continued_terms`` call for all converged candidates after the
-    loop, the seeds and recursion of ``s_values``; a candidate whose
+    loop, the fractions and recursion of ``s_values``; a candidate whose
     evaluation fails there ends as a failure, with its pole.
     """
     eps = calc.eigenvalues[index]

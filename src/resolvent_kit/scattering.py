@@ -11,13 +11,12 @@ two derived quantities are ever needed:
 For a neutral system (Z = 0) both are ratios of terminating
 hypergeometric polynomials of degree ell, evaluated in closed form at
 n = N; they are within 1e-13 relative of 50-digit mpmath for E 1e-3 ..
-50, lam 1 .. 20, ell <= 3, N <= 120. Coulomb systems seed them at
-n = 0, 1 by Gauss-hypergeometric expressions of the scattering
-kinematics and propagate them by the recursion; far below E = lam^2/8 a
-repulsive Coulomb S(E) then carries rounding error of up to 1e-7 .. 5e-6
-(see the README's numerical conventions). With G the (last, last)
-element of the full resolvent (H0 + V - E*Overlap)^(-1) and J the
-boundary element of the reference pencil, the scattering matrix is
+50, lam 1 .. 20, ell <= 3, N <= 120. A Coulomb system takes R_N(+) and
+T_0 from Gauss continued fractions and runs the recursion down from
+n = N; the product of the ratios below gives T_(N-1) (``cs_recursion``).
+With G the (last, last) element of the full resolvent
+(H0 + V - E*Overlap)^(-1) and J the boundary element of the reference
+pencil, the scattering matrix is
 
     S(E) = T_(N-1) * (1 + G J R_N(-)) / (1 + G J R_N(+))
 
@@ -30,13 +29,9 @@ minus branch is the conjugate of the plus branch at conj(E).
 
 A pole is a zero of the denominator D = 1 + G J R_N(+) alone, so the
 pole search evaluates R_N(+) alone (``ScatteringCalculator.
-denominator_terms``): the closed form at Z = 0, and at Z != 0 one Gauss
-continued fraction for F_(N+1)/F_N, with neither seeds, recursion, T
-nor the mirror energy. S on the real axis and a pole's residue need T
-as well, and at Z != 0 still take T and R_N(+/-) from the seeds and
-recursion. The two routes to R_N(+) agree to rounding where the
-recursion is accurate; far below E = lam^2/8 the fraction is the
-accurate one.
+denominator_terms``), with neither T_0, recursion nor the mirror
+energy. At Z != 0 S, the pole search and a pole's residue all take
+R_N(+) from the same continued fraction (``_coulomb_fractions``).
 
 Every stage is elementwise in E and works on an array of energies at
 once. A stage that fails at some energies either raises the first
@@ -309,10 +304,14 @@ def _cf_error(stage: str, max_levels: int, last_delta) -> ConvergenceError:
 def hyp2f1_b1(a: complex, c: complex, x: complex, tol: float = 1e-15, max_terms: int = 10**6) -> complex:
     """2F1(a, 1; c; x) = sum_k (a)_k / (c)_k x^k for |x| <= 1: the continued
     fraction at alpha = 0, gamma = c - 1, whose denominator is 1; c = 1 is
-    (1 - x)^(-a). ``tol`` bounds the last Lentz factor |Delta - 1|.
+    (1 - x)^(-a). c = 0, -1, -2, ... raises InputError, because the
+    fraction has an infinite coefficient there. ``tol`` bounds the last
+    Lentz factor |Delta - 1|.
     """
     if abs(x) > 1.0 + 1e-14:
         raise InputError(f"argument must satisfy |x| <= 1, got |x| = {abs(x)}")
+    if complex(c).imag == 0.0 and complex(c).real <= 0.0 and complex(c).real.is_integer():
+        raise InputError(f"c must not be 0 or a negative integer, got c = {c}")
     if c == 1.0:
         return complex((1.0 - x) ** (-a))
     value, failed, last_delta = _gauss_cf(
@@ -328,54 +327,44 @@ def hyp2f1_b1(a: complex, c: complex, x: complex, tol: float = 1e-15, max_terms:
 # Seeds and recursion
 # ---------------------------------------------------------------------------
 
-# A seed's continued fraction, and R_N(+)'s, has converged at its first
+# A continued fraction, T_0's or R_n(+)'s, has converged at its first
 # Lentz factor with |Delta - 1| < SEED_TOL.
 SEED_TOL = 1e-15
 
 
-def seed_coefficients(kin: KinematicParams, ell: int, max_terms: int = 10**6, errors: Optional[dict] = None):
-    """T_0 and R_1(+) at every energy of ``kin``, in its shape.
+def seed_coefficients(kin: KinematicParams, ell: int, n: int, max_terms: int = 10**6, errors: Optional[dict] = None):
+    """T_0 and R_n(+) at every energy of ``kin``, in its shape: R_n(+) and
+    f = 2F1(a, 1; c; x) from one batch of 2M ``_coulomb_fractions``, and
 
-    With a = -ell + i t, c = ell + 2 + i t and x = e^(-2 i theta), T_0
-    needs f = 2F1(a, 1; c; x) and R_1(+) the continued fraction
-    2F1(a, 2; c+1; x) / f. At real energy the plus-branch value
-    2F1(conj a, 1; conj c; conj x) is conj(f), so |T_0| = 1 by construction
-    (off the real axis, f at the mirror element). A continued fraction
-    that hits the level cap, or non-finite seeds, fail the element (see
-    the module docstring for ``errors``).
+        T_0 = e^(2i theta) (ell+1+it) conj(f) / ((ell+1-it) f)
+
+    At real energy the plus-branch value 2F1(conj a, 1; conj c; conj x) is
+    conj(f), so |T_0| = 1 by construction (off the real axis, f at the
+    mirror element). A continued fraction that hits the level cap, or
+    non-finite seeds, fail the element (see the module docstring for
+    ``errors``).
     """
     energy, theta, t = (np.ravel(v) for v in (kin.energy, kin.theta, kin.t))
-    size = energy.size
+    (f_minus, r_plus), failed, last = _coulomb_fractions(theta, t, ell, (0, n), max_terms)
     it = 1j * t
-    a = -ell + it
-    c = ell + 2.0 + it
-    x_minus = np.exp(-2j * theta)
-    # f_minus (alpha = 0, gamma = c - 1) and the ratio (alpha = 1, gamma = c)
-    # share z and beta, so both run as one batch of 2M fractions
-    both, failed, last = _gauss_cf(
-        np.repeat([0.0, 1.0], size), np.tile(a, 2), np.concatenate([c - 1.0, c]), np.tile(x_minus, 2),
-        SEED_TOL, max_terms,
-    )
-    f_minus, ratio = both[:size], both[size:]
     with np.errstate(invalid="ignore"):
         t0 = np.exp(2j * theta) * (ell + 1.0 + it) * _minus(f_minus, kin) / ((ell + 1.0 - it) * f_minus)
-        r1_plus = np.exp(-1j * theta) * math.sqrt(2.0 * ell + 2.0) * ratio / c
 
     def stage(i):
         return f"seed at E={energy[i]}, ell={ell}, t={t[i]}"
 
     # ``failed`` ascends, so at each energy f_minus's failure is filed first
     for index, last_delta in zip(failed, last):
-        i = index % size
+        i = index % energy.size
         _record(errors, i, _cf_error(stage(i), max_terms, last_delta))
-    bad = ~(np.isfinite(t0) & np.isfinite(r1_plus))
+    bad = ~(np.isfinite(t0) & np.isfinite(r_plus))
     for i in np.flatnonzero(bad):
         _record(
             errors, i,
-            NumericalError(f"{stage(i)}: non-finite seeds T_0 = {complex(t0[i])}, R_1(+) = {complex(r1_plus[i])}"),
+            NumericalError(f"{stage(i)}: non-finite seeds T_0 = {complex(t0[i])}, R_{n}(+) = {complex(r_plus[i])}"),
         )
-    t0[bad] = r1_plus[bad] = complex("nan")
-    return t0.reshape(kin.energy.shape), r1_plus.reshape(kin.energy.shape)
+    t0[bad] = r_plus[bad] = complex("nan")
+    return t0.reshape(kin.energy.shape), r_plus.reshape(kin.energy.shape)
 
 
 def cs_recursion(
@@ -385,17 +374,20 @@ def cs_recursion(
 
     A neutral system (Z = 0) takes both from their closed forms at
     n = up_to (see ``_neutral_coefficients``), with neither seeds nor
-    recursion. Otherwise they are propagated from the seeds, whose
-    continued fractions stop at ``max_levels``, through rows 1 .. up_to-1
-    of the tridiagonal reference pencil:
+    recursion. Otherwise ``seed_coefficients`` gives T_0 and R_up_to(+),
+    whose continued fractions stop at ``max_levels``, and the ratios below
+    run down rows up_to-1 .. 1 of the tridiagonal reference pencil, the
+    direction in which the reference solution is stable (the
+    Miller/Gautschi remedy: Gautschi, SIAM Rev. 9, 24 (1967)):
 
-        R_(n+1) = -(J_nn + J_(n,n-1) / R_n) / J_(n,n+1)
-        T_n     = T_(n-1) * R_n(-) / R_n,   R_n(-) = conj(R_n) at real E
+        R_n         = -J_(n,n-1) / (J_nn + J_(n,n+1) R_(n+1))
+        T_(up_to-1) = T_0 * prod_(n=1..up_to-1) R_n(-) / R_n
 
-    A vanishing coupling, or a vanishing or non-finite ratio, is a
-    breakdown that fails the element; elements whose seeds failed come
-    in as NaN and are carried without further checks. A non-finite
-    closed form fails its element the same way.
+    with R_n(-) = conj(R_n) at real E. A vanishing coupling J_(n,n-1), or
+    a vanishing denominator, is a breakdown that fails the element;
+    elements whose seeds failed come in as NaN and are carried without
+    further checks. A non-finite closed form fails its element the same
+    way.
     """
     size = mats.size
     if not 1 <= up_to <= size:
@@ -408,25 +400,23 @@ def cs_recursion(
     diag, off = mats.j_tridiagonal(np.ravel(kin.energy))
     neg_diag, off = (-diag).astype(complex), off.astype(complex)
 
-    t0, r1p = seed_coefficients(kin, mats.spec.basis.ell, max_terms=max_levels, errors=errors)
-    t = np.ravel(t0)
+    t0, r_top = seed_coefficients(kin, mats.spec.basis.ell, up_to, max_terms=max_levels, errors=errors)
+    t, r_top = np.ravel(t0), np.ravel(r_top)
     failed = np.isnan(t)
-    r1p = np.where(failed, 1.0, np.ravel(r1p))  # a finite stand-in for failed seeds
-    r = r1p
+    r = np.where(failed, 1.0, r_top)  # a finite stand-in for failed seeds
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in range(1, up_to):
+        for n in range(up_to - 1, 0, -1):
+            r = off[n - 1] / (neg_diag[n] - off[n] * r)
             t = t * _minus(r, kin) / r
-            r = (neg_diag[n] - off[n - 1] / r) / off[n]
-    # A ratio that vanishes or is not finite leaves T non-finite for good,
-    # so only the couplings need a check of their own.
-    broken = ~failed & (~np.isfinite(t) | np.any(off[1:up_to] == 0.0, axis=0))
+    # A ratio that vanishes or is not finite leaves T non-finite for good
+    broken = ~failed & ~np.isfinite(t)
     if broken.any():
-        _report_breakdowns(np.flatnonzero(broken), r1p, neg_diag, off, up_to, errors)
+        _report_breakdowns(np.flatnonzero(broken), r_top, neg_diag, off, up_to, errors)
         failed |= broken
     nan = complex("nan")
     return CSCoefficients(
         t=np.where(failed, nan, t).reshape(kin.energy.shape),
-        r_plus=np.where(failed, nan, r).reshape(kin.energy.shape),
+        r_plus=np.where(failed, nan, r_top).reshape(kin.energy.shape),
     )
 
 
@@ -484,24 +474,32 @@ def _neutral_r_plus(theta: np.ndarray, ell: int, n: int):
     return r_plus, p_n
 
 
-def _coulomb_r_plus(theta: np.ndarray, t: np.ndarray, ell: int, n: int, max_levels: int):
-    """R_n(+) at Z != 0 from one Gauss continued fraction, elementwise
-    over 1-D arrays of angles and Coulomb parameters. With a = -ell + i t,
+def _coulomb_fractions(theta: np.ndarray, t: np.ndarray, ell: int, orders, max_levels: int):
+    """Gauss continued fractions at Z != 0 for each n of ``orders``, at
+    every element of 1-D arrays of angles and Coulomb parameters, as one
+    batch: the fractions share beta and z. With a = -ell + i t,
     c = ell + 2 + i t, x = e^(-2i theta) and F_n = 2F1(a, n; c+n-1; x),
+    the row of an order n >= 1 is
 
         R_n(+) = e^(-i theta) sqrt(n (n+2ell+1)) / (c+n-1) F_(n+1) / F_n
 
     the reference solutions' ratio at n (Heller & Yamani, PRA 9, 1201
     (1974); Yamani & Fishman, JMP 16, 410 (1975)), which at Z = 0 is
-    ``_neutral_r_plus``. Returns ``_gauss_cf``'s (values, failed,
-    last_delta) with R_n(+) as the values."""
-    gamma = ell + 1.0 + n + 1j * t  # c + n - 1
-    ratio, failed, last = _gauss_cf(
-        np.full(theta.size, float(n)), -ell + 1j * t, gamma, np.exp(-2j * theta), SEED_TOL, max_levels
-    )
+    ``_neutral_r_plus``; at order 0, where F_0 = 1, the row is
+    F_1 = 2F1(a, 1; c; x). Returns ``_gauss_cf``'s (values, failed,
+    last_delta), the values one row per order and a failed index
+    row * size + element."""
+    size, rows = theta.size, len(orders)
+    alpha = np.repeat(np.asarray(orders, dtype=float), size)
+    it = np.tile(1j * t, rows)
+    gamma = ell + 1.0 + alpha + it  # c + n - 1
+    ratio, failed, last = _gauss_cf(alpha, -ell + it, gamma, np.tile(np.exp(-2j * theta), rows), SEED_TOL, max_levels)
+    values, gamma = ratio.reshape(rows, size), gamma.reshape(rows, size)
     with np.errstate(invalid="ignore"):
-        r_plus = np.exp(-1j * theta) * math.sqrt(n * (n + 2.0 * ell + 1.0)) * ratio / gamma
-    return r_plus, failed, last
+        for row, n in enumerate(orders):
+            if n > 0:
+                values[row] = np.exp(-1j * theta) * math.sqrt(n * (n + 2.0 * ell + 1.0)) * values[row] / gamma[row]
+    return values, failed, last
 
 
 def _neutral_polynomial(ell: int, n: int, y: np.ndarray) -> np.ndarray:
@@ -515,21 +513,21 @@ def _neutral_polynomial(ell: int, n: int, y: np.ndarray) -> np.ndarray:
     return p
 
 
-def _report_breakdowns(index, r1p, neg_diag, off, up_to, errors):
-    """Rerun the recursion at the broken elements ``index`` with a check
-    at every row, and record the first breakdown of each."""
-    r = r1p[index]
+def _report_breakdowns(index, r_top, neg_diag, off, up_to, errors):
+    """Rerun the backward recursion at the broken elements ``index`` with a
+    check at every row, and record the first breakdown of each."""
+    r = r_top[index]
     neg_diag, off = neg_diag[:, index], off[:, index]
     open_ = np.ones(index.size, dtype=bool)
-    for n in range(1, up_to):
-        coupling = off[n] == 0.0
+    for n in range(up_to - 1, 0, -1):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = off[n - 1] / (neg_diag[n] - off[n] * r)
+        coupling = off[n - 1] == 0.0
         broken = open_ & (coupling | (r == 0.0) | ~np.isfinite(r))
         for j in np.flatnonzero(broken):
             what = "vanishing coupling" if coupling[j] else "vanishing ratio"
             _record(errors, index[j], RecursionBreakdownError(f"recursion breakdown at n={n}: {what}", index=n))
         open_ &= ~broken
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = (neg_diag[n] - off[n - 1] / r) / off[n]
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +543,8 @@ class ScatteringCalculator:
     once; an array of M energies then costs the reference coefficients
     at n = N and one M x N spectral sum for the resolvent element. For
     Z = 0 the coefficients are two closed-form polynomials of degree ell
-    over length-M arrays; for Z != 0 they are one batched seed
-    evaluation and one N-step recursion.
+    over length-M arrays; for Z != 0 they are one batch of continued
+    fractions (T_0 and R_N(+)) and one N-step backward recursion.
     """
 
     def __init__(self, system: SystemSpec):
@@ -582,18 +580,18 @@ class ScatteringCalculator:
         """``DenominatorTerms`` at a 1-D array of complex energies, splitting
         off pole drop[i] of G at energy i.
 
-        R_N(+) is its closed form at Z = 0 (``_neutral_r_plus``, as in
-        ``cs_recursion``) and one Gauss continued fraction, stopped at
-        ``max_levels``, otherwise (``_coulomb_r_plus``): no seeds, no
-        recursion, no T and no mirror energy. A failure goes to ``errors``
-        under its index, and its factors are NaN."""
+        R_N(+) is its closed form at Z = 0 (``_neutral_r_plus``) and one
+        Gauss continued fraction, stopped at ``max_levels``, otherwise
+        (``_coulomb_fractions``), as in ``cs_recursion`` but without T_0,
+        recursion or mirror energy. A failure goes to ``errors`` under its
+        index, and its factors are NaN."""
         basis = self.system.basis
         ell, n = basis.ell, self.mats.size
         theta, t = _continued_angle(energies, basis.lam, self.system.z_charge)
         if self.system.z_charge == 0.0:
             r_plus, _ = _neutral_r_plus(theta, ell, n)
         else:
-            r_plus, failed, last = _coulomb_r_plus(theta, t, ell, n, max_levels)
+            (r_plus,), failed, last = _coulomb_fractions(theta, t, ell, (n,), max_levels)
             for i, last_delta in zip(failed, last):
                 stage = f"R_N(+) at E={energies[i]}, ell={ell}, t={t[i]}"
                 _record(errors, i, _cf_error(stage, max_levels, last_delta))
@@ -604,10 +602,10 @@ class ScatteringCalculator:
     def continued_terms(self, energies: np.ndarray, drop: np.ndarray, max_levels: int, errors: dict):
         """``ContinuedTerms`` at a 1-D array of complex energies, splitting
         off pole drop[i] of G at energy i. T and R_N(+/-) come from
-        ``cs_recursion`` at E and at its mirror conj(E): at Z != 0 seeds,
-        whose continued fractions stop at ``max_levels``, and the N-step
-        recursion, as in ``s_values``. A failure at E or conj(E) goes to
-        ``errors`` under E's index, and its factors are NaN."""
+        ``cs_recursion`` at E and at its mirror conj(E), as in
+        ``s_values``, with continued fractions stopped at ``max_levels``.
+        A failure at E or conj(E) goes to ``errors`` under E's index, and
+        its factors are NaN."""
         size = energies.size
         kin = KinematicParams.continued(energies, self.system.basis.lam, self.system.z_charge)
         both = {}

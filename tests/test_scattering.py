@@ -1,9 +1,11 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from resolvent_kit import scattering
 from resolvent_kit.basis import BasisSpec, MatrixSet, SystemSpec, build_matrices
 from resolvent_kit.errors import ConvergenceError, InputError, NumericalError, RecursionBreakdownError
 from resolvent_kit.potential import parse_potential
@@ -105,6 +107,17 @@ class TestHyp2F1:
     def test_outside_disk_rejected(self):
         with pytest.raises(InputError):
             hyp2f1_b1(1.0, 2.0, 1.5)
+
+    def test_non_positive_integer_c_rejected_at_once(self, monkeypatch):
+        # the fraction's k_j is infinite there, so it would run the whole
+        # level cap on NaN factors; no fraction level may run at all
+        def no_fraction(*args):
+            raise AssertionError("the continued fraction ran")
+
+        monkeypatch.setattr(scattering, "_gauss_cf", no_fraction)
+        for a, c in ((0.5, 0.0), (0.5, -2.0), (-1.0, -2.0 + 0.0j)):
+            with pytest.raises(InputError, match="c must not be 0 or a negative integer"):
+                hyp2f1_b1(a, c, 0.5)
 
     def test_terminating_through_lentz_guard(self):
         # 2F1(-4, 1; 2; 1) = 1 - 2 + 2 - 1 + 1/5; the fraction's level-1
@@ -236,26 +249,26 @@ class TestSeeds:
         # ell = 0, Z = 0: both hypergeometric factors are 1, so
         # T_0 = e^(2 i theta) and R_1(+) = e^(-i theta)/sqrt(2)
         kin = KinematicParams.for_system(1.3, 1.0, 0.0)
-        t0, r1p = seed_coefficients(kin, 0)
+        t0, r1p = seed_coefficients(kin, 0, 1)
         assert t0 == pytest.approx(cmath.exp(2j * kin.theta), rel=1e-12)
         assert r1p == pytest.approx(cmath.exp(-1j * kin.theta) / math.sqrt(2.0), rel=1e-12)
 
     def test_right_angle_s_wave(self):
         # 8E = lam^2: theta = pi/2 and T_0 = e^(i pi) = -1
         kin = KinematicParams.for_system(0.125, 1.0, 0.0)
-        t0, _ = seed_coefficients(kin, 0)
+        t0, _ = seed_coefficients(kin, 0, 1)
         assert t0 == pytest.approx(-1.0, abs=1e-12)
 
     def test_unimodular_with_coulomb(self):
         kin = KinematicParams.for_system(0.5, 1.0, 1.0)
-        t0, r1p = seed_coefficients(kin, 1)
+        t0, r1p = seed_coefficients(kin, 1, 1)
         assert abs(t0) == pytest.approx(1.0, abs=1e-10)
         assert r1p.imag != 0.0
 
     def test_higher_ell_terminating(self):
         # Z = 0 keeps the series terminating for any ell
         kin = KinematicParams.for_system(2.3, 1.7, 0.0)
-        t0, r1p = seed_coefficients(kin, 2)
+        t0, r1p = seed_coefficients(kin, 2, 1)
         assert abs(t0) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_mpmath_sweep(self):
@@ -281,7 +294,7 @@ class TestSeeds:
                             mp.expj(-mp.mpf(kin.theta)) * mp.sqrt(2 * ell + 2) * f2
                             / ((ell + 2 + it) * f_minus)
                         )
-                        t0, r1p = seed_coefficients(kin, ell)
+                        t0, r1p = seed_coefficients(kin, ell, 1)
                         worst = max(
                             worst,
                             abs(t0 - want_t0) / abs(want_t0),
@@ -292,7 +305,7 @@ class TestSeeds:
     def test_level_cap_names_stage(self):
         kin = KinematicParams.for_system(0.05, 20.0, 1.0)
         with pytest.raises(ConvergenceError) as err:
-            seed_coefficients(kin, 0, max_terms=5)
+            seed_coefficients(kin, 0, 1, max_terms=5)
         msg = str(err.value)
         assert msg.startswith("seed at E=0.05, ell=0")
         assert "continued fraction did not converge in 5 levels" in msg
@@ -306,19 +319,19 @@ class TestSeeds:
         energies = np.geomspace(0.05, 5.0, 9)
         errors = {}
         t0, r1p = seed_coefficients(
-            KinematicParams.for_system(energies, 20.0, 1.0), 0, max_terms=50, errors=errors
+            KinematicParams.for_system(energies, 20.0, 1.0), 0, 1, max_terms=50, errors=errors
         )
         assert sorted(errors) == [0, 1, 2]
         for i, energy in enumerate(energies):
             single = KinematicParams.for_system(energy, 20.0, 1.0)
             if i in errors:
                 with pytest.raises(ConvergenceError) as err:
-                    seed_coefficients(single, 0, max_terms=50)
+                    seed_coefficients(single, 0, 1, max_terms=50)
                 assert str(errors[i]) == str(err.value)
                 assert errors[i].diagnostics == err.value.diagnostics
                 assert np.isnan(t0[i]) and np.isnan(r1p[i])
             else:
-                assert seed_coefficients(single, 0, max_terms=50) == (t0[i], r1p[i])
+                assert seed_coefficients(single, 0, 1, max_terms=50) == (t0[i], r1p[i])
 
 
 class TestRecursion:
@@ -355,8 +368,9 @@ class TestRecursion:
 
     def test_minus_branch_matches_conjugate(self):
         # propagate R_n(-) explicitly from conj(R_1(+)) through the rows of
-        # J beside R_n(+), and build S from both branches; the calculator
-        # carries only the plus branch
+        # J beside R_n(+), upward, which is accurate at these energies, and
+        # build S from both branches; the calculator carries only the plus
+        # branch, downward from R_N(+)
         pot = parse_potential("7.5*r^2*exp(-r)")
         for z_charge in (0.0, 1.0):
             spec = SystemSpec(
@@ -366,7 +380,7 @@ class TestRecursion:
             size = calc.mats.size
             for energy in (0.4, 1.1, 3.7):
                 kin = KinematicParams.for_system(energy, 1.0, z_charge)
-                t, r_plus = (complex(v) for v in seed_coefficients(kin, 1))
+                t, r_plus = (complex(v) for v in seed_coefficients(kin, 1, 1))
                 r_minus = r_plus.conjugate()
                 diag, off = calc.mats.j_tridiagonal(energy)
                 for n in range(1, size):
@@ -393,14 +407,16 @@ class TestRecursion:
             assert abs(resid) / scale < 1e-8
 
     @pytest.mark.parametrize(
-        "band, row, value, message",
-        [(1, 4, 0.0, "recursion breakdown at n=4: vanishing coupling"),
-         (0, 3, math.inf, "recursion breakdown at n=4: vanishing ratio")],
+        "band, row, value, message, index",
+        [(1, 4, 0.0, "recursion breakdown at n=5: vanishing coupling", 5),
+         (0, 3, math.inf, "recursion breakdown at n=3: vanishing ratio", 3)],
     )
-    def test_breakdown_fails_only_its_energy(self, monkeypatch, band, row, value, message):
-        # cut the coupling J_(4,5), or make J_33 and so R_4 infinite, at the
-        # middle energy of three only; on Coulomb systems, because only
-        # Z != 0 runs the recursion through the rows of J
+    def test_breakdown_fails_only_its_energy(self, monkeypatch, band, row, value, message, index):
+        # cut the coupling J_(4,5), the numerator of R_5, or make J_33
+        # infinite and so R_3 zero, at the middle energy of three only; the
+        # recursion runs down from n = 12, so it meets row 5 or row 3 first.
+        # On Coulomb systems, because only Z != 0 runs the recursion
+        # through the rows of J
         build = MatrixSet.j_tridiagonal
 
         def broken(self, energy):
@@ -417,7 +433,7 @@ class TestRecursion:
         for mats, kin, clean in cases:
             errors = {}
             cs = cs_recursion(mats, kin, up_to=12, errors=errors)
-            assert list(errors) == [1] and str(errors[1]) == message and errors[1].index == 4
+            assert list(errors) == [1] and str(errors[1]) == message and errors[1].index == index
             assert np.isnan(cs.t[1]) and np.isnan(cs.r_plus[1])
             for i in (0, 2):
                 assert cs.t[i] == clean.t[i] and cs.r_plus[i] == clean.r_plus[i]
@@ -446,20 +462,31 @@ def closed_form_reference(energy, lam, ell, n, dps=50):
         return complex(t), complex(r)
 
 
-def coulomb_r_plus_reference(energy, lam, z_charge, ell, n, dps=50):
-    """R_n(+) of a Coulomb system (Z != 0) at a real or complex energy,
-    e^(-i theta) sqrt(n (n+2ell+1)) / (c+n-1) F_(n+1) / F_n with
-    F_n = 2F1(a, n; c+n-1; x) by mp.hyp2f1, a = -ell + it, c = ell + 2 + it,
-    x = e^(-2i theta), e^(i theta) = (2k + i lam) / (2k - i lam), k = sqrt(2E)
-    on its principal branch and t = Z / k, all at ``dps`` digits; it reads
-    neither the J rows nor the double kinematics."""
-    with mp.workdps(dps):
+@functools.lru_cache(maxsize=None)
+def coulomb_reference(energy, lam, z_charge, ell, n):
+    """T_(n-1) and R_n(+) of a Coulomb system (Z != 0) at a real or complex
+    energy, from F_n = 2F1(a, n; c+n-1; x) by 30-digit mp.hyp2f1, with
+    a = -ell + it, c = ell + 2 + it, x = e^(-2i theta),
+    e^(i theta) = (2k + i lam) / (2k - i lam), k = sqrt(2E) on its
+    principal branch and t = Z / k:
+
+        R_n(+)  = e^(-i theta) sqrt(n (n+2ell+1)) / (c+n-1) F_(n+1) / F_n
+        T_(n-1) = e^(2in theta) prod_(k=0..n-1) (ell+1+k+it) / (ell+1+k-it) conj(F_n) / F_n
+
+    T's form holds at real E only, so off the axis T is NaN. It reads
+    neither the J rows nor the double kinematics. Cached, so that tests
+    sharing a point share its mp.hyp2f1 calls."""
+    with mp.workdps(30):
         k = mp.sqrt(2 * mp.mpc(energy))
         phase = (2 * k - 1j * lam) / (2 * k + 1j * lam)  # e^(-i theta)
         it = 1j * z_charge / k
         a, c, x = -ell + it, ell + 2 + it, phase**2
-        ratio = mp.hyp2f1(a, n + 1, c + n, x) / mp.hyp2f1(a, n, c + n - 1, x)
-        return complex(phase * mp.sqrt(n * (n + 2 * ell + 1)) / (c + n - 1) * ratio)
+        f_n = mp.hyp2f1(a, n, c + n - 1, x)
+        r = phase * mp.sqrt(n * (n + 2 * ell + 1)) / (c + n - 1) * mp.hyp2f1(a, n + 1, c + n, x) / f_n
+        if complex(energy).imag != 0.0:
+            return complex("nan"), complex(r)
+        product = mp.fprod((ell + 1 + j + it) / (ell + 1 + j - it) for j in range(n))
+        return complex(phase ** (-2 * n) * product * mp.conj(f_n) / f_n), complex(r)
 
 
 def closed_form_s(calc, energy, dps=50):
@@ -549,7 +576,7 @@ class TestNeutralClosedForm:
                 mats = build_matrices(SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=4)))
                 kin = KinematicParams.for_system(energies, lam, 0.0)
                 cs = cs_recursion(mats, kin, up_to=1)
-                t0, r1p = seed_coefficients(kin, ell)
+                t0, r1p = seed_coefficients(kin, ell, 1)
                 np.testing.assert_allclose(cs.t, t0, rtol=1e-14, atol=0.0)
                 np.testing.assert_allclose(cs.r_plus, r1p, rtol=1e-14, atol=0.0)
 
@@ -719,16 +746,15 @@ class TestDenominatorTerms:
                         terms, errors = denominator(ScatteringCalculator(spec), energies)
                         assert errors == {}
                         for got, energy in zip(terms.r_plus, energies):
-                            want = coulomb_r_plus_reference(complex(energy), lam, z_charge, ell, size, dps=30)
+                            _, want = coulomb_reference(complex(energy), lam, z_charge, ell, size)
                             worst = max(worst, abs(got - want) / abs(want))
         assert worst <= 1e-13
 
     @pytest.mark.parametrize("z_charge,ell,lam", TestContinuedKinematics.SYSTEMS)
     def test_agrees_with_continued_terms(self, z_charge, ell, lam):
-        # the split-off resolvent factors are the same computation; R_N(+)
-        # is the same closed form at Z = 0, and at Z != 0 the fraction
-        # agrees with seeds plus recursion where the recursion is accurate
-        # (7e-14 seen here)
+        # the split-off resolvent factors are the same computation, and so
+        # is R_N(+): the same closed form at Z = 0 and the same continued
+        # fraction at Z != 0
         pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=60), potential=pot, z_charge=z_charge)
         calc = ScatteringCalculator(spec)
@@ -740,10 +766,7 @@ class TestDenominatorTerms:
         assert not errors and not continued_errors
         assert np.array_equal(terms.residue_j, continued.residue_j)
         assert np.array_equal(terms.rest_j, continued.rest_j)
-        if z_charge == 0.0:
-            assert np.array_equal(terms.r_plus, continued.r_plus)
-        else:
-            np.testing.assert_allclose(terms.r_plus, continued.r_plus, rtol=1e-12, atol=0.0)
+        assert np.array_equal(terms.r_plus, continued.r_plus)
 
     def test_level_cap_fails_only_its_energy(self):
         # the fraction needs under 20 levels at the outer energies and
@@ -760,3 +783,49 @@ class TestDenominatorTerms:
         for field in got._fields:
             values = getattr(got, field)
             assert np.isnan(values[1]) and values[0] == getattr(want, field)[0] and values[2] == getattr(want, field)[2]
+
+
+class TestCoulombS:
+    @pytest.mark.parametrize(
+        "lam, z_charge, ell, size, energy",
+        [(20.0, 1.0, 0, 100, 0.011), (20.0, 1.0, 2, 80, 0.0011), (20.0, 1.0, 0, 100, 0.05),
+         (20.0, -1.0, 0, 100, 0.011), (1.0, 1.0, 1, 60, 0.3), (20.0, 1.0, 0, 100, 1.0)],
+    )
+    def test_coefficients_against_mpmath(self, lam, z_charge, ell, size, energy):
+        # worst seen 9.8e-14 in T, at lam = 20, ell = 2, N = 80, E = 0.0011,
+        # where the upward recursion this replaces was off by 2.1e-4
+        mats = build_matrices(
+            SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=size), z_charge=z_charge)
+        )
+        cs = cs_recursion(mats, KinematicParams.for_system(energy, lam, z_charge), up_to=size)
+        want_t, want_r = coulomb_reference(complex(energy), lam, z_charge, ell, size)
+        assert abs(complex(cs.t) - want_t) <= 1e-12
+        assert abs(complex(cs.r_plus) - want_r) <= 1e-13 * abs(want_r)
+
+    @pytest.mark.slow
+    def test_s_against_mpmath(self):
+        # S on the calculator's own resolvent weights, so this bounds the
+        # fractions, the backward recursion and the S assembly; worst seen
+        # 1.3e-13, where the upward recursion was off by up to 1.6 (lam = 1,
+        # Z = +1, E = 1e-3). E = 1e-3 and 50 at N = 100 are points of
+        # test_coulomb_r_plus_against_mpmath, whose references the cache
+        # shares
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        energies = np.geomspace(1e-3, 50.0, 7)
+        worst = 0.0
+        for lam in (1.0, 20.0):
+            for z_charge in (-1.0, 1.0):
+                for ell in range(3):
+                    spec = SystemSpec(
+                        basis=BasisSpec("laguerre", lam=lam, ell=ell, size=100), potential=pot, z_charge=z_charge
+                    )
+                    calc = ScatteringCalculator(spec)
+                    s, errors = calc.s_values(energies)
+                    assert errors == {}
+                    for got, energy in zip(s, energies):
+                        t, r = coulomb_reference(complex(energy), lam, z_charge, ell, calc.mats.size)
+                        with mp.workdps(30):
+                            t, r, gj = mp.mpc(t), mp.mpc(r), mp_green_boundary(calc, float(energy))
+                            want = complex(t * (1 + gj * mp.conj(r)) / (1 + gj * r))
+                        worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-10
