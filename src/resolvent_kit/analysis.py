@@ -4,7 +4,7 @@ states, and the energy density of states.
 A resonance is a pole E_r - i Gamma/2 of S(E) below the real axis, a
 zero of its denominator 1 + G J R_N(+) continued to complex energy.
 ``locate_resonances`` solves for one beside each generalized eigenvalue
-of (H, Overlap) in range, by Newton's method on all of them at once,
+of (H, Overlap) in range, by Halley's method on all of them at once,
 and reports the poles whose residue has the strength of an isolated
 Breit-Wigner pole; the poles that discretize the continuum have almost
 none. It is the one resonance finder: the ``smatrix`` and
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -68,12 +69,16 @@ class ResonancePeak:
 @dataclass(frozen=True)
 class ResonanceReport:
     """The resonances ``locate_resonances`` reports, one peak per pole,
-    plus ``scan``: its S(E) scan of the search range, and ``candidates``:
-    the PoleCandidate of every pole-search solve."""
+    plus ``candidates``: the PoleCandidate of every pole-search solve, and
+    ``scan``: an S(E) scan of the search range, built on first read."""
 
     peaks: tuple
-    scan: Optional[ScanTable] = field(default=None, compare=False, repr=False)
     candidates: tuple = field(default=(), compare=False, repr=False)
+    _scan_of: Optional[Callable[[], ScanTable]] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def scan(self) -> Optional[ScanTable]:
+        return None if self._scan_of is None else self._scan_of()
 
     def positions(self) -> np.ndarray:
         return np.array([p.e_peak for p in self.peaks])
@@ -124,12 +129,12 @@ def _system_snapshot(spec: SystemSpec) -> dict:
     }
 
 
-# The pole search: Newton's step cap, its convergence tolerance and
-# derivative step (relative to max(1, |E|)), the seeds' continued-fraction
+# The pole search: Halley's step cap, its convergence tolerance and
+# difference step (relative to max(1, |E|)), the seeds' continued-fraction
 # level cap, the least residue strength reported, and how close
 # (relative) two poles must be to be one.
-_NEWTON_STEPS = 30
-_NEWTON_RTOL = 1e-13
+_HALLEY_STEPS = 30
+_HALLEY_RTOL = 1e-13
 _DERIVATIVE_RTOL = 1e-6
 _POLE_LEVELS = 1000
 _MIN_STRENGTH = 0.5
@@ -142,7 +147,7 @@ _FAILURES = ("step cap", "continued-fraction failure", "numerical failure")
 
 @dataclass(frozen=True)
 class PoleCandidate:
-    """One Newton solve started beside the eigenvalue ``seed``: the last
+    """One Halley solve started beside the eigenvalue ``seed``: the last
     iterate ``pole`` after ``steps`` steps, |f| there, the residue
     strength |Res_E S| / Gamma, and ``status``: "converged" or one of
     ``_FAILURES`` (with the typed ``error``), which ``locate_resonances``
@@ -169,16 +174,17 @@ def _failed_candidate(seed, steps, residual, pole, exc: Optional[NumericalError]
 
 
 def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
-    """Newton's method on f_j(E) = (eps_j - E)(1 + G J R_N(+)), one
+    """Halley's method on f_j(E) = (eps_j - E)(1 + G J R_N(+)), one
     candidate per eigenvalue eps_j, j in ``index``: a PoleCandidate each.
 
     f_j is the denominator D of S with G's pole at eps_j divided out, so
     it is smooth within a narrow resonance's width of eps_j. A candidate
     starts at the one-pole estimate eps_j + w_j J R / (1 + G_rest J R) at
     eps_j (w_j that pole's residue, G_rest the rest of G) and steps by
-    -f/f', f' a central difference, until a step is at most
-    ``_NEWTON_RTOL`` * max(1, |E|), or until a step no longer shrinks
-    after one of at most sqrt(``_NEWTON_RTOL``) * max(1, |E|): quadratic
+    -2 f f' / (2 f'^2 - f f''), f' and f'' central differences at E +/- h
+    (Gander, Amer. Math. Monthly 92, 131 (1985)), until a step is at most
+    ``_HALLEY_RTOL`` * max(1, |E|), or until a step no longer shrinks
+    after one of at most sqrt(``_HALLEY_RTOL``) * max(1, |E|): quadratic
     convergence would have taken the next below the tolerance, so f's
     own rounding sets the floor. All candidates advance in lockstep,
     one ``denominator_terms`` call per step, which evaluates R_N(+) alone
@@ -208,13 +214,13 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         energy = eps + start.residue_j * start.r_plus / (1.0 + start.rest_j * start.r_plus)
     done = []  # (row, step, centre energy, slope, |f|, pole) of each converged candidate
-    for step in range(_NEWTON_STEPS + 1):
+    for step in range(_HALLEY_STEPS + 1):
         # a failed evaluation leaves a NaN iterate: retire it
         failed = ~np.isfinite(energy)
         for r in np.flatnonzero(failed):
             results[rows[r]] = _failed_candidate(eps[r], step, math.nan, energy[r], failure.get(rows[r]))
         rows, eps, energy, last = (v[~failed] for v in (rows, eps, energy, last))
-        if rows.size == 0 or step == _NEWTON_STEPS:
+        if rows.size == 0 or step == _HALLEY_STEPS:
             break
         h = _DERIVATIVE_RTOL * np.maximum(1.0, np.abs(energy))
         points = (energy[:, None] + h[:, None] * np.array([0.0, -1.0, 1.0])).ravel()
@@ -222,13 +228,14 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             f = terms.divided(np.repeat(eps, 3) - points, terms.r_plus).reshape(-1, 3)
             slope = (f[:, 2] - f[:, 1]) / (2.0 * h)
-            new = energy - f[:, 0] / slope
+            curvature = (f[:, 2] - 2.0 * f[:, 0] + f[:, 1]) / (h * h)
+            new = energy - 2.0 * f[:, 0] * slope / (2.0 * slope * slope - f[:, 0] * curvature)
         moved, scale = np.abs(new - energy), np.maximum(1.0, np.abs(energy))
-        converged = (moved <= _NEWTON_RTOL * scale) | ((moved >= last) & (last <= math.sqrt(_NEWTON_RTOL) * scale))
+        converged = (moved <= _HALLEY_RTOL * scale) | ((moved >= last) & (last <= math.sqrt(_HALLEY_RTOL) * scale))
         done += [(rows[r], step + 1, energy[r], slope[r], abs(f[r, 0]), new[r]) for r in np.flatnonzero(converged)]
         rows, eps, energy, last = (v[~converged] for v in (rows, eps, new, moved))
     for r in range(rows.size):
-        results[rows[r]] = PoleCandidate(float(eps[r]), _NEWTON_STEPS, math.nan, complex(energy[r]), math.nan, "step cap")
+        results[rows[r]] = PoleCandidate(float(eps[r]), _HALLEY_STEPS, math.nan, complex(energy[r]), math.nan, "step cap")
     if done:
         _residue_pass(calc, index, done, results)
     return results
@@ -281,15 +288,14 @@ def locate_resonances(system_or_calc, e_min: float, e_max: float, coarse_steps: 
     A peak has e_peak = Re E_p, width_estimate = Gamma and quality = the
     strength clipped to [0, 1]; ``candidates`` holds every solve. ``scan``
     is an S(E) scan of ``coarse_steps + 1`` points from e_min to e_max,
-    which seeds nothing. Needs 0 < e_min < e_max and coarse_steps >= 1.
+    built on first read: it seeds nothing. Needs 0 < e_min < e_max and
+    coarse_steps >= 1.
     """
     if not (0.0 < e_min < e_max):
         raise InputError(f"need 0 < e_min < e_max, got e_min={e_min}, e_max={e_max}")
     if coarse_steps < 1:
         raise InputError(f"coarse_steps must be >= 1, got {coarse_steps}")
     calc = _calculator(system_or_calc)
-    table = scan_smatrix(calc, np.linspace(e_min, e_max, coarse_steps + 1))
-
     positive = np.flatnonzero(calc.eigenvalues > 0.0)
     ev = calc.eigenvalues[positive]
     lo = max(int(np.searchsorted(ev, e_min, side="right")) - 1, 0)
@@ -302,7 +308,8 @@ def locate_resonances(system_or_calc, e_min: float, e_max: float, coarse_steps: 
             peaks.append(ResonancePeak(c.pole.real, c.width, min(1.0, c.strength)))
         candidates.append(c)
     peaks.sort(key=lambda p: p.e_peak)
-    return ResonanceReport(peaks=tuple(peaks), scan=table, candidates=tuple(candidates))
+    scan_of = partial(scan_smatrix, calc, np.linspace(e_min, e_max, coarse_steps + 1))
+    return ResonanceReport(peaks=tuple(peaks), candidates=tuple(candidates), _scan_of=scan_of)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,8 @@ def _nan_at(errors: dict, terms):
 
 
 def _minus(plus: np.ndarray, kin: KinematicParams) -> np.ndarray:
-    """The minus branch of a plus-branch quantity over ``kin``'s elements."""
+    """The minus branch of a plus-branch quantity over ``kin``'s elements,
+    which run along its first axis."""
     return np.conj(plus if kin.mirror is None else plus[kin.mirror])
 
 
@@ -383,8 +384,9 @@ def cs_recursion(
         R_n         = -J_(n,n-1) / (J_nn + J_(n,n+1) R_(n+1))
         T_(up_to-1) = T_0 * prod_(n=1..up_to-1) R_n(-) / R_n
 
-    with R_n(-) = conj(R_n) at real E. A vanishing coupling J_(n,n-1), or
-    a vanishing denominator, is a breakdown that fails the element;
+    with R_n(-) = conj(R_n) at real E: the ratios are kept, and T is one
+    product over them. A vanishing coupling J_(n,n-1), or a vanishing
+    denominator, is a breakdown that fails the element;
     elements whose seeds failed come in as NaN and are carried without
     further checks. A non-finite closed form fails its element the same
     way.
@@ -401,17 +403,21 @@ def cs_recursion(
     neg_diag, off = (-diag).astype(complex), off.astype(complex)
 
     t0, r_top = seed_coefficients(kin, mats.spec.basis.ell, up_to, max_terms=max_levels, errors=errors)
-    t, r_top = np.ravel(t0), np.ravel(r_top)
-    failed = np.isnan(t)
-    r = np.where(failed, 1.0, r_top)  # a finite stand-in for failed seeds
+    t0, r_top = np.ravel(t0), np.ravel(r_top)
+    failed = np.isnan(t0)
+    # row i holds energy i's R_n in column n - 1, so each energy's product
+    # rounds alike in a batch of any size; a finite stand-in for failed
+    # seeds starts the recursion
+    ratios = np.empty((t0.size, up_to - 1), dtype=complex)
+    r = np.where(failed, 1.0, r_top)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in range(up_to - 1, 0, -1):
-            r = off[n - 1] / (neg_diag[n] - off[n] * r)
-            t = t * _minus(r, kin) / r
+            r = np.divide(off[n - 1], neg_diag[n] - off[n] * r, out=ratios[:, n - 1])
+        t = t0 * np.prod(_minus(ratios, kin) / ratios, axis=1)
     # A ratio that vanishes or is not finite leaves T non-finite for good
     broken = ~failed & ~np.isfinite(t)
     if broken.any():
-        _report_breakdowns(np.flatnonzero(broken), r_top, neg_diag, off, up_to, errors)
+        _report_breakdowns(np.flatnonzero(broken), ratios, off, errors)
         failed |= broken
     nan = complex("nan")
     return CSCoefficients(
@@ -513,21 +519,17 @@ def _neutral_polynomial(ell: int, n: int, y: np.ndarray) -> np.ndarray:
     return p
 
 
-def _report_breakdowns(index, r_top, neg_diag, off, up_to, errors):
-    """Rerun the backward recursion at the broken elements ``index`` with a
-    check at every row, and record the first breakdown of each."""
-    r = r_top[index]
-    neg_diag, off = neg_diag[:, index], off[:, index]
-    open_ = np.ones(index.size, dtype=bool)
-    for n in range(up_to - 1, 0, -1):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = off[n - 1] / (neg_diag[n] - off[n] * r)
-        coupling = off[n - 1] == 0.0
-        broken = open_ & (coupling | (r == 0.0) | ~np.isfinite(r))
-        for j in np.flatnonzero(broken):
-            what = "vanishing coupling" if coupling[j] else "vanishing ratio"
-            _record(errors, index[j], RecursionBreakdownError(f"recursion breakdown at n={n}: {what}", index=n))
-        open_ &= ~broken
+def _report_breakdowns(index, ratios, off, errors):
+    """Record the first breakdown of each broken element ``index``: the
+    highest row n whose coupling J_(n,n-1) vanishes, or whose stored R_n
+    vanishes or is not finite."""
+    r, coupling = ratios[index], off[: ratios.shape[1], index].T == 0.0
+    broken = coupling | (r == 0.0) | ~np.isfinite(r)
+    for j, i in enumerate(index):
+        if broken[j].any():
+            n = np.flatnonzero(broken[j])[-1] + 1
+            what = "vanishing coupling" if coupling[j, n - 1] else "vanishing ratio"
+            _record(errors, i, RecursionBreakdownError(f"recursion breakdown at n={n}: {what}", index=n))
 
 
 # ---------------------------------------------------------------------------

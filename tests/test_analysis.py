@@ -206,7 +206,7 @@ class TestLocateResonances:
         report = locate_resonances(spec, 0.5, 4.0, coarse_steps=100)
         assert report.peaks == ()
 
-    def test_coarse_scan_is_the_only_real_axis_batch(self, two_gaussian_calc, monkeypatch):
+    def test_coarse_scan_is_built_on_first_read(self, two_gaussian_calc, monkeypatch):
         calls = []
         real = two_gaussian_calc.s_values
 
@@ -217,9 +217,12 @@ class TestLocateResonances:
         monkeypatch.setattr(two_gaussian_calc, "s_values", s_values)
         report = locate_resonances(two_gaussian_calc, 1.8, 5.2, coarse_steps=400)
         assert len(report.peaks) == 2
-        # the coarse scan is the only S(E) batch: the pole search evaluates
-        # the continued factors of S, not S on the real axis
+        # the pole search evaluates the continued factors of S, never S on
+        # the real axis; the coarse scan is one batch, on its first read
+        assert calls == []
+        table = report.scan
         assert calls == [401]
+        assert report.scan is table and calls == [401]
 
 
 def mp_pole(calc, start, dps=50):
@@ -277,8 +280,10 @@ def assert_same_pole(got, want, rtol):
 
 
 class TestPoleSearch:
-    def test_poles_match_mpmath(self, two_gaussian_calc, coulomb_calcs):
-        searches = [(two_gaussian_calc, 1.8, 5.2)] + coulomb_calcs
+    def test_poles_match_mpmath(self, two_gaussian_calc, barrier_calc, coulomb_calcs):
+        # the barrier search is the README recipe's, with its narrow pole
+        # and the two broad ones above the barrier top
+        searches = [(two_gaussian_calc, 1.8, 5.2), (barrier_calc, 0.5, 8.0)] + coulomb_calcs
         checked = 0
         for calc, e_min, e_max in searches:
             report = locate_resonances(calc, e_min, e_max, coarse_steps=20)
@@ -286,7 +291,7 @@ class TestPoleSearch:
                 if c.status == "accepted":
                     assert_same_pole(c.pole, mp_pole(calc, c.pole), 1e-10)
                     checked += 1
-        assert checked == 5
+        assert checked == 8
 
     @pytest.mark.parametrize(
         "calc_name,e_min,e_max",
@@ -323,7 +328,7 @@ class TestPoleSearch:
         want = locate_resonances(calc, e_min, e_max, coarse_steps=20)
         # the candidates nearest threshold need more continued-fraction
         # levels than this; the resonance's own need fewer. Measured: the
-        # Newton steps' fraction takes 13-29 levels, and the residue pass's
+        # Halley steps' fraction takes 13-29 levels, and the residue pass's
         # seeds 70 and 60 for the two nearest threshold, 47 for the
         # resonance and 52 and 47 for the others
         monkeypatch.setattr("resolvent_kit.analysis._POLE_LEVELS", 56)
@@ -341,7 +346,7 @@ class TestPoleSearch:
 
     def test_fraction_level_cap_fails_its_candidate(self, coulomb_calcs, monkeypatch):
         # below the 25 levels R_N(+)'s fraction needs at the start of the
-        # candidate nearest threshold, that candidate fails in its Newton
+        # candidate nearest threshold, that candidate fails in its Halley
         # steps, naming the fraction
         calc, e_min, e_max = coulomb_calcs[0]
         monkeypatch.setattr("resolvent_kit.analysis._POLE_LEVELS", 20)
@@ -351,10 +356,10 @@ class TestPoleSearch:
         assert str(first.error).endswith("continued fraction did not converge in 20 levels")
         assert math.isnan(first.strength)
 
-    def test_newton_steps_run_no_seeds(self, p_wave_calc, monkeypatch):
-        # seeds and recursion run twice: for the coarse scan, and for T and
-        # R_N(-) at every converged candidate at once; the Newton steps
-        # evaluate R_N(+) alone
+    def test_pole_steps_run_no_seeds(self, p_wave_calc, monkeypatch):
+        # seeds and recursion run once, for T and R_N(-) at every converged
+        # candidate at once; the Halley steps evaluate R_N(+) alone, and the
+        # coarse scan is not built unless read
         calls = []
         real = scattering.cs_recursion
 
@@ -364,8 +369,28 @@ class TestPoleSearch:
 
         monkeypatch.setattr(scattering, "cs_recursion", cs_recursion)
         report = locate_resonances(p_wave_calc, 1.45, 1.85, coarse_steps=20)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert len(report.peaks) == 1
+
+    @pytest.mark.parametrize(
+        "calc_name,e_min,e_max,most",
+        [("two_gaussian_calc", 1.8, 5.2, 7), ("p_wave_calc", 1.45, 1.85, 7), ("barrier_calc", 0.5, 8.0, 6)],
+    )
+    def test_lockstep_evaluations(self, request, monkeypatch, calc_name, e_min, e_max, most):
+        # one batch for the starts and one per Halley step, until the
+        # slowest candidate converges; Newton's -f/f' took 10 batches on
+        # each of these searches, for the 9 steps of its slowest candidates
+        calc = request.getfixturevalue(calc_name)
+        calls = []
+        real = calc.denominator_terms
+
+        def denominator_terms(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(calc, "denominator_terms", denominator_terms)
+        report = locate_resonances(calc, e_min, e_max, coarse_steps=20)
+        assert report.peaks and len(calls) <= most
 
     def test_continuum_poles_fail_the_rule(self, barrier_calc):
         # the barrier search that reported five continuum eigenvalues near
