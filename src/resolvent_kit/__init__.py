@@ -69,8 +69,6 @@ from .scattering import (
     ScatteringCalculator,
     ScatteringPoint,
     cs_recursion,
-    hyp2f1_b1,
-    s_matrix,
     seed_coefficients,
 )
 

@@ -13,9 +13,10 @@ Four interchangeable routes to G_{n,m}(z), the (n, m) element of
                                  some n != m, and for every n != m in an
                                  orthonormal basis.
 * ``green_partial_fractions`` -- poles and residues of an element in an
-                                 orthonormal basis, the residues from
-                                 determinants of the shifted deleted
-                                 matrix; defined for every (n, m).
+                                 orthonormal basis, the residues from the
+                                 eigenvector identity below, by
+                                 polarization off the diagonal; defined
+                                 for every (n, m).
 
 The eigenvalue-product and partial-fraction routes need spectra but no
 eigenvectors; the scans evaluate their elements through the pole/residue
@@ -25,9 +26,12 @@ Also here: the pole/residue form of G, ``PartialFractions``, whose
 ``evaluate`` is the one evaluator of the sum and applies the one pole
 rule (``POLE_RTOL``) for every consumer of the package; and
 ``eigvec_from_eigs_general``, the closed-form identity that recovers
-eigenvector component products from eigenvalue spectra alone. In an
-orthonormal basis the product gamma[n,k] gamma[m,k] is also the k-th
-residue, ``green_partial_fractions(h, n, m).coeffs[k]``.
+eigenvector component products from eigenvalue spectra alone: the
+product form of G at z = eps_k with the k-th pole left out, for every k
+from one full and one deleted spectrum. ``paired_product_ratio``
+evaluates both, one element of G and the row of the identity. In an
+orthonormal basis the row of products gamma[n,k] gamma[m,k] is also the
+residues, ``green_partial_fractions(h, n, m).coeffs``.
 """
 
 from __future__ import annotations
@@ -212,21 +216,32 @@ def _check_nondegenerate(eps: np.ndarray):
         raise DegenerateSpectrumError("degenerate spectrum; use green_spectral")
 
 
+def _by_magnitude(x: np.ndarray) -> np.ndarray:
+    """x with each row along the last axis ordered largest magnitude first,
+    gathered from the flat array with one index array, which costs less
+    than the broadcast index arrays of ``np.take_along_axis``."""
+    order = np.argsort(-np.abs(x), axis=-1)
+    starts = np.arange(math.prod(x.shape[:-1])).reshape(x.shape[:-1] + (1,)) * x.shape[-1]
+    return x.ravel()[order + starts]
+
+
 def paired_product_ratio(num, den):
-    """prod(num) / prod(den) evaluated as paired ratios.
+    """prod(num) / prod(den) along the last axis, evaluated as paired ratios.
 
     Factors are matched largest-magnitude-first so each ratio stays O(1)
     for interlacing spectra; unmatched denominator factors divide at the
-    end. Avoids overflow of the raw products at dimension ~100.
+    end. Avoids overflow of the raw products at dimension ~100. Leading
+    axes broadcast, so one call evaluates many products at once, each
+    rounding as it would alone.
     """
     num = np.asarray(num)
     den = np.asarray(den)
-    if num.size > den.size:
+    size = num.shape[-1]
+    if size > den.shape[-1]:
         raise InputError("more numerator than denominator factors")
-    ns = num[np.argsort(-np.abs(num))]
-    ds = den[np.argsort(-np.abs(den))]
-    out = np.prod(ns / ds[: ns.size]) if ns.size else (1.0 + 0j if np.iscomplexobj(den) else 1.0)
-    for extra in ds[ns.size :]:
+    ns, ds = _by_magnitude(num), _by_magnitude(den)
+    out = np.prod(ns / ds[..., :size], axis=-1)
+    for extra in np.moveaxis(ds[..., size:], -1, 0):
         out = out / extra
     return out
 
@@ -357,57 +372,66 @@ def inverse_oracle(inp: ResolventInput) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_from_dets(h: np.ndarray, eps: np.ndarray, n: int, m: int, j: int) -> float:
-    """Residue of G_{n,m} at eps_j in an orthonormal basis:
-
-        (-1)^(n+m) det((H - eps_j I)^(n,m)) / prod_{k != j} (eps_k - eps_j)
-
-    The identity is shifted in before the row/column deletion: the
-    deleted identity is not an identity when n != m. The determinant
-    comes from a pivoted factorization rather than eigenvalues of the
-    (generally nonsymmetric) deleted matrix; assembled in log space.
-    """
-    shifted = delete_row_col(h - eps[j] * np.eye(h.shape[0]), n, m)
-    sign_num, log_num = np.linalg.slogdet(shifted)
-    if sign_num == 0:
-        return 0.0
-    gaps = np.delete(eps, j) - eps[j]
-    sign_den = np.prod(np.sign(gaps))
-    log_den = float(np.sum(np.log(np.abs(gaps))))
-    return float((-1.0) ** (n + m) * sign_num * sign_den * np.exp(log_num - log_den))
+def _weight_rows(eps: np.ndarray, pref, sub: np.ndarray) -> np.ndarray:
+    """pref * prod_i (sub_i - eps_k) / prod_{j != k} (eps_j - eps_k) for
+    every k: the product form of G (see ``_product_form``) at z = eps_k
+    with the pole eps_k left out, row k of one paired ratio over the
+    (N, N-1) gaps eps_j - eps_k. Leading axes of the deleted spectra
+    ``sub`` give one row each."""
+    size = eps.size
+    gaps = (eps[None, :] - eps[:, None])[~np.eye(size, dtype=bool)].reshape(size, size - 1)
+    return np.real(pref * paired_product_ratio(sub[..., None, :] - eps[:, None], gaps))
 
 
 def green_partial_fractions(h, n: int, m: int, pair: Optional[SpectralPair] = None) -> PartialFractions:
-    """Pole/residue decomposition of G_{n,m}(z) in an orthonormal basis.
+    """Pole/residue decomposition of G_{n,m}(z) in an orthonormal basis,
+    from eigenvalues alone; the k-th residue is gamma[n,k] * gamma[m,k].
 
-    Residues come from determinants of the shifted deleted matrix, so no
-    eigenvectors are needed; the k-th is gamma[n,k] * gamma[m,k]. Requires
-    a non-degenerate spectrum.
+    A diagonal element takes its residues from the eigenvector identity
+    (``eigvec_from_eigs_general``). Off the diagonal, where the deleted
+    identity is singular, they come by polarization,
+
+        gamma[n,k] gamma[m,k] = (w_k(u) - w_k(v)) / 2,   u, v = (e_n +/- e_m) / sqrt(2),
+
+    with w(u) and w(v) the diagonal weights n and m of H after the Givens
+    rotation in the (n, m) plane that takes e_n, e_m to u, v; the rotation
+    keeps the spectrum. The difference is accurate in absolute terms,
+    relative to the largest weight, not residue by residue. Requires a
+    non-degenerate spectrum.
     """
     hm = _as_sym_array(h)
     _check_indices(hm.shape[0], n, m)
     eps = np.asarray(pair.eps if pair is not None else _eigvals(hm, None))
     _check_nondegenerate(eps)
-    coeffs = np.ones(1) if hm.shape[0] == 1 else np.array([_coeff_from_dets(hm, eps, n, m, j) for j in range(eps.size)])
+    if n == m:
+        coeffs = _weight_rows(eps, *_product_form(hm, None, n, n))
+    else:
+        # the Givens rotation G H G, G acting as g on the (n, m) plane
+        g = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        rot = hm.copy()
+        rot[:, [n, m]] = rot[:, [n, m]] @ g
+        rot[[n, m]] = g @ rot[[n, m]]
+        w = _weight_rows(eps, 1.0, np.linalg.eigvalsh(np.stack([delete_row_col(rot, i, i) for i in (n, m)])))
+        coeffs = 0.5 * (w[0] - w[1])
     return PartialFractions(poles=eps.copy(), coeffs=coeffs, n=n, m=m)
 
 
-def eigvec_from_eigs_general(h, omega, n: int, m: int, k: int) -> float:
-    """gamma[n,k] * gamma[m,k] for a symmetric-definite pencil from
-    eigenvalues and overlap determinants only, under the normalization
-    gamma^T Omega gamma = I:
+def eigvec_from_eigs_general(h, omega, n: int, m: int) -> np.ndarray:
+    """gamma[n,k] * gamma[m,k] for every k of a symmetric-definite pencil,
+    from eigenvalues and overlap determinants only, under the
+    normalization gamma^T Omega gamma = I:
 
         (-1)^(n+m) * (det Omega^(n,m) / det Omega)
                    * prod_i (eps_sub_i - eps_k) / prod_{j != k} (eps_j - eps_k)
 
-    With ``omega=None`` (orthonormal basis) it gives the squares
-    gamma[n,k]^2, each paired ratio nonnegative and bounded by
+    One full and one deleted spectrum give the whole row, O(N^2 log N)
+    after the two eigenvalue solves. With ``omega=None`` (orthonormal basis) it gives
+    the squares gamma[n,k]^2, each paired ratio nonnegative and bounded by
     interlacing; the products for n != m are the residues
-    ``green_partial_fractions(h, n, m).coeffs[k]``.
+    ``green_partial_fractions(h, n, m).coeffs``.
     """
     hm, om = ResolventInput(h=h, omega=omega, z=0.0)._arrays()
-    _check_indices(hm.shape[0], n, m, k)
+    _check_indices(hm.shape[0], n, m)
     eps = _eigvals(hm, om)
     _check_nondegenerate(eps)
-    pref, sub = _product_form(hm, om, n, m)
-    return float(np.real(pref * paired_product_ratio(sub - eps[k], np.delete(eps, k) - eps[k])))
+    return _weight_rows(eps, *_product_form(hm, om, n, m))

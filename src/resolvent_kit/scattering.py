@@ -302,28 +302,6 @@ def _cf_error(stage: str, max_levels: int, last_delta) -> ConvergenceError:
     )
 
 
-def hyp2f1_b1(a: complex, c: complex, x: complex, tol: float = 1e-15, max_terms: int = 10**6) -> complex:
-    """2F1(a, 1; c; x) = sum_k (a)_k / (c)_k x^k for |x| <= 1: the continued
-    fraction at alpha = 0, gamma = c - 1, whose denominator is 1; c = 1 is
-    (1 - x)^(-a). c = 0, -1, -2, ... raises InputError, because the
-    fraction has an infinite coefficient there. ``tol`` bounds the last
-    Lentz factor |Delta - 1|.
-    """
-    if abs(x) > 1.0 + 1e-14:
-        raise InputError(f"argument must satisfy |x| <= 1, got |x| = {abs(x)}")
-    if complex(c).imag == 0.0 and complex(c).real <= 0.0 and complex(c).real.is_integer():
-        raise InputError(f"c must not be 0 or a negative integer, got c = {c}")
-    if c == 1.0:
-        return complex((1.0 - x) ** (-a))
-    value, failed, last_delta = _gauss_cf(
-        np.zeros(1), np.array([a], dtype=complex), np.array([c - 1.0], dtype=complex), np.array([x], dtype=complex),
-        tol, max_terms,
-    )
-    if failed.size:
-        raise _cf_error(f"2F1(a, 1; c; x) at a={a}, c={c}, x={x}", max_terms, last_delta[0])
-    return complex(value[0])
-
-
 # ---------------------------------------------------------------------------
 # Seeds and recursion
 # ---------------------------------------------------------------------------
@@ -662,8 +640,3 @@ class ScatteringCalculator:
         if errors:
             raise errors[0]
         return ScatteringPoint(energy=energy, s=complex(s[0]))
-
-
-def s_matrix(system: SystemSpec, energy: float) -> ScatteringPoint:
-    """One-shot S(E); use ScatteringCalculator for scans."""
-    return ScatteringCalculator(system).point(energy)

@@ -120,22 +120,24 @@ def test_criterion_1_formula_equivalence(rng):
 
 
 def test_criterion_2_eigvec_from_eigenvalues(rng):
+    # the rows and residues also rebuild G at z off the axis, against the
+    # pivoted-solve inverse
     start = time.perf_counter()
-    worst_plain = 0.0
+    z = 0.3 + 0.4j
+    worst_plain = worst_row_g = worst_res_g = 0.0
     for _ in range(20):
         a = rng.randn(8, 8)
         h = 0.5 * (a + a.T)
         pair = sym_eig(h)
+        inv = inverse_oracle(ResolventInput(h=h, omega=None, z=z))
         for n in range(8):
-            for k in range(8):
-                got_sq = eigvec_from_eigs_general(h, None, n, n, k)
-                worst_plain = max(worst_plain, abs(got_sq - pair.gamma[n, k] ** 2))
+            row = eigvec_from_eigs_general(h, None, n, n)
+            worst_plain = max(worst_plain, np.max(np.abs(row - pair.gamma[n] ** 2)))
+            worst_row_g = max(worst_row_g, abs(np.sum(row / (pair.eps - z)) - inv[n, n]))
             for m in range(n + 1):
-                residues = green_partial_fractions(h, n, m).coeffs
-                for k in range(8):
-                    worst_plain = max(
-                        worst_plain, abs(residues[k] - pair.gamma[n, k] * pair.gamma[m, k])
-                    )
+                pf = green_partial_fractions(h, n, m)
+                worst_plain = max(worst_plain, np.max(np.abs(pf.coeffs - pair.gamma[n] * pair.gamma[m])))
+                worst_res_g = max(worst_res_g, abs(pf.evaluate(z)[0] - inv[n, m]))
     assert worst_plain <= 1e-10
 
     worst_gen = 0.0
@@ -144,17 +146,20 @@ def test_criterion_2_eigvec_from_eigenvalues(rng):
         a = rng.randn(8, 8)
         h = 0.5 * (a + a.T)
         pair = gen_sym_eig(h, om)
+        inv = inverse_oracle(ResolventInput(h=h, omega=om, z=z))
         for n in range(8):
-            for k in range(8):
-                got = eigvec_from_eigs_general(h, om, n, n, k)
-                worst_gen = max(worst_gen, abs(got - pair.gamma[n, k] ** 2))
+            row = eigvec_from_eigs_general(h, om, n, n)
+            worst_gen = max(worst_gen, np.max(np.abs(row - pair.gamma[n] ** 2)))
+            worst_row_g = max(worst_row_g, abs(np.sum(row / (pair.eps - z)) - inv[n, n]))
     assert worst_gen <= 1e-9
+    assert worst_row_g <= 1e-10 and worst_res_g <= 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(
         2,
         f"orthonormal worst {worst_plain:.2e} (tol 1e-10), generalized worst "
-        f"{worst_gen:.2e} (tol 1e-9) ({elapsed:.2f} s)",
+        f"{worst_gen:.2e} (tol 1e-9); |sum_k c_k/(eps_k - z) - G| at z = {z}: rows "
+        f"{worst_row_g:.2e}, residues {worst_res_g:.2e} (tol 1e-10) ({elapsed:.2f} s)",
     )
 
 
