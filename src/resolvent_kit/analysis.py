@@ -24,7 +24,7 @@ from .basis import OSCILLATOR, SystemSpec, build_matrices
 from .errors import ConvergenceError, FitResidualError, InputError, NumericalError
 from .matrix_core import gen_sym_eig, sym_eig
 from .resolvent import PartialFractions, _pole_error
-from .scattering import ScatteringCalculator
+from .scattering import DenominatorTerms, ScatteringCalculator
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,11 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
     (a closed form at Z = 0, one Gauss continued fraction otherwise),
     each element on its own, so a candidate comes out as it would alone.
 
-    At the pole S = T f(-) / f(+) has residue T f(-) / f', with T and
-    R_N(-) (in f(-)) at the centre point of the last step. They come from
-    one ``continued_terms`` call for all converged candidates after the
-    loop, the fractions and recursion of ``s_values``; a candidate whose
-    evaluation fails there ends as a failure, with its pole.
+    At the pole S = T f(-) / f(+) has residue T f(-) / f', all at the
+    centre point of the last step (``_residue_pass``). A converged
+    candidate keeps that point's split-off G, row 3r of the step's terms
+    for the points [E, E - h, E + h]; T and R_N(-) come from one
+    ``numerator_terms`` call for all converged candidates after the loop.
     """
     eps = calc.eigenvalues[index]
     results = [None] * index.size
@@ -213,7 +213,7 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
     start = evaluate(eps.astype(complex), rows, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         energy = eps + start.residue_j * start.r_plus / (1.0 + start.rest_j * start.r_plus)
-    done = []  # (row, step, centre energy, slope, |f|, pole) of each converged candidate
+    done = []  # (row, step, centre energy, slope, |f|, pole, *centre terms) per converged candidate
     for step in range(_HALLEY_STEPS + 1):
         # a failed evaluation leaves a NaN iterate: retire it
         failed = ~np.isfinite(energy)
@@ -232,7 +232,10 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
             new = energy - 2.0 * f[:, 0] * slope / (2.0 * slope * slope - f[:, 0] * curvature)
         moved, scale = np.abs(new - energy), np.maximum(1.0, np.abs(energy))
         converged = (moved <= _HALLEY_RTOL * scale) | ((moved >= last) & (last <= math.sqrt(_HALLEY_RTOL) * scale))
-        done += [(rows[r], step + 1, energy[r], slope[r], abs(f[r, 0]), new[r]) for r in np.flatnonzero(converged)]
+        done += [
+            (rows[r], step + 1, energy[r], slope[r], abs(f[r, 0]), new[r], *(v[3 * r] for v in terms))
+            for r in np.flatnonzero(converged)
+        ]
         rows, eps, energy, last = (v[~converged] for v in (rows, eps, new, moved))
     for r in range(rows.size):
         results[rows[r]] = PoleCandidate(float(eps[r]), _HALLEY_STEPS, math.nan, complex(energy[r]), math.nan, "step cap")
@@ -243,13 +246,15 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
 
 def _residue_pass(calc: ScatteringCalculator, index: np.ndarray, done: list, results: list):
     """The strength |T f(-) / f'| / Gamma of each converged candidate in
-    ``done`` (see ``_solve_poles``), into ``results``."""
-    rows, steps, centre, slope, residual, pole = (np.array(v) for v in zip(*done))
+    ``done`` (see ``_solve_poles``), into ``results``. f was finite at the
+    centre, so its G hit no pole; a candidate whose T or R_N(-) fails
+    ends as a failure, with its pole."""
+    rows, steps, centre, slope, residual, pole, *split = (np.array(v) for v in zip(*done))
     errors = {}
-    terms = calc.continued_terms(centre, index[rows], _POLE_LEVELS, errors)
+    t, r_minus = calc.numerator_terms(centre, _POLE_LEVELS, errors)
     eps = calc.eigenvalues[index[rows]]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        residue = terms.t * terms.divided(eps - centre, terms.r_minus) / slope
+        residue = t * DenominatorTerms(*split).divided(eps - centre, r_minus) / slope
     for i, r in enumerate(rows):
         if i in errors:
             results[r] = _failed_candidate(eps[i], int(steps[i]), float(residual[i]), pole[i], errors[i])

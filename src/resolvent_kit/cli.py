@@ -120,7 +120,10 @@ def cmd_bound_states(cfg: RunConfig) -> tuple:
     system = _system_from_config(cfg)
     grid = None
     if cfg.e_min < 0:
-        grid = np.linspace(cfg.e_min, min(cfg.e_max, -1e-3), cfg.steps + 1)
+        end = min(cfg.e_max, -1e-3)
+        if cfg.e_min >= end:
+            raise ConfigError(f"bound-states grid ends at min(e_max, -1e-3) = {end}; e_min={cfg.e_min} must be below it")
+        grid = np.linspace(cfg.e_min, end, cfg.steps + 1)
     result = bound_states(system, grid=grid)
     results = {"bound_states": [float(e) for e in result.energies]}
     return result.scan, results, {"flagged_points": list(result.scan.flagged)}, (2,)

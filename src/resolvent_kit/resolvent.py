@@ -256,14 +256,10 @@ def _is_singular_submatrix(a: np.ndarray, rtol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def green_spectral(inp: ResolventInput, n: int, m: int, pair: Optional[SpectralPair] = None) -> complex:
-    """Spectral sum  sum_i gamma[n,i] gamma[m,i] / (eps_i - z).
-
-    ``pair`` may carry a precomputed decomposition of (H, Omega) for reuse
-    across many z.
-    """
-    if pair is None:
-        pair = inp.spectral_pair
+def green_spectral(inp: ResolventInput, n: int, m: int) -> complex:
+    """Spectral sum  sum_i gamma[n,i] gamma[m,i] / (eps_i - z), over
+    ``inp.spectral_pair``."""
+    pair = inp.spectral_pair
     value, on_pole = PartialFractions.from_pair(pair, n, m).evaluate(inp.z)
     if on_pole:
         raise _pole_error(pair.eps, inp.z)
@@ -343,19 +339,17 @@ def _green_product(h, om, eps: np.ndarray, z: complex, n: int, m: int) -> comple
     return complex(pref * paired_product_ratio(sub - z, eps - z))
 
 
-def green_eigprod_general(inp: ResolventInput, n: int, m: int, pair: Optional[SpectralPair] = None) -> complex:
+def green_eigprod_general(inp: ResolventInput, n: int, m: int) -> complex:
     """Eigenvalue-product form, orthonormal (``omega=None``, diagonal
     elements only) or not:
 
     (-1)^(n+m) * (det Omega^(n,m) / det Omega)
                * prod_i (eps_sub_i - z) / prod_j (eps_j - z)
 
-    ``pair`` may carry a precomputed decomposition of (H, Omega).
+    with eps from ``inp.spectral_pair``, the spectrum of the other routes.
     """
     _check_indices(inp.n, n, m)
-    h, om = inp._arrays()
-    eps = pair.eps if pair is not None else _eigvals(h, om)
-    return _green_product(h, om, eps, inp.z, n, m)
+    return _green_product(*inp._arrays(), inp.spectral_pair.eps, inp.z, n, m)
 
 
 def inverse_oracle(inp: ResolventInput) -> np.ndarray:
@@ -383,7 +377,7 @@ def _weight_rows(eps: np.ndarray, pref, sub: np.ndarray) -> np.ndarray:
     return np.real(pref * paired_product_ratio(sub[..., None, :] - eps[:, None], gaps))
 
 
-def green_partial_fractions(h, n: int, m: int, pair: Optional[SpectralPair] = None) -> PartialFractions:
+def green_partial_fractions(h, n: int, m: int) -> PartialFractions:
     """Pole/residue decomposition of G_{n,m}(z) in an orthonormal basis,
     from eigenvalues alone; the k-th residue is gamma[n,k] * gamma[m,k].
 
@@ -401,7 +395,7 @@ def green_partial_fractions(h, n: int, m: int, pair: Optional[SpectralPair] = No
     """
     hm = _as_sym_array(h)
     _check_indices(hm.shape[0], n, m)
-    eps = np.asarray(pair.eps if pair is not None else _eigvals(hm, None))
+    eps = _eigvals(hm, None)
     _check_nondegenerate(eps)
     if n == m:
         coeffs = _weight_rows(eps, *_product_form(hm, None, n, n))
@@ -413,7 +407,7 @@ def green_partial_fractions(h, n: int, m: int, pair: Optional[SpectralPair] = No
         rot[[n, m]] = g @ rot[[n, m]]
         w = _weight_rows(eps, 1.0, np.linalg.eigvalsh(np.stack([delete_row_col(rot, i, i) for i in (n, m)])))
         coeffs = 0.5 * (w[0] - w[1])
-    return PartialFractions(poles=eps.copy(), coeffs=coeffs, n=n, m=m)
+    return PartialFractions(poles=eps, coeffs=coeffs, n=n, m=m)
 
 
 def eigvec_from_eigs_general(h, omega, n: int, m: int) -> np.ndarray:

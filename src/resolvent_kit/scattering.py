@@ -24,14 +24,16 @@ which is exactly unimodular for real E and reduces to S = 1 when V = 0.
 At real E the pencil is real, so R_n(-) = conj(R_n(+)) and only the plus
 branch is computed. The same functions continue T, R_N(+) and S to
 complex E, where resonances are poles of S (``KinematicParams.continued``,
-``ScatteringCalculator.continued_terms``): theta becomes complex, and the
+``ScatteringCalculator.numerator_terms``): theta becomes complex, and the
 minus branch is the conjugate of the plus branch at conj(E).
 
 A pole is a zero of the denominator D = 1 + G J R_N(+) alone, so the
-pole search evaluates R_N(+) alone (``ScatteringCalculator.
-denominator_terms``), with neither T_0, recursion nor the mirror
-energy. At Z != 0 S, the pole search and a pole's residue all take
-R_N(+) from the same continued fraction (``_coulomb_fractions``).
+pole search evaluates D's factors alone (``ScatteringCalculator.
+denominator_terms``): G with one pole split off, and R_N(+) with
+neither T_0, recursion nor the mirror energy. A pole's residue reuses
+the factors of its search's last step and adds only T and R_N(-)
+(``numerator_terms``). At Z != 0 S, the pole search and a pole's residue
+all take R_N(+) from the same continued fraction (``_coulomb_fractions``).
 
 Every stage is elementwise in E and works on an array of energies at
 once. A stage that fails at some energies either raises the first
@@ -146,7 +148,8 @@ class CSCoefficients:
 class DenominatorTerms(NamedTuple):
     """The factors of D = 1 + G J R_N(+), the denominator of S, analytic in
     complex E, with one pole eps_j of G split off: ``residue_j`` = w_j J
-    (w_j its residue) and ``rest_j`` = G_rest J (G_rest the other poles)."""
+    (w_j its residue) and ``rest_j`` = G_rest J (G_rest the other poles).
+    With r = R_N(-), ``divided`` gives S's numerator the same way."""
 
     residue_j: np.ndarray
     rest_j: np.ndarray
@@ -155,19 +158,6 @@ class DenominatorTerms(NamedTuple):
     def divided(self, u, r):
         """(eps_j - E)(1 + G J r), given u = eps_j - E: smooth at eps_j."""
         return u * (1.0 + self.rest_j * r) + self.residue_j * r
-
-
-class ContinuedTerms(NamedTuple):
-    """The factors of S = T (1 + G J R_N(-)) / (1 + G J R_N(+)): those of
-    ``DenominatorTerms``, then R_N(-) and T = T_(N-1)."""
-
-    residue_j: np.ndarray
-    rest_j: np.ndarray
-    r_plus: np.ndarray
-    r_minus: np.ndarray
-    t: np.ndarray
-
-    divided = DenominatorTerms.divided
 
 
 @dataclass(frozen=True)
@@ -577,12 +567,14 @@ class ScatteringCalculator:
                 _record(errors, i, _cf_error(stage, max_levels, last_delta))
         for i in np.flatnonzero(~np.isfinite(r_plus)):
             _record(errors, i, NumericalError(f"R_N(+) at E={energies[i]}, ell={ell}: non-finite {r_plus[i]}"))
-        return _nan_at(errors, DenominatorTerms(*self._split_off(energies, drop, errors), r_plus))
+        j = self.mats.j_boundary(energies)
+        rest = self.green_last(energies, errors, drop=drop)
+        return _nan_at(errors, DenominatorTerms(self._g_last.coeffs[drop] * j, rest * j, r_plus))
 
-    def continued_terms(self, energies: np.ndarray, drop: np.ndarray, max_levels: int, errors: dict):
-        """``ContinuedTerms`` at a 1-D array of complex energies, splitting
-        off pole drop[i] of G at energy i. T and R_N(+/-) come from
-        ``cs_recursion`` at E and at its mirror conj(E), as in
+    def numerator_terms(self, energies: np.ndarray, max_levels: int, errors: dict):
+        """(T, R_N(-)), T = T_(N-1), the factors of S's numerator
+        T (1 + G J R_N(-)) besides G, at a 1-D array of complex energies:
+        from ``cs_recursion`` at E and at its mirror conj(E), as in
         ``s_values``, with continued fractions stopped at ``max_levels``.
         A failure at E or conj(E) goes to ``errors`` under E's index, and
         its factors are NaN."""
@@ -592,16 +584,7 @@ class ScatteringCalculator:
         cs = cs_recursion(self.mats, kin, up_to=self.mats.size, errors=both, max_levels=max_levels)
         for i, exc in sorted(both.items()):
             _record(errors, i % size, exc)
-        residue_j, rest_j = self._split_off(energies, drop, errors)
-        return _nan_at(
-            errors, ContinuedTerms(residue_j, rest_j, cs.r_plus[:size], np.conj(cs.r_plus[size:]), cs.t[:size])
-        )
-
-    def _split_off(self, energies, drop, errors):
-        """w_j J and G_rest J at each energy, with G's pole drop[i] split off
-        at energy i (see ``DenominatorTerms``)."""
-        j = self.mats.j_boundary(energies)
-        return self._g_last.coeffs[drop] * j, self.green_last(energies, errors, drop=drop) * j
+        return _nan_at(errors, (cs.t[:size], np.conj(cs.r_plus[size:])))
 
     def s_values(self, energies):
         """S(E) at each of a sequence of energies, and a map from index to

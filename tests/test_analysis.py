@@ -392,6 +392,24 @@ class TestPoleSearch:
         report = locate_resonances(calc, e_min, e_max, coarse_steps=20)
         assert report.peaks and len(calls) <= most
 
+    @pytest.mark.parametrize(
+        "calc_name,e_min,e_max", [("two_gaussian_calc", 1.8, 5.2), ("p_wave_calc", 1.45, 1.85), ("barrier_calc", 0.5, 8.0)]
+    )
+    def test_g_evaluated_once_per_point(self, request, monkeypatch, calc_name, e_min, e_max):
+        # the residue pass reads the split-off G of each candidate's last
+        # Halley step: G is evaluated in the denominator_terms calls alone
+        calc = request.getfixturevalue(calc_name)
+        calls = {"green_last": 0, "denominator_terms": 0}
+        for name in calls:
+
+            def counted(*args, real=getattr(calc, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(calc, name, counted)
+        report = locate_resonances(calc, e_min, e_max, coarse_steps=20)
+        assert report.peaks and calls["green_last"] == calls["denominator_terms"] >= 2
+
     def test_continuum_poles_fail_the_rule(self, barrier_calc):
         # the barrier search that reported five continuum eigenvalues near
         # 0.3 - 1.0 as resonances: each has a pole there, of strength < 0.1

@@ -89,6 +89,18 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "a.json").exists()
 
+    def test_bound_states_grid_end_named(self, tmp_path, capsys):
+        # a negative e_min scans up to min(e_max, -1e-3); at or above that
+        # end the grid would run backwards or stand still
+        out = ["--csv", str(tmp_path / "a.csv"), "--json", str(tmp_path / "a.json")]
+        for e_min in ("-0.0005", "-0.001"):
+            argv = ["bound-states", "--lambda", "20", "--N", "15", "--potential", "5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)",
+                    "--e-min", e_min, "--e-max", "1"]
+            assert run_cli(argv + out) == 1
+            err = capsys.readouterr().err
+            assert f"grid ends at min(e_max, -1e-3) = -0.001; e_min={e_min} must be below it" in err
+        assert not (tmp_path / "a.json").exists()
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         # impossible continuation fit threshold forces a numerical error
         code = run_cli(

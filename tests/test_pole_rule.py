@@ -24,7 +24,7 @@ from resolvent_kit.analysis import bound_states
 from resolvent_kit.basis import BasisSpec, SystemSpec, build_matrices
 from resolvent_kit.cli import main as cli_main
 from resolvent_kit.errors import SpectrumEvaluationError
-from resolvent_kit.matrix_core import gen_sym_eig
+from resolvent_kit.matrix_core import gen_sym_eig, sym_eig
 from resolvent_kit.potential import parse_potential
 from resolvent_kit.resolvent import (
     ResolventInput,
@@ -57,12 +57,8 @@ class System:
         mats = build_matrices(self.spec)
         self.h = mats.h.data
         self.omega = None if family == "oscillator" else mats.omega.data
-        # the spectrum the consumers of this pencil use by default
-        if family == "oscillator":
-            self.eps = np.linalg.eigvalsh(self.h)
-        else:
-            self.pair = gen_sym_eig(self.h, self.omega)
-            self.eps = self.pair.eps
+        # the spectrum the consumers of this pencil use
+        self.eps = (sym_eig(self.h) if self.omega is None else gen_sym_eig(self.h, self.omega)).eps
         self.pole = float(self.eps[np.argmin(np.abs(self.eps - TARGET))])
 
     def oracle(self, z, n, m):
@@ -133,7 +129,7 @@ def cofactor(sys_, e, tmp_path):
 
 def eigprod_general(sys_, e, tmp_path):
     inp = ResolventInput(h=sys_.h, omega=sys_.omega, z=e)
-    return green_eigprod_general(inp, N_INDEX, M_INDEX, pair=sys_.pair)
+    return green_eigprod_general(inp, N_INDEX, M_INDEX)
 
 
 def diag_orthonormal(sys_, e, tmp_path):

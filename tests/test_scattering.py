@@ -641,15 +641,15 @@ def nearest_poles(calc, energies):
 
 
 def continued_s(calc, energies, max_levels=10**6):
-    """S = T (1 + G J R_N(-)) / (1 + G J R_N(+)) from the continued factors,
-    with the pole of G nearest each energy divided out; and the errors."""
-    eps = calc.eigenvalues
-    drop = nearest_poles(calc, energies)
-    errors = {}
-    terms = calc.continued_terms(energies.astype(complex), drop, max_levels, errors)
-    u = eps[drop] - energies
+    """S = T (1 + G J R_N(-)) / (1 + G J R_N(+)) from the continued factors
+    of ``denominator_terms`` and ``numerator_terms``, with the pole of G
+    nearest each energy divided out; and the errors."""
+    z = energies.astype(complex)
+    terms, errors = denominator(calc, z, max_levels)
+    t, r_minus = calc.numerator_terms(z, max_levels, errors)
+    u = calc.eigenvalues[nearest_poles(calc, energies)] - energies
     with np.errstate(invalid="ignore"):  # NaN where the continued factors failed
-        s = terms.t * terms.divided(u, terms.r_minus) / terms.divided(u, terms.r_plus)
+        s = t * terms.divided(u, r_minus) / terms.divided(u, terms.r_plus)
     return s, errors
 
 
@@ -739,21 +739,20 @@ class TestDenominatorTerms:
 
     @pytest.mark.parametrize("z_charge,ell,lam", TestContinuedKinematics.SYSTEMS)
     def test_agrees_with_continued_terms(self, z_charge, ell, lam):
-        # the split-off resolvent factors are the same computation, and so
-        # is R_N(+): the same closed form at Z = 0 and the same continued
-        # fraction at Z != 0
+        # R_N(+) without T_0, recursion or mirror energy is the R_N(+) of
+        # cs_recursion over the continued kinematics: the same closed form
+        # at Z = 0 and the same continued fraction at Z != 0
         pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=60), potential=pot, z_charge=z_charge)
         calc = ScatteringCalculator(spec)
         re, im = np.meshgrid(np.linspace(0.3, 6.0, 20), [0.0, -0.05, -0.3])
         energies = (re + 1j * im).ravel()
         terms, errors = denominator(calc, energies)
+        kin = KinematicParams.continued(energies, lam, z_charge)
         continued_errors = {}
-        continued = calc.continued_terms(energies, nearest_poles(calc, energies), 10**6, continued_errors)
+        cs = cs_recursion(calc.mats, kin, up_to=calc.mats.size, errors=continued_errors)
         assert not errors and not continued_errors
-        assert np.array_equal(terms.residue_j, continued.residue_j)
-        assert np.array_equal(terms.rest_j, continued.rest_j)
-        assert np.array_equal(terms.r_plus, continued.r_plus)
+        assert np.array_equal(terms.r_plus, cs.r_plus[: energies.size])
 
     def test_level_cap_fails_only_its_energy(self):
         # the fraction needs under 20 levels at the outer energies and
