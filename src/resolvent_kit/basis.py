@@ -40,14 +40,16 @@ rules of the closed-form check and of the oscillator Coulomb term.
 The first doubling compares levels 0 and 1, and builds both in one
 pass: V is evaluated and the table of the N orthonormal polynomials
 built once, over the nodes of the two rules together, and each matrix
-is formed from its rule's columns. For N >= 10 the table is N x 12N
-doubles at most (1.4 MB at N = 120; a little more where the levels
-round up to whole panels), and the V-weighted copy of one rule's
-columns N x 8N; an escalation past the first doubling builds its new
-level alone. Nodes where V is exactly 0.0 (a Gaussian tail that
-underflows, say) add nothing to any sum, so they are left out of the
-table; a NaN or inf V is kept, and fails the convergence check at the
-first doubling. With V = 0 no table is built.
+is formed from its rule's columns. The table carries sqrt(w |V|), so
+a matrix is the difference of two Gram products, of the columns where
+V > 0 and where V < 0. For N >= 10 the table is N x 12N doubles at
+most (1.4 MB at N = 120; a little more where the levels round up to
+whole panels), and no other copy of it is made; an escalation past
+the first doubling builds its new level alone. Nodes where V is
+exactly 0.0 (a Gaussian tail that underflows, say) add nothing to any
+sum, so they are left out of the table; a NaN or inf V is kept, and
+fails the convergence check at the first doubling. With V = 0 no table
+is built.
 """
 
 from __future__ import annotations
@@ -66,6 +68,12 @@ from .potential import PotentialExpr
 
 LAGUERRE = "laguerre"
 OSCILLATOR = "oscillator"
+
+
+# Relative padding of the recurrence's magnitude bound per degree: each
+# degree rounds a few times (a_n, two products and a difference, each
+# within 2^-53), and the bound itself rounds alike; 1e-14 covers both.
+_BOUND_SLACK = 1.0 + 1e-14
 
 
 def _orthonormal_recurrence(alpha: float, degree: int, x: np.ndarray, cur, logscale, rows=None):
@@ -89,6 +97,14 @@ def _orthonormal_recurrence(alpha: float, degree: int, x: np.ndarray, cur, logsc
     nodes share the call. The unscaled values are written straight into
     the rows, and the per-node scale multiplies each block of rows that
     shares one logscale when the block ends.
+
+    Looking for large values costs two passes over the nodes, so it is
+    skipped while a scalar bound proves none can pass 1e120: the bound
+    grows by max over the node range of |a_n| times itself plus the
+    coupling times its previous value, as the recurrence does. From the
+    degree where the bound passes 1e120 (118 at ell = 0, N = 120 for the
+    potential rule) every degree is checked, so the values are the same
+    bits as with a check at every degree.
     """
     keep = rows is not None
     if not keep:
@@ -104,6 +120,10 @@ def _orthonormal_recurrence(alpha: float, degree: int, x: np.ndarray, cur, logsc
     rows[0] = cur
     cur = rows[0]
     start = 0  # first row not yet multiplied by its scale
+    # bound >= max |value| over the nodes at the current degree
+    lo, hi = float(np.min(x, initial=np.inf)), float(np.max(x, initial=-np.inf))
+    bound, bound_prev = float(np.max(np.abs(cur), initial=0.0)), 0.0
+    checking = False
     with np.errstate(under="ignore"):
         for n in range(degree):
             np.subtract(diag[n], x, out=a)
@@ -113,8 +133,11 @@ def _orthonormal_recurrence(alpha: float, degree: int, x: np.ndarray, cur, logsc
             np.multiply(a, cur, out=new)
             np.subtract(new, bprev, out=new)
             cur, prev = new, cur
-            np.abs(cur, out=mag)
-            if np.fmax.reduce(mag, initial=0.0) > 1e120:  # skips NaN, as a mask would
+            if not checking:
+                growth = max(diag[n] - lo, hi - diag[n]) / norm[n]
+                bound, bound_prev = (growth * bound + coupling[n] * bound_prev) * _BOUND_SLACK, bound
+                checking = not bound <= 1e120  # a NaN bound proves nothing
+            if checking and np.fmax.reduce(np.abs(cur, out=mag), initial=0.0) > 1e120:  # skips NaN, as a mask would
                 big = mag > 1e120
                 factor = np.where(big, mag, 1.0)
                 prev = prev / factor
@@ -353,22 +376,29 @@ def _potential_by_quadrature(spec: SystemSpec, alpha_poly, rules):
     in ``rules``, each rule an (x, log w, r) triple of node arrays.
 
     V is evaluated and the table built once, over the nodes of all the
-    rules together; each matrix is then formed from its rule's columns.
+    rules together, with the nodes of each rule ordered by the sign of V
+    and the table scaled by sqrt(w |V|) on emission (through the log
+    scale, at no extra cost). Each matrix is then the signed Gram product
+    B+ B+^T - B- B-^T of its rule's columns where V > 0 and where V < 0.
     Nodes where V is exactly 0.0 add nothing to any sum, so they are left
-    out of the table (a NaN or inf V is kept and reaches the matrix)."""
+    out of the table; a NaN or inf V is kept, in B+, and reaches the
+    matrix."""
     size = spec.basis.size
     nodes, log_w, radii = (np.concatenate(part) for part in zip(*rules))
     vvals = spec.v_values(radii)
-    live = vvals != 0.0
-    ends = np.cumsum(live)[np.cumsum([rule[0].size for rule in rules]) - 1]  # live nodes up to the end of each rule
-    if not ends[-1]:
+    # group 2i holds rule i's nodes with V > 0 (or NaN), group 2i + 1 those with V < 0
+    group = 2 * np.repeat(np.arange(len(rules)), [rule[0].size for rule in rules]) + (vvals < 0.0)
+    live = np.flatnonzero(vvals != 0.0)
+    if not live.size:
         return [np.zeros((size, size)) for _ in rules]
-    table = orthonormal_laguerre_table(alpha_poly, size - 1, nodes[live], log_scale=0.5 * log_w[live])
-    vlive = vvals[live]
+    order = live[np.argsort(group[live], kind="stable")]
+    ends = np.cumsum(np.bincount(group[order], minlength=2 * len(rules)))
+    log_scale = 0.5 * (log_w[order] + np.log(np.abs(vvals[order])))
+    table = orthonormal_laguerre_table(alpha_poly, size - 1, nodes[order], log_scale=log_scale)
     matrices = []
-    for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends):
-        block = table[:, lo:hi]
-        vm = (block * vlive[lo:hi]) @ block.T
+    for lo, mid, hi in zip(np.concatenate([[0], ends[1:-1:2]]), ends[::2], ends[1::2]):
+        plus, minus = table[:, lo:mid], table[:, mid:hi]
+        vm = plus @ plus.T - minus @ minus.T
         matrices.append(0.5 * (vm + vm.T))
     return matrices
 

@@ -125,7 +125,11 @@ def cmd_bound_states(cfg: RunConfig) -> tuple:
             raise ConfigError(f"bound-states grid ends at min(e_max, -1e-3) = {end}; e_min={cfg.e_min} must be below it")
         grid = np.linspace(cfg.e_min, end, cfg.steps + 1)
     result = bound_states(system, grid=grid)
-    results = {"bound_states": [float(e) for e in result.energies]}
+    scanned = result.scan.energies
+    results = {
+        "bound_states": [float(e) for e in result.energies],
+        "scan_grid": {"e_min": float(scanned[0]), "e_max": float(scanned[-1]), "points": int(scanned.size)},
+    }
     return result.scan, results, {"flagged_points": list(result.scan.flagged)}, (2,)
 
 

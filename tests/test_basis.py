@@ -90,6 +90,46 @@ class TestGaussQuadrature:
         apart = [orthonormal_laguerre_table(3.0, 119, x, log_scale=0.5 * lw) for x, lw in ((x1, lw1), (x2, lw2))]
         assert np.array_equal(joined, np.hstack(apart))
 
+    @staticmethod
+    def _table_checking_every_degree(alpha, degree, x, log_scale):
+        # the recurrence with its overflow check at every degree, each
+        # operation as in orthonormal_laguerre_table, and each row scaled
+        # by the log scale its node had when the row was computed
+        cur, prev = np.ones_like(x), np.zeros_like(x)
+        logscale = log_scale - 0.5 * math.lgamma(alpha + 1.0)
+        rows, scales = [cur], [logscale]
+        with np.errstate(under="ignore"):
+            for n in range(degree):
+                a = (2.0 * n + alpha + 1.0 - x) / math.sqrt((n + 1.0) * (n + alpha + 1.0))
+                coupling = math.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0))) if n else 0.0
+                cur, prev = a * cur - prev * coupling, cur
+                mag = np.abs(cur)
+                if np.fmax.reduce(mag, initial=0.0) > 1e120:
+                    factor = np.where(mag > 1e120, mag, 1.0)
+                    prev, cur = prev / factor, cur / factor
+                    logscale = logscale + np.log(factor)
+                rows.append(cur)
+                scales.append(logscale)
+            return np.array([row * np.exp(ls) for row, ls in zip(rows, scales)])
+
+    def test_skipped_overflow_checks_leave_the_table_bit_identical(self):
+        # the table checks for values past 1e120 only from the degree
+        # where a bound on them passes it. On the potential rule of the
+        # two-Gaussian at lam 10, ell 0, N 120 (levels 0 and 1, live
+        # nodes) the bound passes at degree 118 and no value does; at
+        # x = 2000 values pass near degree 65 and are renormalized
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=10.0, ell=0, size=120),
+                          potential=parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)"))
+        x, lw, r = (np.concatenate(part) for part in zip(*(_potential_nodes(120, k, 1, 5, lambda y: y * y / 10.0) for k in (0, 1))))
+        live = spec.v_values(r) != 0.0
+        bare = self._table_checking_every_degree(1.0, 119, x[live], np.zeros(np.count_nonzero(live)))
+        assert 1e100 < np.max(np.abs(bare)) < 1e120
+        cases = [(1.0, 119, x[live], 0.5 * lw[live]), (1.0, 75, np.array([3.0, 2000.0]), np.zeros(2))]
+        for alpha, degree, nodes, log_scale in cases:
+            want = self._table_checking_every_degree(alpha, degree, nodes, log_scale)
+            assert np.array_equal(orthonormal_laguerre_table(alpha, degree, nodes, log_scale=log_scale), want)
+        assert np.max(np.abs(want)) > 1e130
+
     def test_bad_args(self):
         with pytest.raises(InputError):
             gauss_quadrature(0.0, 0)
@@ -215,13 +255,18 @@ class TestLaguerreMatrices:
     )
     def test_zero_nodes_skipped_without_changing_v(self, text, lam, ell, size, npts):
         # V underflows to exactly 0.0 over most nodes; leaving those nodes
-        # out of the table may only reorder the sum
+        # out of the table may only reorder the sum. The reference is the
+        # same signed Gram sum, the table scaled by sqrt(w |V|), with the
+        # zero nodes kept as zero columns of its V >= 0 part
         spec = self.spec(lam=lam, ell=ell, size=size, pot=parse_potential(text))
         x, lw = gauss_rule_log(2 * ell + 2, npts)
         v = spec.v_values(x / lam)
         assert np.mean(v == 0.0) > 0.5
-        t = orthonormal_laguerre_table(2 * ell + 1, size - 1, x, log_scale=0.5 * lw)
-        full = (t * v) @ t.T
+        with np.errstate(divide="ignore"):
+            t = orthonormal_laguerre_table(2 * ell + 1, size - 1, x, log_scale=0.5 * (lw + np.log(np.abs(v))))
+        assert not np.any(t[:, v == 0.0])
+        plus, minus = t[:, v >= 0.0], t[:, v < 0.0]
+        full = plus @ plus.T - minus @ minus.T
         (got,) = _potential_by_quadrature(spec, 2 * ell + 1, [(x, lw, x / lam)])
         assert np.max(np.abs(got - 0.5 * (full + full.T))) <= 1e-15 * np.max(np.abs(full))
 

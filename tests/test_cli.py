@@ -224,6 +224,26 @@ class TestArtifacts:
         assert len(found) == 2
         assert abs(found[0] + 4.6) < 0.15 and abs(found[1] + 0.8) < 0.15
 
+    def test_bound_states_records_the_grid_it_scanned(self, tmp_path):
+        # with e_min >= 0 the |G| scan ignores e_min, e_max and steps and
+        # runs over 400 points from 1.4 * (lowest bound energy) - 0.5 to
+        # -1e-3; the JSON results say so, beside the config it ignored
+        argv = ["bound-states", "--lambda", "20", "--N", "15", "--potential", "5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)",
+                "--e-min", "0.5", "--e-max", "1", "--csv", str(tmp_path / "a.csv"), "--json", str(tmp_path / "a.json")]
+        assert run_cli(argv) == 0
+        payload = json.loads((tmp_path / "a.json").read_text())
+        assert (payload["config"]["e_min"], payload["config"]["e_max"], payload["config"]["steps"]) == (0.5, 1.0, 200)
+        lowest = payload["results"]["bound_states"][0]
+        grid = payload["results"]["scan_grid"]
+        assert grid == {"e_min": 1.4 * lowest - 0.5, "e_max": -1e-3, "points": 400}
+        _, rows = read_csv(tmp_path / "a.csv")
+        assert (rows[0, 0], rows[-1, 0], len(rows)) == (grid["e_min"], grid["e_max"], grid["points"])
+        # a negative e_min is the grid's start, with steps + 1 points
+        argv[argv.index("--e-min") + 1] = "-5"
+        assert run_cli(argv) == 0
+        grid = json.loads((tmp_path / "a.json").read_text())["results"]["scan_grid"]
+        assert grid == {"e_min": -5.0, "e_max": -1e-3, "points": 201}
+
     def test_resolvent_command(self, tmp_path):
         code = run_cli(
             [

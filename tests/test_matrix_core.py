@@ -1,8 +1,11 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from resolvent_kit import matrix_core
+from resolvent_kit.basis import BasisSpec, SystemSpec, build_matrices
 from resolvent_kit.errors import InputError, OverlapNotSPDError
+from resolvent_kit.potential import parse_potential
 from resolvent_kit.matrix_core import (
     SymMatrix,
     _fix_column_signs,
@@ -190,9 +193,148 @@ class TestGenSymEig:
         gen_sym_eig(h, random_spd(rng, 6))
         assert calls == ["cholesky"]
         calls.clear()
+        gen_sym_eig(h, _tridiagonal_spd(rng, 6))  # the bidiagonal route
+        assert calls == ["cholesky"]
+        calls.clear()
         with pytest.raises(OverlapNotSPDError, match="overlap not SPD"):
             gen_sym_eig(h, np.diag([1.0, 2.0, -0.5, 1.0, 3.0, 1.0]))
         assert calls == ["cholesky"]
+
+    @pytest.mark.parametrize(
+        "sub, inverses_formed",
+        [
+            ([0.3, -0.2, 0.5, 0.4, -0.1], 0),  # the bidiagonal route
+            ([0.3, -0.2, 0.0, 0.4, -0.1], 1),  # a zero sub-diagonal entry
+            ([1e-160] * 5, 1),  # q_n = (-1e-160)^n underflows from n = 2
+            ([1e-160, 0.3, -0.2, 0.4, 0.1], 1),  # q finite and nonzero, but r_k^2 H_kk overflows
+        ],
+        ids=["bidiagonal", "zero-sub-diagonal", "underflowing-q", "overflowing-sums"],
+    )
+    def test_tridiagonal_overlap_routes(self, rng, monkeypatch, sub, inverses_formed):
+        # a tridiagonal overlap is reduced through its bidiagonal factor,
+        # unless one of these takes it to the dense route through L^-1;
+        # either keeps the normalization of test_simultaneous_diagonalization
+        inverses = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(m) or real_inv(m))
+        h = random_symmetric(rng, 6)
+        om = np.diag(1.0 + rng.rand(6)) + np.diag(sub, 1) + np.diag(sub, -1)
+        pair = gen_sym_eig(h, om)
+        assert len(inverses) == inverses_formed
+        tol = 1e-10 * max(np.abs(h).max(), 1.0)
+        np.testing.assert_allclose(pair.gamma.T @ om @ pair.gamma, np.eye(6), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pair.gamma.T @ h @ pair.gamma, np.diag(pair.eps), rtol=0, atol=tol)
+
+
+def _tridiagonal_spd(rng, n):
+    off = 0.5 * rng.randn(n - 1)
+    return np.diag(2.0 + rng.rand(n)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _mp_pencil_reference(h, omega, dps=40):
+    """Eigenvalues and last-row weights gamma[N-1, j]^2 of a pencil with
+    a tridiagonal overlap, at ``dps`` digits.
+
+    C = L^-1 H L^-T by forward substitution on the bidiagonal Cholesky
+    factor L (rows, then columns). mpmath's eigsy gives the eigenvalues
+    eps of C and mu of its leading N-1 block, which is the reduced
+    leading pencil; the last row of gamma = L^-T v is v[N-1] / l[N-1],
+    and v[N-1, j]^2 = prod_k (eps_j - mu_k) / prod_(k != j) (eps_j - eps_k).
+    Values only, no eigenvectors: eigsy is several times faster so."""
+    n = h.shape[0]
+    with mp.workdps(dps):
+        diag, sub = [mp.sqrt(mp.mpf(omega[0, 0]))], [mp.mpf(0)]
+        for j in range(1, n):
+            sub.append(mp.mpf(omega[j, j - 1]) / diag[j - 1])
+            diag.append(mp.sqrt(mp.mpf(omega[j, j]) - sub[j] ** 2))
+        rows = [[mp.mpf(v) / diag[0] for v in h[0]]]
+        for j in range(1, n):
+            rows.append([(mp.mpf(v) - sub[j] * p) / diag[j] for v, p in zip(h[j], rows[j - 1])])
+        cols = [[row[0] / diag[0] for row in rows]]
+        for k in range(1, n):
+            cols.append([(row[k] - sub[k] * p) / diag[k] for row, p in zip(rows, cols[k - 1])])
+        c = mp.matrix(n, n)
+        for i in range(n):
+            for k in range(n):
+                c[i, k] = (cols[k][i] + cols[i][k]) / 2
+        eps = sorted(mp.eigsy(c, eigvals_only=True))
+        mu = mp.eigsy(c[: n - 1, : n - 1], eigvals_only=True)
+        weights = [
+            mp.fprod(e - m for m in mu) / mp.fprod(e - f for k, f in enumerate(eps) if k != j) / diag[n - 1] ** 2
+            for j, e in enumerate(eps)
+        ]
+        return np.array([float(e) for e in eps]), np.array([float(w) for w in weights])
+
+
+BARRIER = "7.5*r^2*exp(-r)"
+TWO_GAUSSIAN = "5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)"
+
+
+def _laguerre_pencil(text, lam, ell, size):
+    mats = build_matrices(
+        SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=size), potential=parse_potential(text))
+    )
+    return mats.h.data, mats.omega.data
+
+
+def _permuted(h, omega):
+    """The pencil with rows and columns reordered 0, 3, 6, ..., 1, 4, ...,
+    so that its overlap is no longer tridiagonal, and the new index of
+    the last basis row."""
+    perm = np.argsort(np.arange(h.shape[0]) % 3, kind="stable")
+    return h[np.ix_(perm, perm)], omega[np.ix_(perm, perm)], int(np.flatnonzero(perm == h.shape[0] - 1)[0])
+
+
+class TestLaguerrePencilsAgainstMpmath:
+    """Both reductions of gen_sym_eig against a 40-digit solve of the same
+    Laguerre pencil: the bidiagonal one on the pencil as built, the dense
+    one on the pencil permuted. Largest errors measured, over the five
+    systems and both routes: eigenvalues 1.24e-14 of max |eps|, last-row
+    weights 2.95e-12 of the largest weight (both at N = 100-120, dense);
+    at N <= 60 they are 1.7e-15 and 5.5e-13."""
+
+    EPS_TOL = 2e-14
+    WEIGHT_TOL = 5e-12
+
+    @pytest.mark.parametrize(
+        "text, lam, ell, size",
+        [
+            pytest.param(BARRIER, 1.0, 0, 60, id="barrier-lam1-ell0-N60"),
+            pytest.param("-2*exp(-r)", 3.0, 2, 40, id="exp-lam3-ell2-N40"),
+            pytest.param(BARRIER, 3.0, 3, 80, id="barrier-lam3-ell3-N80", marks=pytest.mark.slow),
+            pytest.param(TWO_GAUSSIAN, 20.0, 0, 100, id="gauss-lam20-ell0-N100", marks=pytest.mark.slow),
+            pytest.param(TWO_GAUSSIAN, 10.0, 1, 120, id="gauss-lam10-ell1-N120", marks=pytest.mark.slow),
+        ],
+    )
+    def test_eigenpairs(self, monkeypatch, text, lam, ell, size):
+        h, om = _laguerre_pencil(text, lam, ell, size)
+        eps_ref, weights_ref = _mp_pencil_reference(h, om)
+        inverses = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(m) or real_inv(m))
+        for hh, oo, last, dense in ((h, om, size - 1, False), (*_permuted(h, om), True)):
+            inverses.clear()
+            pair = gen_sym_eig(hh, oo)
+            assert len(inverses) == dense
+            assert np.max(np.abs(pair.eps - eps_ref)) <= self.EPS_TOL * np.max(np.abs(eps_ref))
+            weights = pair.gamma[last] ** 2
+            assert np.max(np.abs(weights - weights_ref)) <= self.WEIGHT_TOL * np.max(weights_ref)
+
+    @pytest.mark.parametrize("text, lam, ell", [(TWO_GAUSSIAN, 10.0, 1), (BARRIER, 1.0, 0)])
+    def test_routes_agree_at_n200(self, text, lam, ell):
+        # the largest N of the documented parameter space, where no oracle
+        # runs in Tier-1 time, so the two routes are held to each other.
+        # Measured on the barrier (lam 1, ell 0; lam 3, ell 3) and the
+        # two-Gaussian (lam 20, ell 0; lam 10, ell 1): eigenvalues within
+        # 3.3e-14 of max |eps| (this two-Gaussian), weights within 6.0e-12
+        # of the largest (this barrier)
+        h, om = _laguerre_pencil(text, lam, ell, 200)
+        pair = gen_sym_eig(h, om)
+        hp, omp, last = _permuted(h, om)
+        dense = gen_sym_eig(hp, omp)
+        assert np.max(np.abs(pair.eps - dense.eps)) <= 5e-14 * np.max(np.abs(pair.eps))
+        weights, dense_weights = pair.gamma[-1] ** 2, dense.gamma[last] ** 2
+        assert np.max(np.abs(weights - dense_weights)) <= 1e-11 * np.max(weights)
 
 
 class TestDeleteRowCol:
