@@ -131,6 +131,9 @@ def _reduce_pencil(a: np.ndarray, b: np.ndarray):
     factorization is the only one, and its failure raises
     OverlapNotSPDError.
 
+    A diagonal ``b`` (the identity overlap of every oscillator system)
+    has a diagonal L = diag(l): C = a / (l l^T) and back(v) = v / l, which
+    at l = 1 hand ``a`` and v back bit for bit, as ``sym_eig`` sees them.
     A tridiagonal ``b`` (every Laguerre overlap) has a lower bidiagonal
     L, diagonal l and sub-diagonal m, and (L^-1)_nk = q_n r_k for n >= k,
     with q_n = prod_(j<=n) (-m_j / l_j) and r_k = 1 / (q_k l_k): so
@@ -138,7 +141,7 @@ def _reduce_pencil(a: np.ndarray, b: np.ndarray):
     cumulative sums between diagonal scalings, and back one reversed
     cumulative sum, O(N^2) in all. Any other overlap is reduced through
     L^-1, formed once and applied by products, since numpy has no
-    triangular solve. Both routes give the eigenvalues and last-row
+    triangular solve. The bidiagonal and dense routes give the eigenvalues and last-row
     weights of the Laguerre pencils within the bounds of the 40-digit
     mpmath oracle in the tests."""
     try:
@@ -146,7 +149,10 @@ def _reduce_pencil(a: np.ndarray, b: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise OverlapNotSPDError("overlap not SPD") from exc
     diag, sub = np.diagonal(factor), np.diagonal(factor, -1)
-    if np.count_nonzero(factor) == diag.size + sub.size:
+    nonzero = np.count_nonzero(factor)
+    if nonzero == diag.size:
+        return a / (diag[:, None] * diag), lambda v: v / diag[:, None]
+    if nonzero == diag.size + sub.size:
         # l_j > 0, so L is bidiagonal unless some m_j = 0 frees the count
         # for a nonzero elsewhere. An m_j = 0 makes q_n = 0 from n = j on,
         # and a q_n out of the range of doubles makes r_k 0 or inf; either
@@ -169,8 +175,9 @@ def gen_sym_eig(a, b) -> SpectralPair:
     gamma^T b gamma = I. Each of ``a`` and ``b`` is checked for symmetry
     and finiteness once, and not at all when it is a SymMatrix, which was
     checked when it was built. The Cholesky factorization of ``b`` in
-    ``_reduce_pencil`` is the only one; a tridiagonal ``b`` is reduced
-    through its bidiagonal factor in O(N^2), any other through L^-1.
+    ``_reduce_pencil`` is the only one; a diagonal ``b`` is reduced by
+    scaling, a tridiagonal one through its bidiagonal factor in O(N^2),
+    any other through L^-1.
     """
     ma = _as_sym_array(a)
     mb = _as_sym_array(b)

@@ -11,9 +11,10 @@ two derived quantities are ever needed:
 For a neutral system (Z = 0) both are ratios of terminating
 hypergeometric polynomials of degree ell, evaluated in closed form at
 n = N; they are within 1e-13 relative of 50-digit mpmath for E 1e-3 ..
-50, lam 1 .. 20, ell <= 3, N <= 120. A Coulomb system takes R_N(+) and
-T_0 from Gauss continued fractions and runs the recursion down from
-n = N; the product of the ratios below gives T_(N-1) (``cs_recursion``).
+50, lam 1 .. 20, ell <= 3, N <= 120. A Coulomb system takes R_N(+)
+from a Gauss continued fraction and runs the recursion down from n = N
+through row 0; the product of the ratios gives T_(N-1), with no
+fraction for T_0 (``cs_recursion``).
 With G the (last, last) element of the full resolvent
 (H0 + V - E*Overlap)^(-1) and J the boundary element of the reference
 pencil, the scattering matrix is
@@ -30,7 +31,7 @@ minus branch is the conjugate of the plus branch at conj(E).
 A pole is a zero of the denominator D = 1 + G J R_N(+) alone, so the
 pole search evaluates D's factors alone (``ScatteringCalculator.
 denominator_terms``): G with one pole split off, and R_N(+) with
-neither T_0, recursion nor the mirror energy. A pole's residue reuses
+neither recursion nor the mirror energy. A pole's residue reuses
 the factors of its search's last step and adds only T and R_N(-)
 (``numerator_terms``). At Z != 0 S, the pole search and a pole's residue
 all take R_N(+) from the same continued fraction (``_coulomb_fractions``).
@@ -296,44 +297,30 @@ def _cf_error(stage: str, max_levels: int, last_delta) -> ConvergenceError:
 # Seeds and recursion
 # ---------------------------------------------------------------------------
 
-# A continued fraction, T_0's or R_n(+)'s, has converged at its first
-# Lentz factor with |Delta - 1| < SEED_TOL.
+# A continued fraction for R_n(+) has converged at its first Lentz factor
+# with |Delta - 1| < SEED_TOL.
 SEED_TOL = 1e-15
 
 
 def seed_coefficients(kin: KinematicParams, ell: int, n: int, max_terms: int = 10**6, errors: Optional[dict] = None):
-    """T_0 and R_n(+) at every energy of ``kin``, in its shape: R_n(+) and
-    f = 2F1(a, 1; c; x) from one batch of 2M ``_coulomb_fractions``, and
-
-        T_0 = e^(2i theta) (ell+1+it) conj(f) / ((ell+1-it) f)
-
-    At real energy the plus-branch value 2F1(conj a, 1; conj c; conj x) is
-    conj(f), so |T_0| = 1 by construction (off the real axis, f at the
-    mirror element). A continued fraction that hits the level cap, or
-    non-finite seeds, fail the element (see the module docstring for
-    ``errors``).
+    """R_n(+) at every energy of ``kin``, in its shape, from one
+    ``_coulomb_fractions``. A continued fraction that hits the level cap,
+    or a non-finite R_n(+), fails the element (see the module docstring
+    for ``errors``).
     """
     energy, theta, t = (np.ravel(v) for v in (kin.energy, kin.theta, kin.t))
-    (f_minus, r_plus), failed, last = _coulomb_fractions(theta, t, ell, (0, n), max_terms)
-    it = 1j * t
-    with np.errstate(invalid="ignore"):
-        t0 = np.exp(2j * theta) * (ell + 1.0 + it) * _minus(f_minus, kin) / ((ell + 1.0 - it) * f_minus)
+    r_plus, failed, last = _coulomb_fractions(theta, t, ell, n, max_terms)
 
     def stage(i):
         return f"seed at E={energy[i]}, ell={ell}, t={t[i]}"
 
-    # ``failed`` ascends, so at each energy f_minus's failure is filed first
-    for index, last_delta in zip(failed, last):
-        i = index % energy.size
+    for i, last_delta in zip(failed, last):
         _record(errors, i, _cf_error(stage(i), max_terms, last_delta))
-    bad = ~(np.isfinite(t0) & np.isfinite(r_plus))
+    bad = ~np.isfinite(r_plus)
     for i in np.flatnonzero(bad):
-        _record(
-            errors, i,
-            NumericalError(f"{stage(i)}: non-finite seeds T_0 = {complex(t0[i])}, R_{n}(+) = {complex(r_plus[i])}"),
-        )
-    t0[bad] = r_plus[bad] = complex("nan")
-    return t0.reshape(kin.energy.shape), r_plus.reshape(kin.energy.shape)
+        _record(errors, i, NumericalError(f"{stage(i)}: non-finite seed R_{n}(+) = {complex(r_plus[i])}"))
+    r_plus[bad] = complex("nan")
+    return r_plus.reshape(kin.energy.shape)
 
 
 def cs_recursion(
@@ -343,21 +330,25 @@ def cs_recursion(
 
     A neutral system (Z = 0) takes both from their closed forms at
     n = up_to (see ``_neutral_coefficients``), with neither seeds nor
-    recursion. Otherwise ``seed_coefficients`` gives T_0 and R_up_to(+),
-    whose continued fractions stop at ``max_levels``, and the ratios below
-    run down rows up_to-1 .. 1 of the tridiagonal reference pencil, the
+    recursion. Otherwise ``seed_coefficients`` gives R_up_to(+), whose
+    continued fraction stops at ``max_levels``, and the ratios below run
+    down rows up_to-1 .. 0 of the tridiagonal reference pencil, the
     direction in which the reference solution is stable (the
     Miller/Gautschi remedy: Gautschi, SIAM Rev. 9, 24 (1967)):
 
-        R_n         = -J_(n,n-1) / (J_nn + J_(n,n+1) R_(n+1))
-        T_(up_to-1) = T_0 * prod_(n=1..up_to-1) R_n(-) / R_n
+        R_n         = -J_(n,n-1) / (J_nn + J_(n,n+1) R_(n+1)),  J_(0,-1) = -1
+        T_(up_to-1) = prod_(n=0..up_to-1) R_n(-) / R_n
 
-    with R_n(-) = conj(R_n) at real E: the ratios are kept, and T is one
+    The regular solution s_n satisfies every row of J, and the irregular
+    c_n every row but row 0, where (J c)_0 is a constant; so row 0 gives
+    both branches c +/- i s the same (J psi)_0, R_0 = psi_0 / (J psi)_0,
+    and R_0(-) / R_0 is T_0 = (c_0 - i s_0) / (c_0 + i s_0).
+
+    R_n(-) = conj(R_n) at real E: the ratios are kept, and T is one
     product over them. A vanishing coupling J_(n,n-1), or a vanishing
-    denominator, is a breakdown that fails the element;
-    elements whose seeds failed come in as NaN and are carried without
-    further checks. A non-finite closed form fails its element the same
-    way.
+    denominator, is a breakdown that fails the element; elements whose
+    seed failed come in as NaN and are carried without further checks. A
+    non-finite closed form fails its element the same way.
     """
     size = mats.size
     if not 1 <= up_to <= size:
@@ -370,18 +361,17 @@ def cs_recursion(
     diag, off = mats.j_tridiagonal(np.ravel(kin.energy))
     neg_diag, off = (-diag).astype(complex), off.astype(complex)
 
-    t0, r_top = seed_coefficients(kin, mats.spec.basis.ell, up_to, max_terms=max_levels, errors=errors)
-    t0, r_top = np.ravel(t0), np.ravel(r_top)
-    failed = np.isnan(t0)
-    # row i holds energy i's R_n in column n - 1, so each energy's product
-    # rounds alike in a batch of any size; a finite stand-in for failed
-    # seeds starts the recursion
-    ratios = np.empty((t0.size, up_to - 1), dtype=complex)
+    r_top = np.ravel(seed_coefficients(kin, mats.spec.basis.ell, up_to, max_terms=max_levels, errors=errors))
+    failed = np.isnan(r_top)
+    # row i holds energy i's R_n in column n, so each energy's product
+    # rounds alike in a batch of any size; a finite stand-in for a failed
+    # seed starts the recursion
+    ratios = np.empty((r_top.size, up_to), dtype=complex)
     r = np.where(failed, 1.0, r_top)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in range(up_to - 1, 0, -1):
-            r = np.divide(off[n - 1], neg_diag[n] - off[n] * r, out=ratios[:, n - 1])
-        t = t0 * np.prod(_minus(ratios, kin) / ratios, axis=1)
+        for n in range(up_to - 1, -1, -1):
+            r = np.divide(off[n - 1] if n else -1.0, neg_diag[n] - off[n] * r, out=ratios[:, n])
+        t = np.prod(_minus(ratios, kin) / ratios, axis=1)
     # A ratio that vanishes or is not finite leaves T non-finite for good
     broken = ~failed & ~np.isfinite(t)
     if broken.any():
@@ -405,7 +395,7 @@ def _neutral_coefficients(kin: KinematicParams, ell: int, n: int, errors: Option
         T_(n-1) = e^(2in theta) conj(F_n) / F_n
         R_n(+)  = e^(-i theta) sqrt(n (n+2ell+1)) / (ell+n+1) F_(n+1) / F_n
 
-    which at n = 1 are the seeds (conj(F_n) off the real axis: see
+    which at n = 1 are T_0 and R_1(+) (conj(F_n) off the real axis: see
     ``KinematicParams``). F_n is a polynomial of degree ell in x, but its
     sum in powers of x cancels to O(n^-ell) of its terms as x nears 1, at
     both ends of the energy range. Re-expanded about x = 1
@@ -448,32 +438,24 @@ def _neutral_r_plus(theta: np.ndarray, ell: int, n: int):
     return r_plus, p_n
 
 
-def _coulomb_fractions(theta: np.ndarray, t: np.ndarray, ell: int, orders, max_levels: int):
-    """Gauss continued fractions at Z != 0 for each n of ``orders``, at
-    every element of 1-D arrays of angles and Coulomb parameters, as one
-    batch: the fractions share beta and z. With a = -ell + i t,
-    c = ell + 2 + i t, x = e^(-2i theta) and F_n = 2F1(a, n; c+n-1; x),
-    the row of an order n >= 1 is
+def _coulomb_fractions(theta: np.ndarray, t: np.ndarray, ell: int, n: int, max_levels: int):
+    """R_n(+) at Z != 0, n >= 1, by one Gauss continued fraction at every
+    element of 1-D arrays of angles and Coulomb parameters. With
+    a = -ell + i t, c = ell + 2 + i t, x = e^(-2i theta) and
+    F_n = 2F1(a, n; c+n-1; x),
 
         R_n(+) = e^(-i theta) sqrt(n (n+2ell+1)) / (c+n-1) F_(n+1) / F_n
 
     the reference solutions' ratio at n (Heller & Yamani, PRA 9, 1201
     (1974); Yamani & Fishman, JMP 16, 410 (1975)), which at Z = 0 is
-    ``_neutral_r_plus``; at order 0, where F_0 = 1, the row is
-    F_1 = 2F1(a, 1; c; x). Returns ``_gauss_cf``'s (values, failed,
-    last_delta), the values one row per order and a failed index
-    row * size + element."""
-    size, rows = theta.size, len(orders)
-    alpha = np.repeat(np.asarray(orders, dtype=float), size)
-    it = np.tile(1j * t, rows)
+    ``_neutral_r_plus``. Returns ``_gauss_cf``'s (values, failed,
+    last_delta), with R_n(+) as the values."""
+    it = 1j * t
+    alpha = np.full(theta.size, float(n))
     gamma = ell + 1.0 + alpha + it  # c + n - 1
-    ratio, failed, last = _gauss_cf(alpha, -ell + it, gamma, np.tile(np.exp(-2j * theta), rows), SEED_TOL, max_levels)
-    values, gamma = ratio.reshape(rows, size), gamma.reshape(rows, size)
+    ratio, failed, last = _gauss_cf(alpha, -ell + it, gamma, np.exp(-2j * theta), SEED_TOL, max_levels)
     with np.errstate(invalid="ignore"):
-        for row, n in enumerate(orders):
-            if n > 0:
-                values[row] = np.exp(-1j * theta) * math.sqrt(n * (n + 2.0 * ell + 1.0)) * values[row] / gamma[row]
-    return values, failed, last
+        return np.exp(-1j * theta) * math.sqrt(n * (n + 2.0 * ell + 1.0)) * ratio / gamma, failed, last
 
 
 def _neutral_polynomial(ell: int, n: int, y: np.ndarray) -> np.ndarray:
@@ -489,14 +471,16 @@ def _neutral_polynomial(ell: int, n: int, y: np.ndarray) -> np.ndarray:
 
 def _report_breakdowns(index, ratios, off, errors):
     """Record the first breakdown of each broken element ``index``: the
-    highest row n whose coupling J_(n,n-1) vanishes, or whose stored R_n
-    vanishes or is not finite."""
-    r, coupling = ratios[index], off[: ratios.shape[1], index].T == 0.0
+    highest row n whose coupling J_(n,n-1) vanishes (row 0's stand-in -1
+    cannot), or whose stored R_n vanishes or is not finite."""
+    r = ratios[index]
+    coupling = np.zeros(r.shape, dtype=bool)
+    coupling[:, 1:] = off[: r.shape[1] - 1, index].T == 0.0
     broken = coupling | (r == 0.0) | ~np.isfinite(r)
     for j, i in enumerate(index):
         if broken[j].any():
-            n = np.flatnonzero(broken[j])[-1] + 1
-            what = "vanishing coupling" if coupling[j, n - 1] else "vanishing ratio"
+            n = np.flatnonzero(broken[j])[-1]
+            what = "vanishing coupling" if coupling[j, n] else "vanishing ratio"
             _record(errors, i, RecursionBreakdownError(f"recursion breakdown at n={n}: {what}", index=n))
 
 
@@ -513,8 +497,8 @@ class ScatteringCalculator:
     once; an array of M energies then costs the reference coefficients
     at n = N and one M x N spectral sum for the resolvent element. For
     Z = 0 the coefficients are two closed-form polynomials of degree ell
-    over length-M arrays; for Z != 0 they are one batch of continued
-    fractions (T_0 and R_N(+)) and one N-step backward recursion.
+    over length-M arrays; for Z != 0 they are one continued fraction
+    (R_N(+)) and one backward recursion through all N rows.
     """
 
     def __init__(self, system: SystemSpec):
@@ -552,7 +536,7 @@ class ScatteringCalculator:
 
         R_N(+) is its closed form at Z = 0 (``_neutral_r_plus``) and one
         Gauss continued fraction, stopped at ``max_levels``, otherwise
-        (``_coulomb_fractions``), as in ``cs_recursion`` but without T_0,
+        (``_coulomb_fractions``), as in ``cs_recursion`` but without
         recursion or mirror energy. A failure goes to ``errors`` under its
         index, and its factors are NaN."""
         basis = self.system.basis
@@ -561,7 +545,7 @@ class ScatteringCalculator:
         if self.system.z_charge == 0.0:
             r_plus, _ = _neutral_r_plus(theta, ell, n)
         else:
-            (r_plus,), failed, last = _coulomb_fractions(theta, t, ell, (n,), max_levels)
+            r_plus, failed, last = _coulomb_fractions(theta, t, ell, n, max_levels)
             for i, last_delta in zip(failed, last):
                 stage = f"R_N(+) at E={energies[i]}, ell={ell}, t={t[i]}"
                 _record(errors, i, _cf_error(stage, max_levels, last_delta))
@@ -575,7 +559,8 @@ class ScatteringCalculator:
         """(T, R_N(-)), T = T_(N-1), the factors of S's numerator
         T (1 + G J R_N(-)) besides G, at a 1-D array of complex energies:
         from ``cs_recursion`` at E and at its mirror conj(E), as in
-        ``s_values``, with continued fractions stopped at ``max_levels``.
+        ``s_values``, with R_N(+)'s continued fraction at each stopped at
+        ``max_levels``; T takes R_n(-) at E from the ratios at conj(E).
         A failure at E or conj(E) goes to ``errors`` under E's index, and
         its factors are NaN."""
         size = energies.size

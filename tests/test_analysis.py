@@ -326,16 +326,25 @@ class TestPoleSearch:
     def test_level_cap_fails_only_its_candidate(self, coulomb_calcs, monkeypatch):
         calc, e_min, e_max = coulomb_calcs[0]
         want = locate_resonances(calc, e_min, e_max, coarse_steps=20)
-        # the candidates nearest threshold need more continued-fraction
-        # levels than this; the resonance's own need fewer. Measured: the
-        # Halley steps' fraction takes 13-29 levels, and the residue pass's
-        # seeds 70 and 60 for the two nearest threshold, 47 for the
-        # resonance and 52 and 47 for the others
-        monkeypatch.setattr("resolvent_kit.analysis._POLE_LEVELS", 56)
+        # the residue pass's seed fails at the two candidates nearest
+        # threshold as a level cap would fail it; the Halley steps run no
+        # seed, and T comes from R_N(+)'s fraction through row 0, which
+        # needs no more levels than the steps' own
+        real = scattering.seed_coefficients
+
+        def seed_coefficients(kin, ell, n, max_terms, errors):
+            r_plus = real(kin, ell, n, max_terms=max_terms, errors=errors)
+            for i in np.argsort(kin.energy.real[: kin.energy.size // 2])[:2]:
+                stage = f"seed at E={kin.energy[i]}, ell={ell}, t={kin.t[i]}"
+                scattering._record(errors, i, scattering._cf_error(stage, max_terms, 0.5))
+                r_plus[i] = complex("nan")
+            return r_plus
+
+        monkeypatch.setattr(scattering, "seed_coefficients", seed_coefficients)
         got = locate_resonances(calc, e_min, e_max, coarse_steps=20)
         failed = [c for c in got.candidates if c.status == "continued-fraction failure"]
         assert failed and all(isinstance(c.error, ConvergenceError) for c in failed)
-        assert "56 levels" in str(failed[0].error)
+        assert "1000 levels" in str(failed[0].error)
         assert got.peaks == want.peaks and len(got.peaks) == 1
         # they fail in the residue pass: each keeps its pole, without a strength
         assert len(failed) == 2

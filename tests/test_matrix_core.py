@@ -139,12 +139,21 @@ class TestSymEig:
 
 
 class TestGenSymEig:
-    def test_identity_overlap_matches_sym_eig(self, rng):
-        h = random_symmetric(rng, 5)
-        a = sym_eig(h)
-        b = gen_sym_eig(h, np.eye(5))
-        np.testing.assert_allclose(a.eps, b.eps, atol=1e-12)
-        np.testing.assert_allclose(a.gamma, b.gamma, atol=1e-10)
+    def test_identity_overlap_matches_sym_eig(self, rng, monkeypatch):
+        # an identity overlap is reduced by scaling, with no inverse formed,
+        # and gives sym_eig's eigenpairs bit for bit: on a random matrix and
+        # on the oscillator barrier of the README dos recipe
+        inverses = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(m) or real_inv(m))
+        mats = build_matrices(
+            SystemSpec(basis=BasisSpec("oscillator", lam=0.45, ell=0, size=100), potential=parse_potential("7.5*r^2*exp(-r)"))
+        )
+        assert np.array_equal(mats.omega.data, np.eye(100))
+        for h, om in ((random_symmetric(rng, 5), np.eye(5)), (mats.h, mats.omega)):
+            want, got = sym_eig(h), gen_sym_eig(h, om)
+            assert got.eps.tobytes() == want.eps.tobytes() and got.gamma.tobytes() == want.gamma.tobytes()
+        assert inverses == []
 
     def test_diagonal_pencil(self):
         pair = gen_sym_eig(np.diag([2.0, 6.0]), np.diag([1.0, 2.0]))
@@ -203,12 +212,13 @@ class TestGenSymEig:
     @pytest.mark.parametrize(
         "sub, inverses_formed",
         [
+            ([0.0] * 5, 0),  # a diagonal overlap, reduced by scaling
             ([0.3, -0.2, 0.5, 0.4, -0.1], 0),  # the bidiagonal route
             ([0.3, -0.2, 0.0, 0.4, -0.1], 1),  # a zero sub-diagonal entry
             ([1e-160] * 5, 1),  # q_n = (-1e-160)^n underflows from n = 2
             ([1e-160, 0.3, -0.2, 0.4, 0.1], 1),  # q finite and nonzero, but r_k^2 H_kk overflows
         ],
-        ids=["bidiagonal", "zero-sub-diagonal", "underflowing-q", "overflowing-sums"],
+        ids=["diagonal", "bidiagonal", "zero-sub-diagonal", "underflowing-q", "overflowing-sums"],
     )
     def test_tridiagonal_overlap_routes(self, rng, monkeypatch, sub, inverses_formed):
         # a tridiagonal overlap is reduced through its bidiagonal factor,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from resolvent_kit import scattering
+from resolvent_kit.analysis import locate_resonances
 from resolvent_kit.basis import BasisSpec, MatrixSet, SystemSpec, build_matrices
 from resolvent_kit.errors import ConvergenceError, InputError, NumericalError, RecursionBreakdownError
 from resolvent_kit.potential import parse_potential
@@ -161,10 +162,10 @@ def assert_same_bytes(got, want):
 
 
 def cf_batch(seed, size=240):
-    """Seeded fractions as their callers pose them: alpha = 0 and 1 (the
-    T_0 and R_1(+) seeds, gamma = c - 1 and c) and alpha = n (R_n(+),
-    gamma = c + n - 1), with c = ell + 2 + it, at real and complex
-    energies of one Coulomb system."""
+    """Seeded fractions as their callers pose them: alpha = 0
+    (``hyp2f1_b1``'s 2F1(a, 1; c; x), gamma = c - 1) and alpha = n = 1 or
+    n = N (R_n(+), gamma = c + n - 1), with c = ell + 2 + it, at real and
+    complex energies of one Coulomb system."""
     rng = np.random.default_rng(seed)
     energy = np.geomspace(0.05, 20.0, size) - 1j * rng.uniform(0.0, 0.4, size) * (rng.random(size) < 0.5)
     lam, z_charge = 20.0, float(rng.choice([-1.0, 1.0]))
@@ -239,31 +240,46 @@ class TestKinematics:
             KinematicParams.for_system(-1.0, 1.0, 0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def two_function_pencil(lam, ell, z_charge):
+    """A two-function Laguerre system: its rows 0 and 1 are those of
+    every basis size."""
+    return build_matrices(SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=2), z_charge=z_charge))
+
+
+def seeds(kin, lam, ell, z_charge):
+    """T_0, the final T of the recursion to up_to = 1 (its row 0 at
+    Z != 0, the closed form at Z = 0), and the R_1(+) of
+    ``seed_coefficients``."""
+    t0 = cs_recursion(two_function_pencil(lam, ell, z_charge), kin, up_to=1).t
+    return t0, seed_coefficients(kin, ell, 1)
+
+
 class TestSeeds:
     def test_neutral_s_wave_closed_form(self):
         # ell = 0, Z = 0: both hypergeometric factors are 1, so
         # T_0 = e^(2 i theta) and R_1(+) = e^(-i theta)/sqrt(2)
         kin = KinematicParams.for_system(1.3, 1.0, 0.0)
-        t0, r1p = seed_coefficients(kin, 0, 1)
+        t0, r1p = seeds(kin, 1.0, 0, 0.0)
         assert t0 == pytest.approx(cmath.exp(2j * kin.theta), rel=1e-12)
         assert r1p == pytest.approx(cmath.exp(-1j * kin.theta) / math.sqrt(2.0), rel=1e-12)
 
     def test_right_angle_s_wave(self):
         # 8E = lam^2: theta = pi/2 and T_0 = e^(i pi) = -1
         kin = KinematicParams.for_system(0.125, 1.0, 0.0)
-        t0, _ = seed_coefficients(kin, 0, 1)
+        t0, _ = seeds(kin, 1.0, 0, 0.0)
         assert t0 == pytest.approx(-1.0, abs=1e-12)
 
     def test_unimodular_with_coulomb(self):
         kin = KinematicParams.for_system(0.5, 1.0, 1.0)
-        t0, r1p = seed_coefficients(kin, 1, 1)
+        t0, r1p = seeds(kin, 1.0, 1, 1.0)
         assert abs(t0) == pytest.approx(1.0, abs=1e-10)
         assert r1p.imag != 0.0
 
     def test_higher_ell_terminating(self):
         # Z = 0 keeps the series terminating for any ell
         kin = KinematicParams.for_system(2.3, 1.7, 0.0)
-        t0, r1p = seed_coefficients(kin, 2, 1)
+        t0, r1p = seeds(kin, 1.7, 2, 0.0)
         assert abs(t0) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_mpmath_sweep(self):
@@ -289,7 +305,7 @@ class TestSeeds:
                             mp.expj(-mp.mpf(kin.theta)) * mp.sqrt(2 * ell + 2) * f2
                             / ((ell + 2 + it) * f_minus)
                         )
-                        t0, r1p = seed_coefficients(kin, ell, 1)
+                        t0, r1p = seeds(kin, lam, ell, z_charge)
                         worst = max(
                             worst,
                             abs(t0 - want_t0) / abs(want_t0),
@@ -313,7 +329,7 @@ class TestSeeds:
         # and the converged elements equal their one-energy values
         energies = np.geomspace(0.05, 5.0, 9)
         errors = {}
-        t0, r1p = seed_coefficients(
+        r1p = seed_coefficients(
             KinematicParams.for_system(energies, 20.0, 1.0), 0, 1, max_terms=50, errors=errors
         )
         assert sorted(errors) == [0, 1, 2]
@@ -324,9 +340,9 @@ class TestSeeds:
                     seed_coefficients(single, 0, 1, max_terms=50)
                 assert str(errors[i]) == str(err.value)
                 assert errors[i].diagnostics == err.value.diagnostics
-                assert np.isnan(t0[i]) and np.isnan(r1p[i])
+                assert np.isnan(r1p[i])
             else:
-                assert seed_coefficients(single, 0, 1, max_terms=50) == (t0[i], r1p[i])
+                assert seed_coefficients(single, 0, 1, max_terms=50) == r1p[i]
 
 
 class TestRecursion:
@@ -363,9 +379,9 @@ class TestRecursion:
 
     def test_minus_branch_matches_conjugate(self):
         # propagate R_n(-) explicitly from conj(R_1(+)) through the rows of
-        # J beside R_n(+), upward, which is accurate at these energies, and
-        # build S from both branches; the calculator carries only the plus
-        # branch, downward from R_N(+)
+        # J beside R_n(+), upward from T_0, which is accurate at these
+        # energies, and build S from both branches; the calculator carries
+        # only the plus branch, downward from R_N(+) through row 0
         pot = parse_potential("7.5*r^2*exp(-r)")
         for z_charge in (0.0, 1.0):
             spec = SystemSpec(
@@ -375,7 +391,7 @@ class TestRecursion:
             size = calc.mats.size
             for energy in (0.4, 1.1, 3.7):
                 kin = KinematicParams.for_system(energy, 1.0, z_charge)
-                t, r_plus = (complex(v) for v in seed_coefficients(kin, 1, 1))
+                t, r_plus = (complex(v) for v in seeds(kin, 1.0, 1, z_charge))
                 r_minus = r_plus.conjugate()
                 diag, off = calc.mats.j_tridiagonal(energy)
                 for n in range(1, size):
@@ -458,30 +474,36 @@ def closed_form_reference(energy, lam, ell, n, dps=50):
 
 
 @functools.lru_cache(maxsize=None)
-def coulomb_reference(energy, lam, z_charge, ell, n):
-    """T_(n-1) and R_n(+) of a Coulomb system (Z != 0) at a real or complex
-    energy, from F_n = 2F1(a, n; c+n-1; x) by 30-digit mp.hyp2f1, with
-    a = -ell + it, c = ell + 2 + it, x = e^(-2i theta),
-    e^(i theta) = (2k + i lam) / (2k - i lam), k = sqrt(2E) on its
-    principal branch and t = Z / k:
-
-        R_n(+)  = e^(-i theta) sqrt(n (n+2ell+1)) / (c+n-1) F_(n+1) / F_n
-        T_(n-1) = e^(2in theta) prod_(k=0..n-1) (ell+1+k+it) / (ell+1+k-it) conj(F_n) / F_n
-
-    T's form holds at real E only, so off the axis T is NaN. It reads
-    neither the J rows nor the double kinematics. Cached, so that tests
-    sharing a point share its mp.hyp2f1 calls."""
+def coulomb_hypergeometric(energy, lam, z_charge, ell, n):
+    """(e^(-i theta), it, F_n) at a real or complex energy, with
+    F_n = 2F1(a, n; c+n-1; x) by 30-digit mp.hyp2f1, a = -ell + it,
+    c = ell + 2 + it, x = e^(-2i theta), e^(i theta) = (2k + i lam) /
+    (2k - i lam), k = sqrt(2E) on its principal branch and t = Z / k.
+    Cached, so that tests sharing a point share its mp.hyp2f1 calls."""
     with mp.workdps(30):
         k = mp.sqrt(2 * mp.mpc(energy))
-        phase = (2 * k - 1j * lam) / (2 * k + 1j * lam)  # e^(-i theta)
+        phase = (2 * k - 1j * lam) / (2 * k + 1j * lam)
         it = 1j * z_charge / k
-        a, c, x = -ell + it, ell + 2 + it, phase**2
-        f_n = mp.hyp2f1(a, n, c + n - 1, x)
-        r = phase * mp.sqrt(n * (n + 2 * ell + 1)) / (c + n - 1) * mp.hyp2f1(a, n + 1, c + n, x) / f_n
-        if complex(energy).imag != 0.0:
-            return complex("nan"), complex(r)
+        return phase, it, mp.hyp2f1(-ell + it, n, ell + 1 + n + it, phase**2)
+
+
+def coulomb_reference(energy, lam, z_charge, ell, n):
+    """T_(n-1) and R_n(+) of a Coulomb system (Z != 0) at a real or complex
+    energy E, from the F_n of ``coulomb_hypergeometric``:
+
+        R_n(+)  = e^(-i theta) sqrt(n (n+2ell+1)) / (c+n-1) F_(n+1) / F_n
+        T_(n-1) = e^(2in theta) prod_(k=0..n-1) (ell+1+k+it) / (ell+1+k-it) conj(F_n(conj E)) / F_n
+
+    T's conj(F_n(conj E)) is conj(F_n) at real E, and its analytic
+    continuation off the axis. It reads neither the J rows nor the double
+    kinematics."""
+    with mp.workdps(30):
+        phase, it, f_n = coulomb_hypergeometric(energy, lam, z_charge, ell, n)
+        f_next = coulomb_hypergeometric(energy, lam, z_charge, ell, n + 1)[2]
+        f_mirror = coulomb_hypergeometric(complex(energy).conjugate(), lam, z_charge, ell, n)[2]
+        r = phase * mp.sqrt(n * (n + 2 * ell + 1)) / (ell + 1 + n + it) * f_next / f_n
         product = mp.fprod((ell + 1 + j + it) / (ell + 1 + j - it) for j in range(n))
-        return complex(phase ** (-2 * n) * product * mp.conj(f_n) / f_n), complex(r)
+        return complex(phase ** (-2 * n) * product * mp.conj(f_mirror) / f_n), complex(r)
 
 
 def closed_form_s(calc, energy, dps=50):
@@ -565,14 +587,19 @@ class TestNeutralClosedForm:
             cs_recursion(mats, broken, up_to=12)
 
     def test_first_index_is_the_seed(self):
+        # the closed forms at n = 1 against the R_1(+) fraction, and against
+        # the T_0 that row 0 of J gives from it, R_0 = 1 / (J_00 + J_01 R_1)
+        # and T_0 = conj(R_0) / R_0, as the Coulomb recursion closes
         energies = np.geomspace(1e-3, 50.0, 25)
         for lam in (1.0, 5.0, 20.0):
             for ell in range(4):
                 mats = build_matrices(SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=4)))
                 kin = KinematicParams.for_system(energies, lam, 0.0)
                 cs = cs_recursion(mats, kin, up_to=1)
-                t0, r1p = seed_coefficients(kin, ell, 1)
-                np.testing.assert_allclose(cs.t, t0, rtol=1e-14, atol=0.0)
+                r1p = seed_coefficients(kin, ell, 1)
+                diag, off = mats.j_tridiagonal(energies)
+                r0 = 1.0 / (diag[0] + off[0] * r1p)
+                np.testing.assert_allclose(cs.t, np.conj(r0) / r0, rtol=1e-14, atol=0.0)
                 np.testing.assert_allclose(cs.r_plus, r1p, rtol=1e-14, atol=0.0)
 
 
@@ -787,6 +814,53 @@ class TestCoulombS:
         want_t, want_r = coulomb_reference(complex(energy), lam, z_charge, ell, size)
         assert abs(complex(cs.t) - want_t) <= 1e-12
         assert abs(complex(cs.r_plus) - want_r) <= 1e-13 * abs(want_r)
+
+    def test_t_off_the_axis_against_mpmath(self):
+        # T_(N-1) through row 0 over the continued kinematics, down to
+        # Im E = -0.2 Re E. Off the axis |T| = e^(2N Im theta) falls to
+        # 1e-6 here, and the error stays absolute: worst seen 8.0e-14 (the
+        # T_0 fraction route 8.1e-14), 2.5e-10 relative to |T|
+        energies = (np.geomspace(0.05, 20.0, 6)[None, :] * np.array([[1.0 - 1e-3j], [1.0 - 0.05j], [1.0 - 0.2j]])).ravel()
+        worst = 0.0
+        for lam in (1.0, 20.0):
+            for z_charge in (-1.0, 1.0):
+                for ell in (0, 2):
+                    mats = build_matrices(
+                        SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=60), z_charge=z_charge)
+                    )
+                    cs = cs_recursion(mats, KinematicParams.continued(energies, lam, z_charge), up_to=60)
+                    for got, energy in zip(cs.t, energies):
+                        want, _ = coulomb_reference(complex(energy), lam, z_charge, ell, 60)
+                        worst = max(worst, abs(got - want))
+        assert worst <= 1e-12
+
+    def test_t_at_residue_pass_points_against_mpmath(self, monkeypatch):
+        # T at the centre points of the last Halley steps of the three
+        # criterion-7 searches (the third is coulomb-scan's p-wave search),
+        # as the residue pass evaluates it: worst seen 1.9e-14, 9.1e-12
+        # relative to |T| >= 4e-4 (the T_0 fraction route alike)
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        worst, points = 0.0, 0
+        for z_charge, ell, e_min, e_max in ((1.0, 0, 0.15, 0.45), (-1.0, 0, 1.05, 1.45), (1.0, 1, 1.45, 1.85)):
+            calc = ScatteringCalculator(
+                SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=ell, size=100), potential=pot, z_charge=z_charge)
+            )
+            seen = []
+            real = calc.numerator_terms
+
+            def numerator_terms(energies, max_levels, errors):
+                t, r_minus = real(energies, max_levels, errors)
+                seen.extend(zip(energies, t))
+                return t, r_minus
+
+            monkeypatch.setattr(calc, "numerator_terms", numerator_terms)
+            assert len(locate_resonances(calc, e_min, e_max, coarse_steps=120).peaks) == 1
+            for energy, got in seen:
+                want, _ = coulomb_reference(complex(energy), 20.0, z_charge, ell, 100)
+                worst = max(worst, abs(got - want))
+            points += len(seen)
+        assert points == 14
+        assert worst <= 1e-12
 
     @pytest.mark.slow
     def test_s_against_mpmath(self):
