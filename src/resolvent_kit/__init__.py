@@ -63,13 +63,6 @@ from .resolvent import (
     green_spectral,
     inverse_oracle,
 )
-from .scattering import (
-    CSCoefficients,
-    KinematicParams,
-    ScatteringCalculator,
-    ScatteringPoint,
-    cs_recursion,
-    seed_coefficients,
-)
+from .scattering import ScatteringCalculator, ScatteringPoint
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -187,9 +187,9 @@ def _solve_poles(calc: ScatteringCalculator, index: np.ndarray) -> list:
     after one of at most sqrt(``_HALLEY_RTOL``) * max(1, |E|): quadratic
     convergence would have taken the next below the tolerance, so f's
     own rounding sets the floor. All candidates advance in lockstep,
-    one ``denominator_terms`` call per step, which evaluates R_N(+) alone
-    (a closed form at Z = 0, one Gauss continued fraction otherwise),
-    each element on its own, so a candidate comes out as it would alone.
+    one ``denominator_terms`` call per step, which takes R_N(+) alone
+    from ``seed_coefficients`` and evaluates each element on its own,
+    so a candidate comes out as it would alone.
 
     At the pole S = T f(-) / f(+) has residue T f(-) / f', all at the
     centre point of the last step (``_residue_pass``). A converged
@@ -397,18 +397,16 @@ def density_of_states(
                    Fails loudly if the fit residual exceeds fit_threshold
                    (relative).
 
-    A delta or fit_height that is not positive, a fit_threshold that is
-    not finite and positive, or a fit_order below 1, raises InputError,
-    before the system is built. Either
-    method raises SpectrumEvaluationError if a point it evaluates G_00 at
-    (E + i*delta, or the fit contour) sits on a pole by the pole rule
-    (``resolvent.POLE_RTOL``).
+    A delta, fit_height or fit_threshold that is not finite and positive,
+    or a fit_order below 1, raises InputError, before the system is
+    built. Either method raises SpectrumEvaluationError if a point it
+    evaluates G_00 at (E + i*delta, or the fit contour) sits on a pole by
+    the pole rule (``resolvent.POLE_RTOL``), and the fit raises
+    NumericalError if its least-squares solve fails.
     """
-    for name, value in (("delta", delta), ("fit_height", fit_height)):
-        if value is not None and not value > 0.0:
-            raise InputError(f"{name} must be positive, got {value}")
-    if not 0.0 < fit_threshold < math.inf:
-        raise InputError(f"fit_threshold must be finite and positive, got {fit_threshold}")
+    for name, value in (("delta", delta), ("fit_height", fit_height), ("fit_threshold", fit_threshold)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise InputError(f"{name} must be finite and positive, got {value}")
     if not fit_order >= 1:
         raise InputError(f"fit_order must be >= 1, got {fit_order}")
     if method not in ("smoothing", "continuation"):
@@ -463,7 +461,10 @@ def _rational_fit(z: np.ndarray, g: np.ndarray, order: int):
     for _ in range(3):
         lhs = np.hstack([powers, -(g[:, None]) * powers]) / weight[:, None]
         rhs = (g * zz**order) / weight
-        coeffs, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        try:
+            coeffs, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"rational fit of order ({order - 1})/{order}: {exc}") from exc
         q = np.concatenate([coeffs[order:], [1.0]])
         weight = np.abs(np.polyval(q[::-1], zz))
         weight = np.maximum(weight, 1e-12 * np.max(weight))

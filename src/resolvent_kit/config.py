@@ -10,6 +10,7 @@ its field.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -54,6 +55,9 @@ class RunConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"unknown {name} {value!r}; expected one of {', '.join(allowed)}")
+        for name in ("e_min", "e_max", "im_z"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.e_min < self.e_max:
             raise ConfigError(f"need e_min < e_max, got {self.e_min} >= {self.e_max}")
         if self.steps < 1:

@@ -33,8 +33,8 @@ pole search evaluates D's factors alone (``ScatteringCalculator.
 denominator_terms``): G with one pole split off, and R_N(+) with
 neither recursion nor the mirror energy. A pole's residue reuses
 the factors of its search's last step and adds only T and R_N(-)
-(``numerator_terms``). At Z != 0 S, the pole search and a pole's residue
-all take R_N(+) from the same continued fraction (``_coulomb_fractions``).
+(``numerator_terms``). S, the pole search and a pole's residue all
+take R_N(+) from one function, ``seed_coefficients``.
 
 Every stage is elementwise in E and works on an array of energies at
 once. A stage that fails at some energies either raises the first
@@ -84,7 +84,8 @@ class KinematicParams:
 
     The minus branch of the reference coefficients at k is the conjugate
     of the plus branch at conj(k): at real k the element itself (``mirror``
-    None), else element ``mirror[i]`` (``continued``).
+    None), else element ``mirror[i]`` (``continued``); the pole search's
+    kinematics, for the plus branch alone, leave it None at complex k.
     """
 
     energy: np.ndarray
@@ -126,8 +127,9 @@ def _continued_angle(energy: np.ndarray, lam: float, z_charge: float):
 
 def _nan_at(errors: dict, terms):
     """``terms`` with every array NaN at the indices in ``errors``."""
-    for v in terms:
-        v[list(errors)] = complex("nan")
+    if errors:
+        for v in terms:
+            v[list(errors)] = complex("nan")
     return terms
 
 
@@ -302,23 +304,27 @@ def _cf_error(stage: str, max_levels: int, last_delta) -> ConvergenceError:
 SEED_TOL = 1e-15
 
 
-def seed_coefficients(kin: KinematicParams, ell: int, n: int, max_terms: int = 10**6, errors: Optional[dict] = None):
-    """R_n(+) at every energy of ``kin``, in its shape, from one
-    ``_coulomb_fractions``. A continued fraction that hits the level cap,
-    or a non-finite R_n(+), fails the element (see the module docstring
-    for ``errors``).
+def seed_coefficients(kin: KinematicParams, ell: int, n: int, max_levels: int = 10**6, errors: Optional[dict] = None):
+    """R_n(+) at every energy of ``kin``, in its shape: ``_neutral_r_plus``
+    where t = Z / k is zero throughout (Z = 0), else one
+    ``_coulomb_fractions`` stopped at ``max_levels``. A fraction at its
+    level cap, or a non-finite R_n(+), fails the element as "R_n(+) at
+    E=.., ell=.., t=.." (see the module docstring for ``errors``).
     """
     energy, theta, t = (np.ravel(v) for v in (kin.energy, kin.theta, kin.t))
-    r_plus, failed, last = _coulomb_fractions(theta, t, ell, n, max_terms)
+    if t.any():
+        r_plus, failed, last = _coulomb_fractions(theta, t, ell, n, max_levels)
+    else:
+        r_plus, failed, last = _neutral_r_plus(theta, ell, n)[0], (), ()
 
     def stage(i):
-        return f"seed at E={energy[i]}, ell={ell}, t={t[i]}"
+        return f"R_{n}(+) at E={energy[i]}, ell={ell}, t={t[i]}"
 
     for i, last_delta in zip(failed, last):
-        _record(errors, i, _cf_error(stage(i), max_terms, last_delta))
+        _record(errors, i, _cf_error(stage(i), max_levels, last_delta))
     bad = ~np.isfinite(r_plus)
     for i in np.flatnonzero(bad):
-        _record(errors, i, NumericalError(f"{stage(i)}: non-finite seed R_{n}(+) = {complex(r_plus[i])}"))
+        _record(errors, i, NumericalError(f"{stage(i)}: non-finite value {complex(r_plus[i])}"))
     r_plus[bad] = complex("nan")
     return r_plus.reshape(kin.energy.shape)
 
@@ -361,7 +367,7 @@ def cs_recursion(
     diag, off = mats.j_tridiagonal(np.ravel(kin.energy))
     neg_diag, off = (-diag).astype(complex), off.astype(complex)
 
-    r_top = np.ravel(seed_coefficients(kin, mats.spec.basis.ell, up_to, max_terms=max_levels, errors=errors))
+    r_top = np.ravel(seed_coefficients(kin, mats.spec.basis.ell, up_to, max_levels=max_levels, errors=errors))
     failed = np.isnan(r_top)
     # row i holds energy i's R_n in column n, so each energy's product
     # rounds alike in a batch of any size; a finite stand-in for a failed
@@ -534,23 +540,14 @@ class ScatteringCalculator:
         """``DenominatorTerms`` at a 1-D array of complex energies, splitting
         off pole drop[i] of G at energy i.
 
-        R_N(+) is its closed form at Z = 0 (``_neutral_r_plus``) and one
-        Gauss continued fraction, stopped at ``max_levels``, otherwise
-        (``_coulomb_fractions``), as in ``cs_recursion`` but without
-        recursion or mirror energy. A failure goes to ``errors`` under its
-        index, and its factors are NaN."""
+        R_N(+) is ``seed_coefficients``' at the energies themselves, with
+        its continued fraction stopped at ``max_levels``: the same value
+        as ``cs_recursion``'s, without recursion or mirror energy. A
+        failure goes to ``errors`` under its index, and its factors are
+        NaN."""
         basis = self.system.basis
-        ell, n = basis.ell, self.mats.size
-        theta, t = _continued_angle(energies, basis.lam, self.system.z_charge)
-        if self.system.z_charge == 0.0:
-            r_plus, _ = _neutral_r_plus(theta, ell, n)
-        else:
-            r_plus, failed, last = _coulomb_fractions(theta, t, ell, n, max_levels)
-            for i, last_delta in zip(failed, last):
-                stage = f"R_N(+) at E={energies[i]}, ell={ell}, t={t[i]}"
-                _record(errors, i, _cf_error(stage, max_levels, last_delta))
-        for i in np.flatnonzero(~np.isfinite(r_plus)):
-            _record(errors, i, NumericalError(f"R_N(+) at E={energies[i]}, ell={ell}: non-finite {r_plus[i]}"))
+        kin = KinematicParams(energies, *_continued_angle(energies, basis.lam, self.system.z_charge))
+        r_plus = seed_coefficients(kin, basis.ell, self.mats.size, max_levels=max_levels, errors=errors)
         j = self.mats.j_boundary(energies)
         rest = self.green_last(energies, errors, drop=drop)
         return _nan_at(errors, DenominatorTerms(self._g_last.coeffs[drop] * j, rest * j, r_plus))

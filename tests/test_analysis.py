@@ -326,18 +326,20 @@ class TestPoleSearch:
     def test_level_cap_fails_only_its_candidate(self, coulomb_calcs, monkeypatch):
         calc, e_min, e_max = coulomb_calcs[0]
         want = locate_resonances(calc, e_min, e_max, coarse_steps=20)
-        # the residue pass's seed fails at the two candidates nearest
-        # threshold as a level cap would fail it; the Halley steps run no
-        # seed, and T comes from R_N(+)'s fraction through row 0, which
-        # needs no more levels than the steps' own
+        # the residue pass's seed, the one over mirrored kinematics, fails
+        # at the two candidates nearest threshold as a level cap would fail
+        # it; the Halley steps' seeds run as they are. A real cap cannot
+        # pick out the residue pass: its fraction, through row 0, needs no
+        # more levels than the steps' own
         real = scattering.seed_coefficients
 
-        def seed_coefficients(kin, ell, n, max_terms, errors):
-            r_plus = real(kin, ell, n, max_terms=max_terms, errors=errors)
-            for i in np.argsort(kin.energy.real[: kin.energy.size // 2])[:2]:
-                stage = f"seed at E={kin.energy[i]}, ell={ell}, t={kin.t[i]}"
-                scattering._record(errors, i, scattering._cf_error(stage, max_terms, 0.5))
-                r_plus[i] = complex("nan")
+        def seed_coefficients(kin, ell, n, max_levels, errors):
+            r_plus = real(kin, ell, n, max_levels=max_levels, errors=errors)
+            if kin.mirror is not None:
+                for i in np.argsort(kin.energy.real[: kin.energy.size // 2])[:2]:
+                    stage = f"R_{n}(+) at E={kin.energy[i]}, ell={ell}, t={kin.t[i]}"
+                    scattering._record(errors, i, scattering._cf_error(stage, max_levels, 0.5))
+                    r_plus[i] = complex("nan")
             return r_plus
 
         monkeypatch.setattr(scattering, "seed_coefficients", seed_coefficients)
@@ -350,7 +352,7 @@ class TestPoleSearch:
         assert len(failed) == 2
         for c, d in zip(got.candidates, want.candidates):
             if c in failed:
-                assert str(c.error).startswith("seed at E=")
+                assert str(c.error).startswith(f"R_{calc.mats.size}(+) at E=")
                 assert repr(c.pole) == repr(d.pole) and c.residual == d.residual and math.isnan(c.strength)
 
     def test_fraction_level_cap_fails_its_candidate(self, coulomb_calcs, monkeypatch):
@@ -361,13 +363,13 @@ class TestPoleSearch:
         monkeypatch.setattr("resolvent_kit.analysis._POLE_LEVELS", 20)
         first = locate_resonances(calc, e_min, e_max, coarse_steps=20).candidates[0]
         assert first.status == "continued-fraction failure" and isinstance(first.error, ConvergenceError)
-        assert str(first.error).startswith("R_N(+) at E=")
+        assert str(first.error).startswith(f"R_{calc.mats.size}(+) at E=")
         assert str(first.error).endswith("continued fraction did not converge in 20 levels")
         assert math.isnan(first.strength)
 
-    def test_pole_steps_run_no_seeds(self, p_wave_calc, monkeypatch):
-        # seeds and recursion run once, for T and R_N(-) at every converged
-        # candidate at once; the Halley steps evaluate R_N(+) alone, and the
+    def test_pole_search_runs_one_recursion(self, p_wave_calc, monkeypatch):
+        # the recursion runs once, for T and R_N(-) at every converged
+        # candidate at once; the Halley steps take R_N(+) alone, and the
         # coarse scan is not built unless read
         calls = []
         real = scattering.cs_recursion
@@ -380,6 +382,31 @@ class TestPoleSearch:
         report = locate_resonances(p_wave_calc, 1.45, 1.85, coarse_steps=20)
         assert len(calls) == 1
         assert len(report.peaks) == 1
+
+    @pytest.mark.parametrize("calc_name,e_min,e_max", [("two_gaussian_calc", 1.8, 5.2), ("p_wave_calc", 1.45, 1.85)])
+    def test_each_evaluation_takes_one_seed(self, request, monkeypatch, calc_name, e_min, e_max):
+        # R_N(+) has one route at Z = 0 and Z != 0 alike: every
+        # denominator_terms call makes one seed_coefficients call, and at
+        # Z != 0 the residue pass's recursion one more, over mirrored
+        # kinematics
+        calc = request.getfixturevalue(calc_name)
+        evaluations, mirrored = [], []
+        real_terms, real_seed = calc.denominator_terms, scattering.seed_coefficients
+
+        def denominator_terms(*args):
+            evaluations.append(1)
+            return real_terms(*args)
+
+        def seed_coefficients(kin, *args, **kwargs):
+            mirrored.append(kin.mirror is not None)
+            return real_seed(kin, *args, **kwargs)
+
+        monkeypatch.setattr(calc, "denominator_terms", denominator_terms)
+        monkeypatch.setattr(scattering, "seed_coefficients", seed_coefficients)
+        report = locate_resonances(calc, e_min, e_max, coarse_steps=20)
+        assert report.peaks and evaluations
+        assert mirrored.count(False) == len(evaluations)
+        assert mirrored.count(True) == (calc.system.z_charge != 0.0)
 
     @pytest.mark.parametrize(
         "calc_name,e_min,e_max,most",
@@ -645,12 +672,12 @@ class TestDensityOfStates:
             density_of_states(self.osc_spec(), np.linspace(0.1, 2.0, 10), method="magic")
 
     def test_nonpositive_width_or_height_rejected(self):
-        # a negative delta or fit_height would return -rho, and delta = 0
-        # an all-zero rho off the poles
+        # a negative delta or fit_height would return -rho, delta = 0 an
+        # all-zero rho off the poles, and an infinite one an all-NaN rho
         grid = np.linspace(0.1, 2.0, 10)
         for name, method in (("delta", "smoothing"), ("fit_height", "continuation")):
-            for value in (-0.1, 0.0, math.nan):
-                with pytest.raises(InputError, match=name):
+            for value in (-0.1, 0.0, math.nan, math.inf):
+                with pytest.raises(InputError, match=f"{name} must be finite and positive"):
                     density_of_states(self.osc_spec(), grid, method=method, **{name: value})
         # a fit of order below 1 has no terms to fit
         for value in (-2, 0):

@@ -89,6 +89,40 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "a.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["resolvent", "--im-z", "nan"], "im_z must be finite, got nan"),
+            (["resolvent", "--im-z", "inf"], "im_z must be finite, got inf"),
+            (["resolvent", "--e-max", "inf"], "e_max must be finite, got inf"),
+            (["smatrix", "--e-max", "inf"], "e_max must be finite, got inf"),
+            (["smatrix", "--e-min", "nan"], "e_min must be finite, got nan"),
+            (["dos", "--family", "oscillator", "--e-max", "inf"], "e_max must be finite, got inf"),
+            (["dos", "--family", "oscillator", "--delta", "inf"], "delta must be finite and positive, got inf"),
+            (
+                ["dos", "--family", "oscillator", "--method", "continuation", "--fit-height", "inf"],
+                "fit_height must be finite and positive, got inf",
+            ),
+        ],
+    )
+    def test_non_finite_setting_exits_one(self, tmp_path, capsys, argv, message):
+        # a NaN or infinite setting would run on to all-NaN columns or a
+        # misleading failure downstream
+        out = ["--csv", str(tmp_path / "a.csv"), "--json", str(tmp_path / "a.json")]
+        assert run_cli(argv + out) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+
+    def test_failed_fit_solve_exits_two(self, tmp_path, capsys):
+        # a contour this high overflows the fit's powers of z, and the
+        # least-squares solve fails; the stage is named, not a numpy traceback
+        argv = ["dos", "--family", "oscillator", "--N", "20", "--method", "continuation", "--fit-height", "1e300"]
+        out = ["--csv", str(tmp_path / "a.csv"), "--json", str(tmp_path / "a.json")]
+        with np.errstate(all="ignore"):
+            assert run_cli(argv + out) == 2
+        assert "numerical error in dos (NumericalError): rational fit of order (7)/8" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+
     def test_bound_states_grid_end_named(self, tmp_path, capsys):
         # a negative e_min scans up to min(e_max, -1e-3); at or above that
         # end the grid would run backwards or stand still

@@ -316,9 +316,9 @@ class TestSeeds:
     def test_level_cap_names_stage(self):
         kin = KinematicParams.for_system(0.05, 20.0, 1.0)
         with pytest.raises(ConvergenceError) as err:
-            seed_coefficients(kin, 0, 1, max_terms=5)
+            seed_coefficients(kin, 0, 1, max_levels=5)
         msg = str(err.value)
-        assert msg.startswith("seed at E=0.05, ell=0")
+        assert msg.startswith("R_1(+) at E=0.05, ell=0")
         assert "continued fraction did not converge in 5 levels" in msg
         assert err.value.diagnostics["levels"] == 5
         assert err.value.diagnostics["last_delta"] > 0.0
@@ -330,19 +330,19 @@ class TestSeeds:
         energies = np.geomspace(0.05, 5.0, 9)
         errors = {}
         r1p = seed_coefficients(
-            KinematicParams.for_system(energies, 20.0, 1.0), 0, 1, max_terms=50, errors=errors
+            KinematicParams.for_system(energies, 20.0, 1.0), 0, 1, max_levels=50, errors=errors
         )
         assert sorted(errors) == [0, 1, 2]
         for i, energy in enumerate(energies):
             single = KinematicParams.for_system(energy, 20.0, 1.0)
             if i in errors:
                 with pytest.raises(ConvergenceError) as err:
-                    seed_coefficients(single, 0, 1, max_terms=50)
+                    seed_coefficients(single, 0, 1, max_levels=50)
                 assert str(errors[i]) == str(err.value)
                 assert errors[i].diagnostics == err.value.diagnostics
                 assert np.isnan(r1p[i])
             else:
-                assert seed_coefficients(single, 0, 1, max_terms=50) == r1p[i]
+                assert seed_coefficients(single, 0, 1, max_levels=50) == r1p[i]
 
 
 class TestRecursion:
@@ -766,9 +766,9 @@ class TestDenominatorTerms:
 
     @pytest.mark.parametrize("z_charge,ell,lam", TestContinuedKinematics.SYSTEMS)
     def test_agrees_with_continued_terms(self, z_charge, ell, lam):
-        # R_N(+) without T_0, recursion or mirror energy is the R_N(+) of
-        # cs_recursion over the continued kinematics: the same closed form
-        # at Z = 0 and the same continued fraction at Z != 0
+        # R_N(+) without recursion or mirror energy is the R_N(+) of
+        # cs_recursion over the continued kinematics: one seed_coefficients
+        # route, the closed form at Z = 0 and the fraction at Z != 0
         pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=lam, ell=ell, size=60), potential=pot, z_charge=z_charge)
         calc = ScatteringCalculator(spec)
@@ -791,7 +791,7 @@ class TestDenominatorTerms:
         want, _ = denominator(calc, energies)
         got, errors = denominator(calc, energies, max_levels=60)
         assert list(errors) == [1] and isinstance(errors[1], ConvergenceError)
-        assert str(errors[1]).startswith("R_N(+) at E=(0.02-0.01j), ell=0, t=")
+        assert str(errors[1]).startswith("R_30(+) at E=(0.02-0.01j), ell=0, t=")
         assert str(errors[1]).endswith("continued fraction did not converge in 60 levels")
         for field in got._fields:
             values = getattr(got, field)
