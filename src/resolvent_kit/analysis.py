@@ -20,11 +20,22 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basis import OSCILLATOR, SystemSpec, build_matrices
+from .basis import OSCILLATOR, MatrixSet, SystemSpec, build_matrices
 from .errors import ConvergenceError, FitResidualError, InputError, NumericalError
-from .matrix_core import gen_sym_eig, sym_eig
+from .matrix_core import gen_sym_eig, gen_sym_eigvals, sym_eig
 from .resolvent import PartialFractions, _pole_error
 from .scattering import DenominatorTerms, ScatteringCalculator
+
+
+def _energy_grid(values) -> np.ndarray:
+    """``values`` as a float array, refused unless nonempty and strictly
+    increasing."""
+    e = np.asarray(values, dtype=float)
+    if e.size == 0:
+        raise InputError("empty grid")
+    if e.size > 1 and not np.all(np.diff(e) > 0):
+        raise InputError("energy grid must be strictly increasing")
+    return e
 
 
 @dataclass(frozen=True)
@@ -42,11 +53,7 @@ class ScanTable:
     flagged: tuple = ()
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        if e.size == 0:
-            raise InputError("empty grid")
-        if e.size > 1 and not np.all(np.diff(e) > 0):
-            raise InputError("energy grid must be strictly increasing")
+        e = _energy_grid(self.energies)
         object.__setattr__(self, "energies", e)
         for name, col in self.columns.items():
             c = np.asarray(col)
@@ -86,10 +93,15 @@ class ResonanceReport:
 
 @dataclass(frozen=True)
 class BoundStateResult:
-    """Negative-energy spectrum plus the |G(E)| scan that diverges there."""
+    """The negative generalized eigenvalues of (H, Overlap), plus ``scan``:
+    the |G(E)| scan that diverges at them, built on first read."""
 
     energies: np.ndarray
-    scan: ScanTable
+    _scan_of: Callable[[], ScanTable] = field(compare=False, repr=False)
+
+    @cached_property
+    def scan(self) -> ScanTable:
+        return self._scan_of()
 
 
 def _calculator(system_or_calc) -> ScatteringCalculator:
@@ -327,26 +339,35 @@ def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None) -> 
 
     The poles of the finite resolvent are exactly the generalized
     eigenvalues of (H, Overlap), so the negative ones are read off
-    directly; scanning |G(E)| for divergences is strictly less accurate
-    but is emitted for plotting parity. G is the (last, last) element.
-    Grid points that the pole rule (``resolvent.POLE_RTOL``) puts on an
-    eigenvalue are flagged, with NaN in ``abs_g``.
+    directly, from the eigenvalue-only ``gen_sym_eigvals``. ``scan``,
+    built on first read and emitted for plotting parity, is |G| of the
+    (last, last) element on ``grid`` (default: 400 points from
+    1.4 E_0 - 0.5, or -6 with no bound state, to -1e-3), with those
+    eigenvalues as poles and ``gen_sym_eig``'s last-row weights as
+    residues. Grid points that the pole rule (``resolvent.POLE_RTOL``)
+    puts on an eigenvalue are flagged, with NaN in ``abs_g``; a grid
+    that is empty or not increasing raises InputError at the call.
     """
     mats = build_matrices(system)
-    pair = gen_sym_eig(mats.h, mats.omega)
-    energies = pair.eps[pair.eps < 0.0].copy()
-
+    eps = gen_sym_eigvals(mats.h, mats.omega)
+    energies = eps[eps < 0.0]
     if grid is None:
         lo = 1.4 * float(energies.min()) - 0.5 if energies.size else -6.0
         grid = np.linspace(lo, -1e-3, 400)
-    grid = np.asarray(grid, dtype=float)
+    # a copy, so that a caller's later writes to its grid do not reach the scan
+    scan_of = partial(_abs_g_scan, mats, eps, _energy_grid(grid).copy())
+    return BoundStateResult(energies=energies, _scan_of=scan_of)
 
+
+def _abs_g_scan(mats: MatrixSet, poles: np.ndarray, grid: np.ndarray) -> ScanTable:
+    """|G_(N-1,N-1)| on ``grid``, with ``poles`` and the last-row weights
+    of the pencil's eigenvectors."""
     last = mats.size - 1
-    g, on_pole = PartialFractions.from_pair(pair, last, last).evaluate(grid)
-    meta = {"system": _system_snapshot(system), "kind": "resolvent_magnitude"}
+    weights = gen_sym_eig(mats.h, mats.omega).gamma[last] ** 2
+    g, on_pole = PartialFractions(poles=poles, coeffs=weights, n=last, m=last).evaluate(grid)
+    meta = {"system": _system_snapshot(mats.spec), "kind": "resolvent_magnitude"}
     flagged = tuple(np.flatnonzero(on_pole).tolist())
-    scan = ScanTable(energies=grid, columns={"abs_g": np.abs(g)}, metadata=meta, flagged=flagged)
-    return BoundStateResult(energies=energies, scan=scan)
+    return ScanTable(energies=grid, columns={"abs_g": np.abs(g)}, metadata=meta, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +448,7 @@ def density_of_states(
 
     z_fit = grid + 1j * fit_height
     g_fit = _g00_off_poles(g00, z_fit)
-    fit = _rational_fit(z_fit, g_fit, fit_order)
+    fit = _rational_fit(z_fit, g_fit, fit_order, fit_height)
     residual = float(np.max(np.abs(fit(z_fit) - g_fit)) / np.max(np.abs(g_fit)))
     if residual > fit_threshold:
         raise FitResidualError(
@@ -443,28 +464,39 @@ def density_of_states(
     return ScanTable(energies=grid, columns={"rho": rho}, metadata=meta)
 
 
-def _rational_fit(z: np.ndarray, g: np.ndarray, order: int):
+def _rational_fit(z: np.ndarray, g: np.ndarray, order: int, height: float):
     """Least-squares rational approximant P/Q, deg P = order-1, deg Q =
-    order (monic), with a few reweighting passes to undo the
-    linearization bias. Coordinates are centered and scaled first."""
+    order (monic), to g on the contour z at Im z = ``height``, with a few
+    reweighting passes to undo the linearization bias. Coordinates are
+    centered and scaled first. A least-squares system that is not finite,
+    or whose solve fails, raises NumericalError naming the order and the
+    height."""
     mid = 0.5 * (z.real.min() + z.real.max())
     half = max(0.5 * (z.real.max() - z.real.min()), 1.0)
 
     def zeta(w):
         return (w - mid) / half
 
+    def failed(reason):
+        return NumericalError(f"rational fit of order ({order - 1})/{order} at contour height {height}: {reason}")
+
     zz = zeta(z)
-    # 1 .. zeta^(order-1): all of P, and Q below its monic zeta^order
-    powers = np.vander(zz, order, increasing=True)
     weight = np.ones_like(g)
     coeffs = None
     for _ in range(3):
-        lhs = np.hstack([powers, -(g[:, None]) * powers]) / weight[:, None]
-        rhs = (g * zz**order) / weight
+        # a high contour overflows the powers of zeta; lstsq is handed
+        # only a finite system, so LAPACK has nothing to complain about
+        with np.errstate(all="ignore"):
+            # 1 .. zeta^(order-1): all of P, and Q below its monic zeta^order
+            powers = np.vander(zz, order, increasing=True)
+            lhs = np.hstack([powers, -(g[:, None]) * powers]) / weight[:, None]
+            rhs = (g * zz**order) / weight
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise failed("least-squares system not finite")
         try:
             coeffs, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"rational fit of order ({order - 1})/{order}: {exc}") from exc
+            raise failed(exc) from exc
         q = np.concatenate([coeffs[order:], [1.0]])
         weight = np.abs(np.polyval(q[::-1], zz))
         weight = np.maximum(weight, 1e-12 * np.max(weight))

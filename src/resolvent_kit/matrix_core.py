@@ -2,8 +2,9 @@
 
 This is the linear-algebra substrate for the resolvent formulas: plain and
 generalized eigendecompositions with a fixed normalization and sign
-convention, and row/column-deleted submatrices. A matrix is checked
-finite where it comes in. Everything here is a pure function; returned
+convention, the one eigenvalue-only solve of a pencil (``gen_sym_eigvals``),
+and row/column-deleted submatrices. A matrix is checked finite where it
+comes in. Everything here is a pure function; returned
 arrays are frozen (non-writeable), so a SymMatrix or SpectralPair shared
 by several consumers cannot be written through, just as the Gauss rules
 cached in ``basis`` cannot.
@@ -12,6 +13,7 @@ cached in ``basis`` cannot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -168,6 +170,17 @@ def _reduce_pencil(a: np.ndarray, b: np.ndarray):
     return inv @ a @ inv.T, lambda v: inv.T @ v
 
 
+def _checked_pencil(a, b):
+    """(a, b) as arrays of one shape, each checked for symmetry and
+    finiteness, and not at all when it is a SymMatrix, which was checked
+    when it was built."""
+    ma = _as_sym_array(a)
+    mb = _as_sym_array(b)
+    if ma.shape != mb.shape:
+        raise InputError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
+    return ma, mb
+
+
 def gen_sym_eig(a, b) -> SpectralPair:
     """Generalized eigendecomposition H gamma = eps Omega gamma.
 
@@ -179,16 +192,39 @@ def gen_sym_eig(a, b) -> SpectralPair:
     scaling, a tridiagonal one through its bidiagonal factor in O(N^2),
     any other through L^-1.
     """
-    ma = _as_sym_array(a)
-    mb = _as_sym_array(b)
-    if ma.shape != mb.shape:
-        raise InputError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    c, back = _reduce_pencil(ma, mb)
+    c, back = _reduce_pencil(*_checked_pencil(a, b))
     try:
         eps, v = np.linalg.eigh(c)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(f"generalized eigensolver did not converge: {exc}") from exc
     return SpectralPair(eps=eps, gamma=_fix_column_signs(back(v)))
+
+
+def _pencil_eigvals(a: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
+    """The eigenvalues alone of a pencil already checked, ascending and
+    frozen; ``b=None`` is the identity overlap, and then ``a`` may be a
+    stack of matrices. ``_reduce_pencil``'s C goes to numpy's
+    ``eigvalsh``, which forms no eigenvectors."""
+    try:
+        return _freeze(np.linalg.eigvalsh(a if b is None else _reduce_pencil(a, b)[0]))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ConvergenceError(f"generalized eigensolver did not converge: {exc}") from exc
+
+
+def gen_sym_eigvals(a, b=None) -> np.ndarray:
+    """The eigenvalues alone of H gamma = eps Omega gamma, ascending and
+    frozen; ``b=None`` is the identity overlap.
+
+    The one eigenvalue-only route, for the bound energies and (through
+    ``_pencil_eigvals``, on arrays already checked) the spectra of the
+    eigenvalue-product forms: checked and reduced as in ``gen_sym_eig``,
+    then ``eigvalsh``, which forms no eigenvector. Its eigenvalues may
+    differ from ``eigh``'s in the last digits; both are within the bound
+    of the tests' 40-digit mpmath oracle.
+    """
+    if b is None:
+        return _pencil_eigvals(_as_sym_array(a), None)
+    return _pencil_eigvals(*_checked_pencil(a, b))
 
 
 def delete_row_col(a, n: int, m: int):

@@ -19,8 +19,9 @@ Four interchangeable routes to G_{n,m}(z), the (n, m) element of
                                  for every (n, m).
 
 The eigenvalue-product and partial-fraction routes need spectra but no
-eigenvectors; the scans evaluate their elements through the pole/residue
-form below instead.
+eigenvectors, and take them from the one eigenvalue-only solve of a
+pencil, ``matrix_core.gen_sym_eigvals``'s unchecked core; the scans
+evaluate their elements through the pole/residue form below instead.
 
 Also here: the pole/residue form of G, ``PartialFractions``, whose
 ``evaluate`` is the one evaluator of the sum and applies the one pole
@@ -55,7 +56,7 @@ from .matrix_core import (
     SymMatrix,
     _as_sym_array,
     _has_cholesky,
-    _reduce_pencil,
+    _pencil_eigvals,
     delete_row_col,
     gen_sym_eig,
     sym_eig,
@@ -293,13 +294,6 @@ def green_cofactor(inp: ResolventInput, n: int, m: int) -> complex:
     return complex((-1.0) ** (n + m) * sign_sub / sign_full * np.exp(log_sub - log_full))
 
 
-def _eigvals(h: np.ndarray, om: Optional[np.ndarray]) -> np.ndarray:
-    """Real eigenvalues of a symmetric-definite pencil, ascending;
-    ``om=None`` is the identity overlap. The pencil is reduced as in
-    ``gen_sym_eig``."""
-    return np.linalg.eigvalsh(h if om is None else _reduce_pencil(h, om)[0])
-
-
 def _product_form(h: np.ndarray, om: Optional[np.ndarray], n: int, m: int):
     """The z-independent data of the eigenvalue-product form of G_{n,m}:
     (prefactor, deleted-pencil eigenvalues), the prefactor being
@@ -323,10 +317,10 @@ def _product_form(h: np.ndarray, om: Optional[np.ndarray], n: int, m: int):
             f"(n, m)=({n}, {m}); use green_cofactor, or green_partial_fractions in an orthonormal basis"
         )
     if om is None:
-        return 1.0, _eigvals(hs, None)
+        return 1.0, _pencil_eigvals(hs, None)
     sign_full, log_full = np.linalg.slogdet(om)
     sign_sub, log_sub = np.linalg.slogdet(os_)
-    sub = _eigvals(hs, os_) if n == m else np.linalg.eigvals(np.linalg.solve(os_, hs))
+    sub = _pencil_eigvals(hs, os_) if n == m else np.linalg.eigvals(np.linalg.solve(os_, hs))
     return (-1.0) ** (n + m) * sign_sub * sign_full * np.exp(log_sub - log_full), sub
 
 
@@ -395,7 +389,7 @@ def green_partial_fractions(h, n: int, m: int) -> PartialFractions:
     """
     hm = _as_sym_array(h)
     _check_indices(hm.shape[0], n, m)
-    eps = _eigvals(hm, None)
+    eps = _pencil_eigvals(hm, None)
     _check_nondegenerate(eps)
     if n == m:
         coeffs = _weight_rows(eps, *_product_form(hm, None, n, n))
@@ -405,7 +399,7 @@ def green_partial_fractions(h, n: int, m: int) -> PartialFractions:
         rot = hm.copy()
         rot[:, [n, m]] = rot[:, [n, m]] @ g
         rot[[n, m]] = g @ rot[[n, m]]
-        w = _weight_rows(eps, 1.0, np.linalg.eigvalsh(np.stack([delete_row_col(rot, i, i) for i in (n, m)])))
+        w = _weight_rows(eps, 1.0, _pencil_eigvals(np.stack([delete_row_col(rot, i, i) for i in (n, m)]), None))
         coeffs = 0.5 * (w[0] - w[1])
     return PartialFractions(poles=eps, coeffs=coeffs, n=n, m=m)
 
@@ -426,6 +420,6 @@ def eigvec_from_eigs_general(h, omega, n: int, m: int) -> np.ndarray:
     """
     hm, om = ResolventInput(h=h, omega=omega, z=0.0)._arrays()
     _check_indices(hm.shape[0], n, m)
-    eps = _eigvals(hm, om)
+    eps = _pencil_eigvals(hm, om)
     _check_nondegenerate(eps)
     return _weight_rows(eps, *_product_form(hm, om, n, m))

@@ -96,9 +96,9 @@ class KinematicParams:
     @classmethod
     def for_system(cls, energy, lam: float, z_charge: float) -> "KinematicParams":
         energy = np.asarray(energy, dtype=float)
-        bad = ~(energy > 0.0)
+        bad = ~((energy > 0.0) & (energy < math.inf))
         if bad.any():
-            raise InputError(f"scattering energy must be positive, got {float(energy[bad][0])}")
+            raise InputError(f"scattering energy must be positive and finite, got {float(energy[bad][0])}")
         theta = 2.0 * np.arctan2(lam, np.sqrt(8.0 * energy))
         return cls(energy=energy, theta=theta, t=z_charge / np.sqrt(2.0 * energy))
 
@@ -572,8 +572,10 @@ class ScatteringCalculator:
         """S(E) at each of a sequence of energies, and a map from index to
         the NumericalError of every energy that failed (its S is NaN).
 
-        Any E <= 0 raises InputError for the whole call. The energies run
-        in batches of at most 256, which bounds the working memory.
+        Any E that is not positive and finite raises InputError for the
+        whole call; an S that comes out non-finite with no stage's error
+        filed fails with a NumericalError naming E. The energies run in
+        batches of at most 256, which bounds the working memory.
         """
         energies = np.ravel(np.asarray(energies, dtype=float))
         kin = KinematicParams.for_system(energies, self.system.basis.lam, self.system.z_charge)
@@ -595,6 +597,10 @@ class ScatteringCalculator:
             _record(errors, i, NumericalError(f"S-matrix denominator vanished at E={float(energies[i])}"))
         with np.errstate(divide="ignore", invalid="ignore"):
             s = cs.t * (1.0 + gj * np.conj(cs.r_plus)) / denom
+        # what no stage filed, e.g. a J(E) that overflows at E near the
+        # largest double
+        for i in np.flatnonzero(~np.isfinite(s)):
+            _record(errors, i, NumericalError(f"S-matrix at E={float(energies[i])}: non-finite value {complex(s[i])}"))
         s[list(errors)] = complex("nan")
         return s
 

@@ -2,13 +2,19 @@
 
 The oracles here deliberately avoid the code paths they check: the
 determinant oracle is cofactor expansion, the cubic eigenvalue oracle is
-Cardano's closed form, never LAPACK.
+Cardano's closed form, and the pencil oracle a 40-digit mpmath solve,
+never LAPACK.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+
+# The bound on either eigenvalue route of a Laguerre pencil against
+# ``mp_pencil_reference``, relative to max |eps|.
+PENCIL_EPS_TOL = 2e-14
 
 
 @pytest.fixture
@@ -67,3 +73,38 @@ def char_poly_3x3(a):
         + a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     )
     return -tr, minors, -det_cofactor(a)
+
+
+def mp_pencil_reference(h, omega, dps=40):
+    """Eigenvalues and last-row weights gamma[N-1, j]^2 of a pencil with
+    a tridiagonal overlap, at ``dps`` digits.
+
+    C = L^-1 H L^-T by forward substitution on the bidiagonal Cholesky
+    factor L (rows, then columns). mpmath's eigsy gives the eigenvalues
+    eps of C and mu of its leading N-1 block, which is the reduced
+    leading pencil; the last row of gamma = L^-T v is v[N-1] / l[N-1],
+    and v[N-1, j]^2 = prod_k (eps_j - mu_k) / prod_(k != j) (eps_j - eps_k).
+    Values only, no eigenvectors: eigsy is several times faster so."""
+    n = h.shape[0]
+    with mp.workdps(dps):
+        diag, sub = [mp.sqrt(mp.mpf(omega[0, 0]))], [mp.mpf(0)]
+        for j in range(1, n):
+            sub.append(mp.mpf(omega[j, j - 1]) / diag[j - 1])
+            diag.append(mp.sqrt(mp.mpf(omega[j, j]) - sub[j] ** 2))
+        rows = [[mp.mpf(v) / diag[0] for v in h[0]]]
+        for j in range(1, n):
+            rows.append([(mp.mpf(v) - sub[j] * p) / diag[j] for v, p in zip(h[j], rows[j - 1])])
+        cols = [[row[0] / diag[0] for row in rows]]
+        for k in range(1, n):
+            cols.append([(row[k] - sub[k] * p) / diag[k] for row, p in zip(rows, cols[k - 1])])
+        c = mp.matrix(n, n)
+        for i in range(n):
+            for k in range(n):
+                c[i, k] = (cols[k][i] + cols[i][k]) / 2
+        eps = sorted(mp.eigsy(c, eigvals_only=True))
+        mu = mp.eigsy(c[: n - 1, : n - 1], eigvals_only=True)
+        weights = [
+            mp.fprod(e - m for m in mu) / mp.fprod(e - f for k, f in enumerate(eps) if k != j) / diag[n - 1] ** 2
+            for j, e in enumerate(eps)
+        ]
+        return np.array([float(e) for e in eps]), np.array([float(w) for w in weights])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import mpmath as mp
 
-from resolvent_kit import scattering
+from resolvent_kit import analysis, scattering
 from resolvent_kit.analysis import (
     ScanTable,
     _solve_poles,
@@ -17,10 +17,12 @@ from resolvent_kit.analysis import (
 )
 from resolvent_kit.basis import BasisSpec, SystemSpec, build_matrices
 from resolvent_kit.errors import ConvergenceError, FitResidualError, InputError, SpectrumEvaluationError
-from resolvent_kit.matrix_core import gen_sym_eig, sym_eig
+from resolvent_kit.matrix_core import gen_sym_eigvals, sym_eig
 from resolvent_kit.potential import parse_potential
 from resolvent_kit.resolvent import _BATCH_SIZE, PartialFractions
 from resolvent_kit.scattering import ScatteringCalculator
+
+from conftest import PENCIL_EPS_TOL, mp_pencil_reference
 
 
 class TestScanTable:
@@ -484,12 +486,50 @@ class TestBoundStates:
         assert result.energies.size == 0
 
     def test_matches_negative_eigenvalues_exactly(self):
+        # exactly the negative eigenvalues of the eigenvalue-only route, and
+        # those within the pencil bound of the 40-digit mpmath solve
         pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=15), potential=pot)
         result = bound_states(spec)
         mats = build_matrices(spec)
-        pair = gen_sym_eig(mats.h.data, mats.omega.data)
-        np.testing.assert_array_equal(result.energies, pair.eps[pair.eps < 0])
+        eps = gen_sym_eigvals(mats.h.data, mats.omega.data)
+        np.testing.assert_array_equal(result.energies, eps[eps < 0])
+        eps_ref, _ = mp_pencil_reference(mats.h.data, mats.omega.data)
+        assert result.energies.size == np.count_nonzero(eps_ref < 0) == 2
+        assert np.max(np.abs(result.energies - eps_ref[eps_ref < 0])) <= PENCIL_EPS_TOL * np.max(np.abs(eps_ref))
+
+    def test_energies_form_no_eigenvectors(self, monkeypatch):
+        # the energies come from the eigenvalue-only solve; the scan's
+        # weights take one eigendecomposition, on its first read only
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=15), potential=pot)
+        build_matrices(spec)  # the basis check's Gauss rules are cached from here on
+        calls = []
+        for owner, name in ((analysis, "gen_sym_eig"), (np.linalg, "eigh")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+        result = bound_states(spec)
+        assert result.energies.size == 2 and calls == []
+        table = result.scan
+        assert calls == ["gen_sym_eig", "eigh"]
+        assert result.scan is table and calls == ["gen_sym_eig", "eigh"]
+
+    def test_scan_poles_are_the_energies(self, monkeypatch):
+        # the scan's G has the reported energies as its poles, bit for bit,
+        # and every pole of the eigenvalue-only spectrum
+        pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=15), potential=pot)
+        seen = []
+        real = PartialFractions.evaluate
+        monkeypatch.setattr(PartialFractions, "evaluate", lambda self, *a: seen.append(self) or real(self, *a))
+        result = bound_states(spec)
+        result.scan
+        (g,) = seen
+        mats = build_matrices(spec)
+        assert g.poles.tobytes() == gen_sym_eigvals(mats.h, mats.omega).tobytes()
+        assert g.poles[g.poles < 0].tobytes() == result.energies.tobytes()
+        on_energies = bound_states(spec, grid=result.energies).scan
+        assert on_energies.flagged == (0, 1)
 
     def test_scan_diverges_at_poles(self):
         pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")
@@ -553,6 +593,13 @@ class TestBoundStates:
             if i != k:
                 want = abs(np.linalg.solve(mats.h.data - e * mats.omega.data, unit)[-1])
                 assert abs_g[i] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("grid", [[], [-2.0, -3.0], [-2.0, -2.0]])
+    def test_grid_checked_at_the_call(self, grid):
+        # the scan is built later, but a grid it cannot take fails here
+        spec = SystemSpec(basis=BasisSpec("laguerre", lam=20.0, ell=0, size=15))
+        with pytest.raises(InputError, match="grid"):
+            bound_states(spec, grid=grid)
 
     def test_scan_covers_spectrum(self):
         pot = parse_potential("5*exp(-(r-3.5)^2/4) - 8*exp(-r^2/5)")

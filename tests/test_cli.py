@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -113,15 +114,21 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "a.json").exists()
 
-    def test_failed_fit_solve_exits_two(self, tmp_path, capsys):
-        # a contour this high overflows the fit's powers of z, and the
-        # least-squares solve fails; the stage is named, not a numpy traceback
-        argv = ["dos", "--family", "oscillator", "--N", "20", "--method", "continuation", "--fit-height", "1e300"]
+    def test_failed_fit_solve_exits_two(self, tmp_path, capfd):
+        # a contour this high overflows the fit's powers of z; the stage is
+        # named, with no numpy warning (here an error) and nothing from
+        # LAPACK on the process's stderr
         out = ["--csv", str(tmp_path / "a.csv"), "--json", str(tmp_path / "a.json")]
-        with np.errstate(all="ignore"):
-            assert run_cli(argv + out) == 2
-        assert "numerical error in dos (NumericalError): rational fit of order (7)/8" in capsys.readouterr().err
-        assert not (tmp_path / "a.json").exists()
+        for height in ("1e300", "1e200"):
+            argv = ["dos", "--family", "oscillator", "--N", "20", "--method", "continuation", "--fit-height", height]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli(argv + out) == 2
+            assert capfd.readouterr().err == (
+                f"numerical error in dos (NumericalError): rational fit of order (7)/8 at contour height "
+                f"{float(height)}: least-squares system not finite\n"
+            )
+            assert not (tmp_path / "a.json").exists()
 
     def test_bound_states_grid_end_named(self, tmp_path, capsys):
         # a negative e_min scans up to min(e_max, -1e-3); at or above that

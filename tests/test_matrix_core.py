@@ -1,4 +1,3 @@
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,10 +10,19 @@ from resolvent_kit.matrix_core import (
     _fix_column_signs,
     delete_row_col,
     gen_sym_eig,
+    gen_sym_eigvals,
     sym_eig,
 )
 
-from conftest import char_poly_3x3, cubic_roots, det_cofactor, random_spd, random_symmetric
+from conftest import (
+    PENCIL_EPS_TOL,
+    char_poly_3x3,
+    cubic_roots,
+    det_cofactor,
+    mp_pencil_reference,
+    random_spd,
+    random_symmetric,
+)
 
 
 class TestTypes:
@@ -31,6 +39,9 @@ class TestTypes:
             lambda: sym_eig(skew),
             lambda: gen_sym_eig(skew, om),
             lambda: gen_sym_eig(h, skew + 10.0 * np.eye(4)),
+            lambda: gen_sym_eigvals(skew),
+            lambda: gen_sym_eigvals(skew, om),
+            lambda: gen_sym_eigvals(h, skew + 10.0 * np.eye(4)),
         )
         for call in calls:
             with pytest.raises(InputError, match="not symmetric"):
@@ -42,6 +53,7 @@ class TestTypes:
         h = random_symmetric(rng, 5)
         om = random_spd(rng, 5)
         want = gen_sym_eig(h, om), sym_eig(h)
+        want_eps = gen_sym_eigvals(h, om), gen_sym_eigvals(h)
         sh, som = SymMatrix(h), SymMatrix(om)
 
         def refuse(*args, **kwargs):
@@ -50,6 +62,8 @@ class TestTypes:
         monkeypatch.setattr(np, "allclose", refuse)
         for got, ref in zip((gen_sym_eig(sh, som), sym_eig(sh)), want):
             assert np.array_equal(got.eps, ref.eps) and np.array_equal(got.gamma, ref.gamma)
+        for got, ref in zip((gen_sym_eigvals(sh, som), gen_sym_eigvals(sh)), want_eps):
+            assert np.array_equal(got, ref)
 
     def test_sym_matrix_frozen(self):
         m = SymMatrix(np.eye(3))
@@ -67,6 +81,9 @@ class TestTypes:
             lambda: sym_eig(broken),
             lambda: gen_sym_eig(broken, om),
             lambda: gen_sym_eig(h, broken),
+            lambda: gen_sym_eigvals(broken),
+            lambda: gen_sym_eigvals(broken, om),
+            lambda: gen_sym_eigvals(h, broken),
         )
         for call in calls:
             with pytest.raises(InputError, match="non-finite"):
@@ -236,44 +253,36 @@ class TestGenSymEig:
         np.testing.assert_allclose(pair.gamma.T @ h @ pair.gamma, np.diag(pair.eps), rtol=0, atol=tol)
 
 
+class TestGenSymEigvals:
+    """The eigenvalue-only solve: gen_sym_eig's reduction, no eigenvectors."""
+
+    @pytest.mark.parametrize("overlap", ["dense", "tridiagonal", "identity"])
+    def test_eigenvalues_of_the_pencil(self, rng, overlap):
+        h = random_symmetric(rng, 6)
+        om = {"dense": random_spd(rng, 6), "tridiagonal": _tridiagonal_spd(rng, 6), "identity": np.eye(6)}[overlap]
+        eps = gen_sym_eigvals(h, om)
+        assert np.all(np.diff(eps) > 0) and not eps.flags.writeable
+        np.testing.assert_allclose(eps, gen_sym_eig(h, om).eps, rtol=0, atol=1e-13 * np.max(np.abs(eps)))
+        for e in eps:
+            val = det_cofactor(h - e * om)
+            assert abs(val) / (abs(det_cofactor(om)) * max(1.0, np.max(np.abs(eps))) ** 6) < 1e-10
+
+    def test_identity_overlap_is_no_overlap(self, rng):
+        # scaling by a unit diagonal factor hands H to eigvalsh bit for bit
+        h = random_symmetric(rng, 7)
+        assert gen_sym_eigvals(h, np.eye(7)).tobytes() == gen_sym_eigvals(h).tobytes()
+
+    def test_pencil_refused(self, rng):
+        h = random_symmetric(rng, 4)
+        with pytest.raises(OverlapNotSPDError, match="overlap not SPD"):
+            gen_sym_eigvals(h, np.diag([1.0, -1.0, 1.0, 1.0]))
+        with pytest.raises(InputError, match="dimension mismatch"):
+            gen_sym_eigvals(h, np.eye(3))
+
+
 def _tridiagonal_spd(rng, n):
     off = 0.5 * rng.randn(n - 1)
     return np.diag(2.0 + rng.rand(n)) + np.diag(off, 1) + np.diag(off, -1)
-
-
-def _mp_pencil_reference(h, omega, dps=40):
-    """Eigenvalues and last-row weights gamma[N-1, j]^2 of a pencil with
-    a tridiagonal overlap, at ``dps`` digits.
-
-    C = L^-1 H L^-T by forward substitution on the bidiagonal Cholesky
-    factor L (rows, then columns). mpmath's eigsy gives the eigenvalues
-    eps of C and mu of its leading N-1 block, which is the reduced
-    leading pencil; the last row of gamma = L^-T v is v[N-1] / l[N-1],
-    and v[N-1, j]^2 = prod_k (eps_j - mu_k) / prod_(k != j) (eps_j - eps_k).
-    Values only, no eigenvectors: eigsy is several times faster so."""
-    n = h.shape[0]
-    with mp.workdps(dps):
-        diag, sub = [mp.sqrt(mp.mpf(omega[0, 0]))], [mp.mpf(0)]
-        for j in range(1, n):
-            sub.append(mp.mpf(omega[j, j - 1]) / diag[j - 1])
-            diag.append(mp.sqrt(mp.mpf(omega[j, j]) - sub[j] ** 2))
-        rows = [[mp.mpf(v) / diag[0] for v in h[0]]]
-        for j in range(1, n):
-            rows.append([(mp.mpf(v) - sub[j] * p) / diag[j] for v, p in zip(h[j], rows[j - 1])])
-        cols = [[row[0] / diag[0] for row in rows]]
-        for k in range(1, n):
-            cols.append([(row[k] - sub[k] * p) / diag[k] for row, p in zip(rows, cols[k - 1])])
-        c = mp.matrix(n, n)
-        for i in range(n):
-            for k in range(n):
-                c[i, k] = (cols[k][i] + cols[i][k]) / 2
-        eps = sorted(mp.eigsy(c, eigvals_only=True))
-        mu = mp.eigsy(c[: n - 1, : n - 1], eigvals_only=True)
-        weights = [
-            mp.fprod(e - m for m in mu) / mp.fprod(e - f for k, f in enumerate(eps) if k != j) / diag[n - 1] ** 2
-            for j, e in enumerate(eps)
-        ]
-        return np.array([float(e) for e in eps]), np.array([float(w) for w in weights])
 
 
 BARRIER = "7.5*r^2*exp(-r)"
@@ -296,14 +305,15 @@ def _permuted(h, omega):
 
 
 class TestLaguerrePencilsAgainstMpmath:
-    """Both reductions of gen_sym_eig against a 40-digit solve of the same
+    """Both reductions of gen_sym_eig, and the eigenvalue-only solve
+    gen_sym_eigvals on each, against a 40-digit solve of the same
     Laguerre pencil: the bidiagonal one on the pencil as built, the dense
     one on the pencil permuted. Largest errors measured, over the five
     systems and both routes: eigenvalues 1.24e-14 of max |eps|, last-row
     weights 2.95e-12 of the largest weight (both at N = 100-120, dense);
     at N <= 60 they are 1.7e-15 and 5.5e-13."""
 
-    EPS_TOL = 2e-14
+    EPS_TOL = PENCIL_EPS_TOL
     WEIGHT_TOL = 5e-12
 
     @pytest.mark.parametrize(
@@ -318,7 +328,7 @@ class TestLaguerrePencilsAgainstMpmath:
     )
     def test_eigenpairs(self, monkeypatch, text, lam, ell, size):
         h, om = _laguerre_pencil(text, lam, ell, size)
-        eps_ref, weights_ref = _mp_pencil_reference(h, om)
+        eps_ref, weights_ref = mp_pencil_reference(h, om)
         inverses = []
         real_inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(m) or real_inv(m))
@@ -329,6 +339,25 @@ class TestLaguerrePencilsAgainstMpmath:
             assert np.max(np.abs(pair.eps - eps_ref)) <= self.EPS_TOL * np.max(np.abs(eps_ref))
             weights = pair.gamma[last] ** 2
             assert np.max(np.abs(weights - weights_ref)) <= self.WEIGHT_TOL * np.max(weights_ref)
+            eps = gen_sym_eigvals(hh, oo)
+            assert len(inverses) == 2 * dense
+            assert np.max(np.abs(eps - eps_ref)) <= self.EPS_TOL * np.max(np.abs(eps_ref))
+
+    def test_identity_overlap(self):
+        # an oscillator pencil, whose overlap is the identity: reduced by
+        # scaling, and with no overlap given at all
+        mats = build_matrices(
+            SystemSpec(basis=BasisSpec("oscillator", lam=0.45, ell=0, size=40), potential=parse_potential(BARRIER))
+        )
+        h, om = mats.h.data, mats.omega.data
+        np.testing.assert_array_equal(om, np.eye(40))
+        eps_ref, weights_ref = mp_pencil_reference(h, om)
+        tol = self.EPS_TOL * np.max(np.abs(eps_ref))
+        pair = gen_sym_eig(h, om)
+        assert np.max(np.abs(pair.eps - eps_ref)) <= tol
+        assert np.max(np.abs(pair.gamma[-1] ** 2 - weights_ref)) <= self.WEIGHT_TOL * np.max(weights_ref)
+        for eps in (gen_sym_eigvals(h, om), gen_sym_eigvals(h)):
+            assert np.max(np.abs(eps - eps_ref)) <= tol
 
     @pytest.mark.parametrize("text, lam, ell", [(TWO_GAUSSIAN, 10.0, 1), (BARRIER, 1.0, 0)])
     def test_routes_agree_at_n200(self, text, lam, ell):

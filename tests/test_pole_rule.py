@@ -1,7 +1,9 @@
 """One pole rule for every resolvent consumer.
 
-Each consumer is probed at a generalized eigenvalue eps of its pencil, at
-eps (1 + 1e-12) and at eps (1 + 1e-6):
+Each consumer is probed at a generalized eigenvalue eps of its pencil,
+taken from the spectrum that consumer uses (the eigenpairs' or, for
+``bound_states``, the eigenvalue-only solve's), at eps (1 + 1e-12) and at
+eps (1 + 1e-6):
 
 * on eps it flags that point alone (NaN there) or raises a
   SpectrumEvaluationError that names eps;
@@ -24,7 +26,7 @@ from resolvent_kit.analysis import bound_states
 from resolvent_kit.basis import BasisSpec, SystemSpec, build_matrices
 from resolvent_kit.cli import main as cli_main
 from resolvent_kit.errors import SpectrumEvaluationError
-from resolvent_kit.matrix_core import gen_sym_eig, sym_eig
+from resolvent_kit.matrix_core import gen_sym_eig, gen_sym_eigvals, sym_eig
 from resolvent_kit.potential import parse_potential
 from resolvent_kit.resolvent import (
     ResolventInput,
@@ -57,9 +59,12 @@ class System:
         mats = build_matrices(self.spec)
         self.h = mats.h.data
         self.omega = None if family == "oscillator" else mats.omega.data
-        # the spectrum the consumers of this pencil use
+        # the spectra the consumers of this pencil use: the eigenpairs'
+        # (probe ``pole``), and the eigenvalue-only solve's (``eigvals_pole``)
         self.eps = (sym_eig(self.h) if self.omega is None else gen_sym_eig(self.h, self.omega)).eps
         self.pole = float(self.eps[np.argmin(np.abs(self.eps - TARGET))])
+        eps = gen_sym_eigvals(self.h, self.omega)
+        self.eigvals_pole = float(eps[np.argmin(np.abs(eps - TARGET))])
 
     def oracle(self, z, n, m):
         return inverse_oracle(ResolventInput(h=self.h, omega=self.omega, z=z))[n, m]
@@ -150,21 +155,31 @@ CONSUMERS = {
 }
 
 
+# consumers whose poles come from the eigenvalue-only solve
+EIGENVALUES_ONLY = {"bound_states"}
+
+
+def _pole(name, sys_):
+    """The probed eigenvalue, from the spectrum consumer ``name`` uses."""
+    return sys_.eigvals_pole if name in EIGENVALUES_ONLY else sys_.pole
+
+
 @pytest.mark.parametrize("name", CONSUMERS)
 def test_exact_eigenvalue_is_refused(name, request, tmp_path):
     consumer, fixture, _ = CONSUMERS[name]
     sys_ = request.getfixturevalue(fixture)
+    pole = _pole(name, sys_)
     with pytest.raises((SpectrumEvaluationError, Flagged)) as err:
-        consumer(sys_, sys_.pole, tmp_path)
+        consumer(sys_, pole, tmp_path)
     if isinstance(err.value, SpectrumEvaluationError):
-        assert err.value.pole == sys_.pole
+        assert err.value.pole == pole
 
 
 @pytest.mark.parametrize("name", CONSUMERS)
 def test_gap_of_1e12_evaluates(name, request, tmp_path):
     consumer, fixture, _ = CONSUMERS[name]
     sys_ = request.getfixturevalue(fixture)
-    value = consumer(sys_, sys_.pole * (1.0 + 1e-12), tmp_path)
+    value = consumer(sys_, _pole(name, sys_) * (1.0 + 1e-12), tmp_path)
     assert np.isfinite(value)
 
 
@@ -172,7 +187,7 @@ def test_gap_of_1e12_evaluates(name, request, tmp_path):
 def test_gap_of_1e6_matches_inverse(name, request, tmp_path):
     consumer, fixture, (n, m, transform) = CONSUMERS[name]
     sys_ = request.getfixturevalue(fixture)
-    e = sys_.pole * (1.0 + 1e-6)
+    e = _pole(name, sys_) * (1.0 + 1e-6)
     want = sys_.oracle(e, n, m)
     if transform is not None:
         want = transform(want)

@@ -239,6 +239,11 @@ class TestKinematics:
         with pytest.raises(InputError):
             KinematicParams.for_system(-1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("energy", [math.inf, math.nan])
+    def test_needs_finite_energy(self, energy):
+        with pytest.raises(InputError, match="must be positive and finite"):
+            KinematicParams.for_system([1.0, energy], 1.0, 0.0)
+
 
 @functools.lru_cache(maxsize=None)
 def two_function_pencil(lam, ell, z_charge):
@@ -624,6 +629,25 @@ class TestSMatrix:
         calc = ScatteringCalculator(spec)
         for energy in np.linspace(0.5, 7.5, 15):
             assert abs(abs(calc.point(energy).s) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("z_charge, error", [(0.0, NumericalError), (1.0, RecursionBreakdownError)])
+    def test_huge_energy_fails_typed(self, z_charge, error):
+        # near the largest double J(E) overflows; no S comes out NaN without
+        # an error naming its energy, and E = inf is refused outright
+        spec = SystemSpec(
+            basis=BasisSpec("laguerre", lam=1.0, ell=1, size=20),
+            potential=parse_potential("7.5*r^2*exp(-r)"),
+            z_charge=z_charge,
+        )
+        calc = ScatteringCalculator(spec)
+        with np.errstate(all="ignore"):
+            s, errors = calc.s_values([1.0, 1e306, 1e307, 1e308])
+            with pytest.raises(InputError, match="must be positive and finite, got inf"):
+                calc.s_values([1.0, math.inf])
+        assert np.all(np.isfinite(s[:2])) and np.all(np.isnan(s[2:]))
+        assert list(errors) == [2, 3] and all(type(errors[i]) is error for i in errors)
+        if error is NumericalError:
+            assert str(errors[2]).startswith("S-matrix at E=1e+307: non-finite value")
 
     def test_oscillator_basis_rejected(self):
         spec = SystemSpec(basis=BasisSpec("oscillator", lam=1.0, ell=0, size=10))
