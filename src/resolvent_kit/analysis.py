@@ -44,7 +44,7 @@ class ScanTable:
 
     ``flagged`` lists indices whose evaluation failed (for scattering
     scans, grid points that fell on a resolvent pole); their column
-    entries are NaN.
+    entries are NaN. Only ``density_of_states`` fills ``metadata``.
     """
 
     energies: np.ndarray
@@ -126,19 +126,7 @@ def scan_smatrix(system_or_calc, grid: Sequence[float]) -> ScanTable:
         "abs_one_minus_s": np.abs(1.0 - s),
         "delta": 0.5 * np.angle(s),
     }
-    meta = {"system": _system_snapshot(calc.system), "kind": "smatrix"}
-    return ScanTable(energies=grid, columns=cols, metadata=meta, flagged=tuple(errors))
-
-
-def _system_snapshot(spec: SystemSpec) -> dict:
-    return {
-        "family": spec.basis.family,
-        "lambda": spec.basis.lam,
-        "ell": spec.basis.ell,
-        "N": spec.basis.size,
-        "Z": spec.z_charge,
-        "potential": spec.potential.to_text() if spec.potential is not None else "0",
-    }
+    return ScanTable(energies=grid, columns=cols, flagged=tuple(errors))
 
 
 # The pole search: Halley's step cap, its convergence tolerance and
@@ -365,9 +353,8 @@ def _abs_g_scan(mats: MatrixSet, poles: np.ndarray, grid: np.ndarray) -> ScanTab
     last = mats.size - 1
     weights = gen_sym_eig(mats.h, mats.omega).gamma[last] ** 2
     g, on_pole = PartialFractions(poles=poles, coeffs=weights, n=last, m=last).evaluate(grid)
-    meta = {"system": _system_snapshot(mats.spec), "kind": "resolvent_magnitude"}
     flagged = tuple(np.flatnonzero(on_pole).tolist())
-    return ScanTable(energies=grid, columns={"abs_g": np.abs(g)}, metadata=meta, flagged=flagged)
+    return ScanTable(energies=grid, columns={"abs_g": np.abs(g)}, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +421,7 @@ def density_of_states(
         raise InputError(f"unknown DOS method {method!r}")
     grid = np.asarray(grid, dtype=float)
     g00 = _g00(system)
-    meta = {
-        "system": _system_snapshot(system),
-        "kind": "dos",
-        "method": method,
-        "total_weight": float(g00.coeffs.sum()),
-    }
+    meta = {"method": method, "total_weight": float(g00.coeffs.sum())}
     if method == "smoothing":
         width = delta if delta is not None else default_smoothing_width(g00.poles, grid[0], grid[-1])
         rho = _g00_off_poles(g00, grid + 1j * width).imag / math.pi

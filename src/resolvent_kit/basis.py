@@ -163,8 +163,8 @@ def gauss_quadrature(alpha: float, npts: int):
     x^alpha e^(-x) on (0, inf). Nodes are the eigenvalues of the
     orthonormal-recurrence tridiagonal (Jacobi) matrix, found by the
     dense symmetric eigensolver, so a rule of n points costs O(n^3): the
-    package itself builds only rules of N + 2 points. Weights come from
-    the classical end-polynomial formula
+    package itself builds only rules of N + 2 points, each on every call.
+    Weights come from the classical end-polynomial formula
 
         w_k = x_k / ((npts+1)(npts+alpha+1) lhat_(npts+1)(x_k)^2)
 
@@ -175,7 +175,7 @@ def gauss_quadrature(alpha: float, npts: int):
     nodes, log_w = gauss_rule_log(alpha, npts)
     with np.errstate(under="ignore"):
         weights = np.exp(log_w)
-    return nodes.copy(), weights
+    return nodes, weights
 
 
 def gauss_rule_log(alpha: float, npts: int):
@@ -183,19 +183,16 @@ def gauss_rule_log(alpha: float, npts: int):
     form quadrature sums should consume so tiny weights keep relative
     accuracy.
 
-    A rule depends only on (alpha, npts), so each is built once per
-    process and shared: the returned arrays are read-only. Building a
-    rule of n points costs O(n^3) (see ``gauss_quadrature``); the package
-    builds only rules of N + 2 points."""
+    Each call builds its rule afresh, at O(n^3) for n points (see
+    ``gauss_quadrature``). The package builds only rules of N + 2 points:
+    for the closed-form check, whose per-key cache
+    (``_closed_form_residual``) is the one cache, and for an oscillator
+    system's Coulomb term."""
     if npts < 1:
         raise InputError("quadrature needs at least one point")
     if alpha <= -1.0:
         raise InputError(f"weight exponent must exceed -1, got {alpha}")
-    return _gauss_rule_cached(float(alpha), int(npts))
-
-
-@functools.lru_cache(maxsize=128)
-def _gauss_rule_cached(alpha: float, npts: int):
+    alpha, npts = float(alpha), int(npts)  # the same bits for int and float arguments
     k = np.arange(npts, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     if npts == 1:
@@ -212,8 +209,6 @@ def _gauss_rule_cached(alpha: float, npts: int):
         cur, _, logscale = _orthonormal_recurrence(alpha, npts + 1, nodes, *_lhat0(alpha, nodes))
         logmag = np.log(np.abs(cur)) + logscale
         log_w = np.log(nodes) - math.log(npts + 1.0) - math.log(npts + alpha + 1.0) - 2.0 * logmag
-    nodes.setflags(write=False)
-    log_w.setflags(write=False)
     return nodes, log_w
 
 
@@ -406,8 +401,7 @@ def _potential_by_quadrature(spec: SystemSpec, alpha_poly, rules):
 # The potential quadrature starts from max(4 * size, 40) points (rounded
 # up to whole panels) and doubles until a doubling changes the matrix by
 # at most CONV_TOL (relative), or raises at _QUAD_POINT_CAP. Its panels
-# are laid out anew for each build; none goes through the gauss_rule_log
-# cache.
+# are laid out anew for each build.
 _QUAD_POINT_CAP = 4096
 CONV_TOL = 1e-8
 

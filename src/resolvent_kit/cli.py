@@ -170,7 +170,6 @@ def cmd_resolvent(cfg: RunConfig) -> tuple:
     table = ScanTable(
         energies=grid,
         columns={"re_g": values.real, "im_g": values.imag, "abs_g": np.abs(values)},
-        metadata={"kind": "resolvent"},
         flagged=tuple(flagged),
     )
     results = {

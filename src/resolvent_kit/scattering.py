@@ -37,9 +37,10 @@ the factors of its search's last step and adds only T and R_N(-)
 take R_N(+) from one function, ``seed_coefficients``.
 
 Every stage is elementwise in E and works on an array of energies at
-once. A stage that fails at some energies either raises the first
-failure or, given an ``errors`` map, records each failure under its
-index and returns NaN there, leaving the other energies untouched.
+once. A stage that fails at some energies raises nothing: it files each
+failure in the caller's ``errors`` map under its index, unless an
+earlier stage already filed one there, and returns NaN there, leaving
+the other energies untouched.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ from .errors import (
 )
 from .matrix_core import SpectralPair, gen_sym_eig
 from .resolvent import PartialFractions, _batches, _pole_error
-
-
-def _record(errors: Optional[dict], index, exc: NumericalError):
-    """Raise ``exc``, or file it in ``errors`` under ``index`` unless an
-    earlier stage already failed there."""
-    if errors is None:
-        raise exc
-    errors.setdefault(int(index), exc)
 
 
 @dataclass(frozen=True)
@@ -99,8 +92,11 @@ class KinematicParams:
         bad = ~((energy > 0.0) & (energy < math.inf))
         if bad.any():
             raise InputError(f"scattering energy must be positive and finite, got {float(energy[bad][0])}")
-        theta = 2.0 * np.arctan2(lam, np.sqrt(8.0 * energy))
-        return cls(energy=energy, theta=theta, t=z_charge / np.sqrt(2.0 * energy))
+        # 8E overflows near the largest double, where theta -> 0 and t -> 0
+        # are the limits
+        with np.errstate(over="ignore"):
+            theta = 2.0 * np.arctan2(lam, np.sqrt(8.0 * energy))
+            return cls(energy=energy, theta=theta, t=z_charge / np.sqrt(2.0 * energy))
 
     @classmethod
     def continued(cls, energy, lam: float, z_charge: float) -> "KinematicParams":
@@ -304,12 +300,12 @@ def _cf_error(stage: str, max_levels: int, last_delta) -> ConvergenceError:
 SEED_TOL = 1e-15
 
 
-def seed_coefficients(kin: KinematicParams, ell: int, n: int, max_levels: int = 10**6, errors: Optional[dict] = None):
+def seed_coefficients(kin: KinematicParams, ell: int, n: int, max_levels: int = 10**6, *, errors: dict):
     """R_n(+) at every energy of ``kin``, in its shape: ``_neutral_r_plus``
     where t = Z / k is zero throughout (Z = 0), else one
     ``_coulomb_fractions`` stopped at ``max_levels``. A fraction at its
     level cap, or a non-finite R_n(+), fails the element as "R_n(+) at
-    E=.., ell=.., t=.." (see the module docstring for ``errors``).
+    E=.., ell=.., t=..", filed in ``errors`` (see the module docstring).
     """
     energy, theta, t = (np.ravel(v) for v in (kin.energy, kin.theta, kin.t))
     if t.any():
@@ -321,16 +317,16 @@ def seed_coefficients(kin: KinematicParams, ell: int, n: int, max_levels: int = 
         return f"R_{n}(+) at E={energy[i]}, ell={ell}, t={t[i]}"
 
     for i, last_delta in zip(failed, last):
-        _record(errors, i, _cf_error(stage(i), max_levels, last_delta))
+        errors.setdefault(int(i), _cf_error(stage(i), max_levels, last_delta))
     bad = ~np.isfinite(r_plus)
     for i in np.flatnonzero(bad):
-        _record(errors, i, NumericalError(f"{stage(i)}: non-finite value {complex(r_plus[i])}"))
+        errors.setdefault(int(i), NumericalError(f"{stage(i)}: non-finite value {complex(r_plus[i])}"))
     r_plus[bad] = complex("nan")
     return r_plus.reshape(kin.energy.shape)
 
 
 def cs_recursion(
-    mats: MatrixSet, kin: KinematicParams, up_to: int, errors: Optional[dict] = None, max_levels: int = 10**6
+    mats: MatrixSet, kin: KinematicParams, up_to: int, errors: dict, max_levels: int = 10**6
 ) -> CSCoefficients:
     """T_(up_to-1) and R_up_to(+) at every energy of ``kin``.
 
@@ -354,17 +350,19 @@ def cs_recursion(
     product over them. A vanishing coupling J_(n,n-1), or a vanishing
     denominator, is a breakdown that fails the element; elements whose
     seed failed come in as NaN and are carried without further checks. A
-    non-finite closed form fails its element the same way.
+    non-finite closed form fails its element the same way. Every failure
+    is filed in ``errors`` (see the module docstring).
     """
     size = mats.size
     if not 1 <= up_to <= size:
         raise InputError(f"recursion index {up_to} outside 1 .. basis size {size}")
-    if mats.spec.basis.family != LAGUERRE:
-        raise InputError("coefficient recursion is seeded for the Laguerre basis only")
     if mats.spec.z_charge == 0.0:
         return _neutral_coefficients(kin, mats.spec.basis.ell, up_to, errors)
+    # E * Overlap overflows near the largest double; the ratios then break
+    # down, and that is filed below
+    with np.errstate(over="ignore"):
+        diag, off = mats.j_tridiagonal(np.ravel(kin.energy))
     # complex copies spare the loop a real-to-complex cast at every step
-    diag, off = mats.j_tridiagonal(np.ravel(kin.energy))
     neg_diag, off = (-diag).astype(complex), off.astype(complex)
 
     r_top = np.ravel(seed_coefficients(kin, mats.spec.basis.ell, up_to, max_levels=max_levels, errors=errors))
@@ -390,7 +388,7 @@ def cs_recursion(
     )
 
 
-def _neutral_coefficients(kin: KinematicParams, ell: int, n: int, errors: Optional[dict]) -> CSCoefficients:
+def _neutral_coefficients(kin: KinematicParams, ell: int, n: int, errors: dict) -> CSCoefficients:
     """T_(n-1) and R_n(+) of a neutral system in closed form.
 
     At Z = 0 the reference solutions are terminating hypergeometric
@@ -414,7 +412,7 @@ def _neutral_coefficients(kin: KinematicParams, ell: int, n: int, errors: Option
     (E 1e-3 .. 50, lam 1 .. 20, ell <= 3, n <= 120) R is within 1e-15 and
     T within 1e-13 relative, T's error being theta's rounding times 2n;
     the sum in powers of x reaches 8e-12. A non-finite T or R fails its
-    element (see the module docstring for ``errors``).
+    element, filed in ``errors`` (see the module docstring).
     """
     energy, theta = np.ravel(kin.energy), np.ravel(kin.theta)
     r_plus, p_n = _neutral_r_plus(theta, ell, n)
@@ -422,8 +420,8 @@ def _neutral_coefficients(kin: KinematicParams, ell: int, n: int, errors: Option
         t = np.exp(2j * n * theta) * _minus(p_n, kin) / p_n
     bad = ~(np.isfinite(t) & np.isfinite(r_plus))
     for i in np.flatnonzero(bad):
-        _record(
-            errors, i,
+        errors.setdefault(
+            int(i),
             NumericalError(
                 f"closed form at E={energy[i]}, ell={ell}: non-finite "
                 f"T_{n - 1} = {complex(t[i])}, R_{n}(+) = {complex(r_plus[i])}"
@@ -476,7 +474,7 @@ def _neutral_polynomial(ell: int, n: int, y: np.ndarray) -> np.ndarray:
 
 
 def _report_breakdowns(index, ratios, off, errors):
-    """Record the first breakdown of each broken element ``index``: the
+    """File the first breakdown of each broken element ``index``: the
     highest row n whose coupling J_(n,n-1) vanishes (row 0's stand-in -1
     cannot), or whose stored R_n vanishes or is not finite."""
     r = ratios[index]
@@ -487,7 +485,7 @@ def _report_breakdowns(index, ratios, off, errors):
         if broken[j].any():
             n = np.flatnonzero(broken[j])[-1]
             what = "vanishing coupling" if coupling[j, n] else "vanishing ratio"
-            _record(errors, i, RecursionBreakdownError(f"recursion breakdown at n={n}: {what}", index=n))
+            errors.setdefault(int(i), RecursionBreakdownError(f"recursion breakdown at n={n}: {what}", index=n))
 
 
 # ---------------------------------------------------------------------------
@@ -522,18 +520,18 @@ class ScatteringCalculator:
         resolvent, and the stabilization candidates for narrow resonances."""
         return self.pair.eps
 
-    def green_last(self, energies: np.ndarray, errors: Optional[dict] = None, drop=None) -> np.ndarray:
+    def green_last(self, energies: np.ndarray, errors: dict, drop=None) -> np.ndarray:
         """G_(N-1,N-1)(E) of the full Hamiltonian at each energy of a 1-D
         array, from its pole/residue form (``drop``: see
         ``PartialFractions.evaluate``), in real arithmetic at real E.
 
         An energy that the pole rule (``resolvent.POLE_RTOL``) puts on an
-        eigenvalue is NaN and fails with a SpectrumEvaluationError naming
-        that eigenvalue (see the module docstring for ``errors``).
+        eigenvalue is NaN, and a SpectrumEvaluationError naming that
+        eigenvalue is filed in ``errors`` (see the module docstring).
         """
         g, on_pole = self._g_last.evaluate(energies, drop=drop)
         for i in np.flatnonzero(on_pole):
-            _record(errors, i, _pole_error(self.pair.eps, energies[i]))
+            errors.setdefault(int(i), _pole_error(self.pair.eps, energies[i]))
         return g
 
     def denominator_terms(self, energies: np.ndarray, drop: np.ndarray, max_levels: int, errors: dict):
@@ -565,7 +563,7 @@ class ScatteringCalculator:
         both = {}
         cs = cs_recursion(self.mats, kin, up_to=self.mats.size, errors=both, max_levels=max_levels)
         for i, exc in sorted(both.items()):
-            _record(errors, i % size, exc)
+            errors.setdefault(i % size, exc)
         return _nan_at(errors, (cs.t[:size], np.conj(cs.r_plus[size:])))
 
     def s_values(self, energies):
@@ -591,16 +589,15 @@ class ScatteringCalculator:
         """S at one batch of energies; failures go to ``errors``."""
         energies = kin.energy
         cs = cs_recursion(self.mats, kin, up_to=self.mats.size, errors=errors)
-        gj = self.green_last(energies, errors) * self.mats.j_boundary(energies)
-        denom = 1.0 + gj * cs.r_plus
-        for i in np.flatnonzero(denom == 0.0):
-            _record(errors, i, NumericalError(f"S-matrix denominator vanished at E={float(energies[i])}"))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = cs.t * (1.0 + gj * np.conj(cs.r_plus)) / denom
+        g = self.green_last(energies, errors)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gj = g * self.mats.j_boundary(energies)
+            s = cs.t * (1.0 + gj * np.conj(cs.r_plus)) / (1.0 + gj * cs.r_plus)
         # what no stage filed, e.g. a J(E) that overflows at E near the
-        # largest double
+        # largest double, or a vanishing denominator
         for i in np.flatnonzero(~np.isfinite(s)):
-            _record(errors, i, NumericalError(f"S-matrix at E={float(energies[i])}: non-finite value {complex(s[i])}"))
+            error = NumericalError(f"S-matrix at E={float(energies[i])}: non-finite value {complex(s[i])}")
+            errors.setdefault(int(i), error)
         s[list(errors)] = complex("nan")
         return s
 

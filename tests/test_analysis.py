@@ -108,14 +108,6 @@ class TestScanSMatrix:
             with pytest.raises(InputError, match="must be positive"):
                 scan_smatrix(barrier_calc, grid)
 
-    def test_metadata_snapshot(self):
-        pot = parse_potential("7.5*r^2*exp(-r)")
-        spec = SystemSpec(basis=BasisSpec("laguerre", lam=2.0, ell=1, size=20), potential=pot)
-        table = scan_smatrix(spec, [1.0, 2.0])
-        snap = table.metadata["system"]
-        assert snap["lambda"] == 2.0 and snap["ell"] == 1 and snap["N"] == 20
-        assert snap["potential"] == "7.5*r^2*exp(-r)"
-
 
 @pytest.fixture(scope="module")
 def two_gaussian_calc():
@@ -340,7 +332,7 @@ class TestPoleSearch:
             if kin.mirror is not None:
                 for i in np.argsort(kin.energy.real[: kin.energy.size // 2])[:2]:
                     stage = f"R_{n}(+) at E={kin.energy[i]}, ell={ell}, t={kin.t[i]}"
-                    scattering._record(errors, i, scattering._cf_error(stage, max_levels, 0.5))
+                    errors.setdefault(int(i), scattering._cf_error(stage, max_levels, 0.5))
                     r_plus[i] = complex("nan")
             return r_plus
 

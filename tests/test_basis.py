@@ -138,15 +138,6 @@ class TestGaussQuadrature:
 
 
 class TestGaussRuleCache:
-    def test_rule_is_read_only(self):
-        nodes, log_w = gauss_rule_log(1.5, 9)
-        for arr in (nodes, log_w):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-        one_node, one_w = gauss_rule_log(0.0, 1)
-        assert not one_node.flags.writeable and not one_w.flags.writeable
-
     def test_repeat_call_same_rule(self):
         first = [a.copy() for a in gauss_rule_log(2.5, 17)]
         again = gauss_rule_log(2.5, 17)
