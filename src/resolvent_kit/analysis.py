@@ -338,18 +338,18 @@ def bound_states(system: SystemSpec, grid: Optional[Sequence[float]] = None) -> 
     """
     mats = build_matrices(system)
     eps = gen_sym_eigvals(mats.h, mats.omega)
-    energies = eps[eps < 0.0]
+    if grid is not None:
+        # a copy, so that a caller's later writes to its grid do not reach the scan
+        grid = _energy_grid(grid).copy()
+    return BoundStateResult(energies=eps[eps < 0.0], _scan_of=partial(_abs_g_scan, mats, eps, grid))
+
+
+def _abs_g_scan(mats: MatrixSet, poles: np.ndarray, grid: Optional[np.ndarray]) -> ScanTable:
+    """|G_(N-1,N-1)| on ``grid`` (None: ``bound_states``' default), with
+    ``poles`` and the last-row weights of the pencil's eigenvectors."""
     if grid is None:
-        lo = 1.4 * float(energies.min()) - 0.5 if energies.size else -6.0
-        grid = np.linspace(lo, -1e-3, 400)
-    # a copy, so that a caller's later writes to its grid do not reach the scan
-    scan_of = partial(_abs_g_scan, mats, eps, _energy_grid(grid).copy())
-    return BoundStateResult(energies=energies, _scan_of=scan_of)
-
-
-def _abs_g_scan(mats: MatrixSet, poles: np.ndarray, grid: np.ndarray) -> ScanTable:
-    """|G_(N-1,N-1)| on ``grid``, with ``poles`` and the last-row weights
-    of the pencil's eigenvectors."""
+        bound = poles[poles < 0.0]
+        grid = np.linspace(1.4 * float(bound.min()) - 0.5 if bound.size else -6.0, -1e-3, 400)
     last = mats.size - 1
     weights = gen_sym_eig(mats.h, mats.omega).gamma[last] ** 2
     g, on_pole = PartialFractions(poles=poles, coeffs=weights, n=last, m=last).evaluate(grid)
@@ -409,8 +409,9 @@ def density_of_states(
     or a fit_order below 1, raises InputError, before the system is
     built. Either method raises SpectrumEvaluationError if a point it
     evaluates G_00 at (E + i*delta, or the fit contour) sits on a pole by
-    the pole rule (``resolvent.POLE_RTOL``), and the fit raises
-    NumericalError if its least-squares solve fails.
+    the pole rule (``resolvent.POLE_RTOL``). The fit then raises
+    InputError on a grid of at most 2 * fit_order points, its number of
+    unknowns, and NumericalError if its least-squares solve fails.
     """
     for name, value in (("delta", delta), ("fit_height", fit_height), ("fit_threshold", fit_threshold)):
         if value is not None and not 0.0 < value < math.inf:
@@ -430,6 +431,13 @@ def density_of_states(
 
     z_fit = grid + 1j * fit_height
     g_fit = _g00_off_poles(g00, z_fit)
+    if grid.size <= 2 * fit_order:
+        # with no more points than unknowns the fit interpolates: its
+        # residual is round-off whatever rho is, so the threshold is blind
+        raise InputError(
+            f"a rational fit of order ({fit_order - 1})/{fit_order} has {2 * fit_order} unknowns and needs "
+            f"at least {2 * fit_order + 1} grid points, got {grid.size}"
+        )
     fit = _rational_fit(z_fit, g_fit, fit_order, fit_height)
     residual = float(np.max(np.abs(fit(z_fit) - g_fit)) / np.max(np.abs(g_fit)))
     if residual > fit_threshold:
@@ -464,8 +472,7 @@ def _rational_fit(z: np.ndarray, g: np.ndarray, order: int, height: float):
 
     zz = zeta(z)
     weight = np.ones_like(g)
-    coeffs = None
-    for _ in range(3):
+    for sweep in range(3):
         # a high contour overflows the powers of zeta; lstsq is handed
         # only a finite system, so LAPACK has nothing to complain about
         with np.errstate(all="ignore"):
@@ -479,9 +486,10 @@ def _rational_fit(z: np.ndarray, g: np.ndarray, order: int, height: float):
             coeffs, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
         except np.linalg.LinAlgError as exc:
             raise failed(exc) from exc
-        q = np.concatenate([coeffs[order:], [1.0]])
-        weight = np.abs(np.polyval(q[::-1], zz))
-        weight = np.maximum(weight, 1e-12 * np.max(weight))
+        if sweep < 2:
+            q = np.concatenate([coeffs[order:], [1.0]])
+            weight = np.abs(np.polyval(q[::-1], zz))
+            weight = np.maximum(weight, 1e-12 * np.max(weight))
     p = coeffs[:order]
     q = np.concatenate([coeffs[order:], [1.0]])
 

@@ -71,7 +71,7 @@ OSCILLATOR = "oscillator"
 
 
 # Relative padding of the recurrence's magnitude bound per degree: each
-# degree rounds a few times (a_n, two products and a difference, each
+# degree rounds a few times (the factor, two products and a difference, each
 # within 2^-53), and the bound itself rounds alike; 1e-14 covers both.
 _BOUND_SLACK = 1.0 + 1e-14
 
@@ -94,26 +94,28 @@ def _orthonormal_recurrence(alpha: float, degree: int, x: np.ndarray, cur, logsc
 
     Each node runs its own recurrence: a renormalization divides the other
     nodes by exactly 1, so a node's values do not depend on which other
-    nodes share the call. The unscaled values are written straight into
-    the rows, and the per-node scale multiplies each block of rows that
-    shares one logscale when the block ends.
+    nodes share the call. Rows 1 .. degree of one (degree + 1) x nodes
+    buffer (``rows``, or a scratch one) first receive every degree's
+    factor (d_n - x) / s_n, formed by two whole-array operations; each
+    degree then overwrites its row with factor * value - coupling * previous
+    value, in place, so the unscaled values land straight in the rows. The
+    per-node scale multiplies each block of rows that shares one logscale
+    when the block ends.
 
     Looking for large values costs two passes over the nodes, so it is
     skipped while a scalar bound proves none can pass 1e120: the bound
-    grows by max over the node range of |a_n| times itself plus the
-    coupling times its previous value, as the recurrence does. From the
+    grows by the largest |factor| over the node range times itself plus
+    the coupling times its previous value, as the recurrence does. From the
     degree where the bound passes 1e120 (118 at ell = 0, N = 120 for the
     potential rule) every degree is checked, so the values are the same
     bits as with a check at every degree.
     """
     keep = rows is not None
     if not keep:
-        rows = np.empty((3, x.size))  # ring of the last three degrees
-    width = rows.shape[0]
+        rows = np.empty((degree + 1, x.size))
     diag = [2.0 * n + alpha + 1.0 for n in range(degree)]
     norm = [math.sqrt((n + 1.0) * (n + alpha + 1.0)) for n in range(degree)]
     coupling = [0.0] + [math.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0))) for n in range(1, degree)]
-    a = np.empty_like(x)
     bprev = np.empty_like(x)
     mag = np.empty_like(x)
     prev = np.zeros_like(x)
@@ -125,12 +127,13 @@ def _orthonormal_recurrence(alpha: float, degree: int, x: np.ndarray, cur, logsc
     bound, bound_prev = float(np.max(np.abs(cur), initial=0.0)), 0.0
     checking = False
     with np.errstate(under="ignore"):
+        factors = rows[1:]
+        np.subtract(np.array(diag)[:, None], x, out=factors)
+        np.divide(factors, np.array(norm)[:, None], out=factors)
         for n in range(degree):
-            np.subtract(diag[n], x, out=a)
-            np.divide(a, norm[n], out=a)
+            new = rows[n + 1]
+            np.multiply(new, cur, out=new)
             np.multiply(prev, coupling[n], out=bprev)
-            new = rows[(n + 1) % width]
-            np.multiply(a, cur, out=new)
             np.subtract(new, bprev, out=new)
             cur, prev = new, cur
             if not checking:
@@ -359,9 +362,13 @@ def _oscillator_analytic(ell: int, size: int):
 
 
 def _bands_to_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    m = np.diag(diag)
-    k = diag.size - 1
-    m += np.diag(off[:k], 1) + np.diag(off[:k], -1)
+    """The symmetric tridiagonal matrix with diagonal ``diag`` and the
+    first size - 1 entries of ``off`` beside it."""
+    size = diag.size
+    m = np.zeros((size, size))
+    flat = m.reshape(-1)
+    flat[:: size + 1] = diag
+    flat[1 :: size + 1] = flat[size :: size + 1] = off[: size - 1]
     return m
 
 

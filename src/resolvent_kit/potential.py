@@ -12,6 +12,14 @@ minus, ``exp(...)``, parentheses)::
 Parsing yields an immutable expression tree; evaluation is pure and works
 elementwise on numpy arrays. ``parse_potential(expr.to_text())`` returns
 a tree equal to ``expr``.
+
+``expr(r)`` has the shape of r. Inside the tree a subexpression free of
+r is a float64 scalar, and only the root broadcasts a constant result to
+r's shape; + - * / and exp give the same bits on a scalar as on a full
+array. The operands of ``^`` are the exception: each is a full float64
+array of r's shape, because numpy's ``power`` takes a fast path for a
+scalar or stride-0 exponent (a square for 2, a square root for 0.5) that
+rounds differently from its general loop.
 """
 
 from __future__ import annotations
@@ -27,6 +35,11 @@ class PotentialExpr:
     """Base class of expression-tree nodes."""
 
     def __call__(self, r):
+        value = self._eval(r)
+        return _full(value, r) if np.ndim(r) else value
+
+    def _eval(self, r):
+        """The value at r: a float64 scalar where it does not depend on r."""
         raise NotImplementedError
 
     def to_text(self) -> str:
@@ -41,8 +54,8 @@ class Num(PotentialExpr):
     value: float
     _PREC = 9
 
-    def __call__(self, r):
-        return np.broadcast_to(np.float64(self.value), np.shape(r)).copy() if np.ndim(r) else float(self.value)
+    def _eval(self, r):
+        return np.float64(self.value)
 
     def to_text(self) -> str:
         if self.value == int(self.value) and abs(self.value) < 1e16:
@@ -54,7 +67,7 @@ class Num(PotentialExpr):
 class Var(PotentialExpr):
     _PREC = 9
 
-    def __call__(self, r):
+    def _eval(self, r):
         return np.asarray(r, dtype=float) if np.ndim(r) else float(r)
 
     def to_text(self) -> str:
@@ -66,14 +79,20 @@ class Neg(PotentialExpr):
     operand: PotentialExpr
     _PREC = 3
 
-    def __call__(self, r):
-        return -self.operand(r)
+    def _eval(self, r):
+        return -self.operand._eval(r)
 
     def to_text(self) -> str:
         inner = self.operand.to_text()
         if self.operand._PREC < Neg._PREC:
             inner = f"({inner})"
         return f"-{inner}"
+
+
+def _full(value, r):
+    """``value`` as a full float64 array of r's shape, unless it already
+    is an array (one that depends on r has that shape)."""
+    return np.full(np.shape(r), value) if np.ndim(value) == 0 else value
 
 
 _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -89,9 +108,9 @@ class Bin(PotentialExpr):
     def _PREC(self):  # type: ignore[override]
         return _BIN_PREC[self.op]
 
-    def __call__(self, r):
-        a = self.lhs(r)
-        b = self.rhs(r)
+    def _eval(self, r):
+        a = self.lhs._eval(r)
+        b = self.rhs._eval(r)
         if self.op == "+":
             return a + b
         if self.op == "-":
@@ -100,6 +119,8 @@ class Bin(PotentialExpr):
             return a * b
         if self.op == "/":
             return a / b
+        if np.ndim(r):
+            a, b = _full(a, r), _full(b, r)
         return np.power(a, b)
 
     def to_text(self) -> str:
@@ -127,8 +148,8 @@ class Exp(PotentialExpr):
     arg: PotentialExpr
     _PREC = 9
 
-    def __call__(self, r):
-        return np.exp(self.arg(r))
+    def _eval(self, r):
+        return np.exp(self.arg._eval(r))
 
     def to_text(self) -> str:
         return f"exp({self.arg.to_text()})"

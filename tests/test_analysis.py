@@ -476,6 +476,8 @@ class TestBoundStates:
         spec = SystemSpec(basis=BasisSpec("laguerre", lam=1.0, ell=0, size=20))
         result = bound_states(spec)
         assert result.energies.size == 0
+        # the default scan starts at -6 when there is no bound state
+        assert result.scan.energies.tobytes() == np.linspace(-6.0, -1e-3, 400).tobytes()
 
     def test_matches_negative_eigenvalues_exactly(self):
         # exactly the negative eigenvalues of the eigenvalue-only route, and
@@ -599,6 +601,9 @@ class TestBoundStates:
         result = bound_states(spec)
         assert result.scan.energies[0] < result.energies.min()
         assert result.scan.energies[-1] < 0.0
+        # the default grid: 400 points from 1.4 E_0 - 0.5 to -1e-3
+        lowest = float(result.energies[0])
+        assert result.scan.energies.tobytes() == np.linspace(1.4 * lowest - 0.5, -1e-3, 400).tobytes()
 
 
 class TestDensityOfStates:
@@ -646,6 +651,17 @@ class TestDensityOfStates:
         grid = np.linspace(0.3, 6.0, 120)
         table = density_of_states(self.osc_spec(size=8), grid, method="continuation", fit_order=8)
         assert table.metadata["fit_residual"] < 1e-10
+
+    @pytest.mark.parametrize("order", [2, 8])
+    def test_continuation_needs_more_points_than_unknowns(self, order):
+        # on 2 * order points the fit interpolates, so its residual is
+        # round-off whatever rho is (rho reached -0.038 on 2 points); one
+        # more point makes it a least-squares fit again
+        spec = self.osc_spec(size=100)
+        with pytest.raises(InputError, match=rf"needs at least {2 * order + 1} grid points, got {2 * order}$"):
+            density_of_states(spec, np.linspace(0.05, 8.0, 2 * order), method="continuation", fit_order=order)
+        table = density_of_states(spec, np.linspace(0.05, 8.0, 2 * order + 1), method="continuation", fit_order=order)
+        assert table.size == 2 * order + 1 and table.metadata["fit_residual"] <= 5e-2
 
     def test_smoothing_approaches_continuation_off_poles(self):
         spec = self.osc_spec(size=8)

@@ -130,6 +130,14 @@ class TestExitCodes:
             )
             assert not (tmp_path / "a.json").exists()
 
+    def test_continuation_on_too_few_points_exits_one(self, tmp_path, capsys):
+        # 16 points for the 16 unknowns of the default order-8 fit
+        out = ["--csv", str(tmp_path / "a.csv"), "--json", str(tmp_path / "a.json")]
+        argv = ["dos", "--family", "oscillator", "--method", "continuation", "--steps", "15"]
+        assert run_cli(argv + out) == 1
+        assert "needs at least 17 grid points, got 16" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+
     def test_bound_states_grid_end_named(self, tmp_path, capsys):
         # a negative e_min scans up to min(e_max, -1e-3); at or above that
         # end the grid would run backwards or stand still

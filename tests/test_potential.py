@@ -74,6 +74,38 @@ class TestRoundTrip:
             assert again(r) == pytest.approx(tree(r), rel=1e-15)
 
 
+def reference_eval(node, r):
+    """``node`` at the array r with every constant a full float64 array of
+    r's shape, as the tree evaluated before its constants were scalars."""
+    if isinstance(node, Num):
+        return np.broadcast_to(np.float64(node.value), r.shape).copy()
+    if isinstance(node, Var):
+        return np.asarray(r, dtype=float)
+    if isinstance(node, Neg):
+        return -reference_eval(node.operand, r)
+    if isinstance(node, Exp):
+        return np.exp(reference_eval(node.arg, r))
+    ops = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+    return ops[node.op](reference_eval(node.lhs, r), reference_eval(node.rhs, r))
+
+
+class TestEvaluationBits:
+    # numpy's power squares a scalar or stride-0 exponent of 2 and takes
+    # the square root of one of 0.5, which rounds differently from its
+    # general loop: every case with such an exponent (r^2 inside the
+    # corpus too) catches an exponent passed as a broadcast view
+    EXTRA = ["3", "(r-3.5)^2", "2^r", "r^0.5", "r^-1.5", "(2)^-r^2", "exp(2)*r"]
+
+    @pytest.mark.parametrize("text", EXTRA + TestRoundTrip.CORPUS)
+    def test_same_bits_as_full_array_constants(self, text):
+        r = np.geomspace(1e-6, 200.0, 5001)
+        tree = parse_potential(text)
+        got = tree(r)
+        want = reference_eval(tree, r)
+        assert got.dtype == np.float64 and got.shape == r.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestTreeShape:
     def test_structure(self):
         tree = parse_potential("2*r + 1")
